@@ -37,7 +37,6 @@ from .operators import (
     lumped_mass,
     mass_force,
     nonlinear_force_gradient,
-    nonlinear_force_scalar,
 )
 from .problems import (
     Discretization,

@@ -3,7 +3,8 @@
 Experiments are described by a single versioned JSON config; every key is
 schema-checked and unknown keys are rejected before any compute starts.
 Outputs are plot-ready CSVs (converge, bench, diffuse) or a JSON report
-(verify).  Exit codes: 0 success, 1 check failure, 2 config error.
+(verify).  Exit codes: 0 success, 1 check failure or a solve that did not
+converge (the CSV is still written), 2 config error.
 
 Numeric CSV payloads are deterministic for a fixed config and seed
 (timing columns excepted): random inputs come from a seeded generator and
@@ -196,6 +197,7 @@ def cmd_converge(cfg, provider) -> int:
     case = poisson_case(dim)
     rows = []
     hs, e2s, einfs = [], [], []
+    all_converged = True
     for power in cfg["powers"]:
         counts = 2**power
         disc = discretize(
@@ -205,13 +207,12 @@ def cmd_converge(cfg, provider) -> int:
         rhs = ops.external_force(disc.r, disc.precomp, provider)
         solver_cfg = SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"])
         t0 = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            d, u_h, report = solve_static_linear(
-                disc.precomp, disc.chi_omega, rhs, dirichlet=disc.dirichlet,
-                config=solver_cfg, provider=provider,
-            )
+        d, u_h, report = solve_static_linear(
+            disc.precomp, disc.chi_omega, rhs, dirichlet=disc.dirichlet,
+            config=solver_cfg, provider=provider,
+        )
         wall = time.perf_counter() - t0
+        all_converged &= report.converged
         err = nodal_errors(u_h, disc.exact_field, disc.chi)
         if dim == 1:
             # the 1D study uses the continuous integral norm
@@ -233,7 +234,7 @@ def cmd_converge(cfg, provider) -> int:
          slope_l2, slope_linf, "", ""]
     )
     _write_csv(cfg["out"], CONVERGE_HEADER, rows)
-    return 0
+    return 0 if all_converged else 1
 
 
 def cmd_bench(cfg, provider) -> int:
@@ -263,15 +264,14 @@ def cmd_diffuse(cfg, provider) -> int:
         provider=provider,
     )
     rhs = ops.external_force(disc.r, disc.precomp, provider)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        # steady state of the nu-scaled diffusion: nu K d = rhs
-        _, u_static, _ = solve_static_linear(
-            disc.precomp, disc.chi_omega, rhs,
-            config=SolverConfig(tol=cfg["tol"]), provider=provider,
-            operator=lambda x: cfg["nu"]
-            * ops.internal_force(x, disc.precomp, provider),
-        )
+    # steady state of the nu-scaled diffusion: nu K d = rhs
+    _, u_static, static_report = solve_static_linear(
+        disc.precomp, disc.chi_omega, rhs,
+        config=SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"]),
+        provider=provider,
+        operator=lambda x: cfg["nu"]
+        * ops.internal_force(x, disc.precomp, provider),
+    )
     active = disc.chi > 0.5
     static_scale = float(np.max(np.abs(u_static[active])))
     dt = cfg["dt"]
@@ -284,8 +284,8 @@ def cmd_diffuse(cfg, provider) -> int:
             dt *= 50.0
     n_steps = int(np.ceil(cfg["t_end"] / dt))
     solver_cfg = SolverConfig(
-        tol=cfg["tol"], dt=dt, n_steps=n_steps, scheme=cfg["scheme"],
-        nu=cfg["nu"],
+        tol=cfg["tol"], max_iter=cfg["max_iter"], dt=dt, n_steps=n_steps,
+        scheme=cfg["scheme"], nu=cfg["nu"],
     )
     rows = []
 
@@ -298,12 +298,12 @@ def cmd_diffuse(cfg, provider) -> int:
             [state.t, float(np.max(np.abs(u_t[active]))), gap / static_scale]
         )
 
-    run_transient(
+    final = run_transient(
         disc.precomp, disc.chi_omega, rhs, solver_cfg,
         dirichlet=disc.dirichlet, provider=provider, callback=sample,
     )
     _write_csv(cfg["out"], DIFFUSE_HEADER, rows)
-    return 0
+    return 0 if static_report.converged and final.converged else 1
 
 
 def main(argv=None) -> int:

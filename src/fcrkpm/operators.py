@@ -36,7 +36,6 @@ __all__ = [
     "evaluate_field",
     "evaluate_gradient",
     "boundary_force",
-    "nonlinear_force_scalar",
     "nonlinear_force_gradient",
     "mass_force",
     "lumped_mass",
@@ -128,16 +127,6 @@ def boundary_force(
     for p in range(precomp.size):
         B_hat += forward(w * precomp.b0[p], provider) * precomp.table.hat_Hbar_a[p]
     return precomp.chi * inverse(B_hat, provider)
-
-
-def nonlinear_force_scalar(
-    N_u: np.ndarray,
-    precomp: MomentPrecomp,
-    provider: FFTProvider | None = None,
-) -> np.ndarray:
-    """Galerkin projection of a pointwise nonlinearity N(u_h) against the
-    shape functions; the caller evaluates N_u from evaluate_field first."""
-    return external_force(N_u, precomp, provider)
 
 
 def nonlinear_force_gradient(

@@ -6,12 +6,17 @@ update is masked by chi_omega (active minus Dirichlet), so the frozen
 values carry their stiffness contribution into every residual without a
 separate right-hand-side lift.
 
-The static solver is plain (un-preconditioned) conjugate gradient on the
-masked subspace; each iteration costs one internal-force pipeline.  The
-nonlinear solver is Polak-Ribiere nonlinear CG with a backtracking line
-search on the residual norm.  Transient diffusion offers forward Euler with
-the lumped mass and backward Euler with the consistent mass (inner masked
-CG on the shifted operator).
+The static solver is preconditioned conjugate gradient on the masked
+subspace.  The preconditioner is the floored FFT symbol of the operator's
+own interior stencil: one application of the operator to a unit delta at
+the deepest active node gives the stencil, its DFT is a circulant
+approximation of the operator, and dividing by it costs two transforms per
+iteration on top of the one operator application.  The stopping rule is on
+the true masked residual, ||r|| / ||r_0|| <= tol, not on the preconditioned
+one.  The nonlinear solver is Polak-Ribiere nonlinear CG with a
+backtracking line search on the residual norm.  Transient diffusion offers
+forward Euler with the lumped mass and backward Euler with the consistent
+mass (inner masked preconditioned CG on the shifted operator).
 """
 
 from __future__ import annotations
@@ -21,16 +26,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import LineSearchError
 from .moment import MomentPrecomp
 from .operators import (
     evaluate_field,
+    external_force,
     internal_force,
     lumped_mass,
     mass_force,
-    nonlinear_force_scalar,
 )
+from .spectral import forward, inverse
 
 __all__ = [
     "SolverConfig",
@@ -43,6 +50,13 @@ __all__ = [
     "explicit_stable_dt",
     "default_explicit_dt",
 ]
+
+# Floor of the preconditioner symbol, relative to its largest entry.  Direct
+# nodal integration leaves zero-energy Nyquist modes, so the stiffness
+# symbol vanishes there (and at k = 0) and must not be inverted as is.
+# Measured on the 3D 48^3 Poisson case: floor 1e-3 -> 51 iterations,
+# 1e-2 -> 45, 3e-2 -> 49, 1e-1 -> 48, 2e-1 -> 58.
+SYMBOL_FLOOR = 1e-2
 
 
 @dataclass
@@ -85,43 +99,85 @@ class SolveReport:
 
 @dataclass
 class TransientState:
+    """Time, coefficients and step index of a march; `converged` turns
+    False for good once an implicit step's inner CG stops short."""
+
     t: float
     d: np.ndarray
     step: int = 0
+    converged: bool = True
 
 
 def default_explicit_dt(precomp: MomentPrecomp, nu: float = 1.0) -> float:
     return 0.2 * min(precomp.grid.spacing) ** 2 / (2 * precomp.dim * nu)
 
 
-def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter):
-    """Conjugate gradient on the mask-projected operator.
+def _circulant_preconditioner(apply_op, mask, provider):
+    """Inverse of the operator's floored FFT symbol, masked.
+
+    The interior stencil is the operator's response to a unit delta at the
+    active node farthest from the mask boundary, rolled back to the origin.
+    The real part of its DFT is the symbol of the symmetric part of that
+    stencil: real and even, so dividing a real field's spectrum by it keeps
+    the spectrum Hermitian.  Floored at SYMBOL_FLOOR times its maximum, it
+    is positive, and z = mask * F^-1[F(r) / lambda] is symmetric positive
+    definite on the masked subspace.  Building it costs one operator
+    application and one transform; applying it costs two transforms.
+    """
+    depth = ndimage.distance_transform_edt(mask > 0.5)
+    center = np.unravel_index(int(np.argmax(depth)), mask.shape)
+    delta = np.zeros(mask.shape)
+    delta[center] = 1.0
+    col = np.roll(
+        apply_op(delta), [-c for c in center], axis=tuple(range(mask.ndim))
+    )
+    lam = np.real(forward(col, provider))
+    lam = np.maximum(lam, SYMBOL_FLOOR * lam.max())
+
+    def precondition(v):
+        return mask * inverse(forward(v, provider) / lam, provider)
+
+    return precondition
+
+
+def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, provider):
+    """Preconditioned conjugate gradient on the mask-projected operator.
 
     The residual and every search direction are multiplied by the 0/1 mask,
-    so frozen coefficients never move; convergence is relative to the
-    initial residual.
+    so frozen coefficients never move.  The preconditioner comes from
+    `_circulant_preconditioner` of the same operator.  Convergence is on
+    the true residual relative to the initial one.
+
+    Returns:
+        (d, converged, history): history[i] is the relative true residual
+        after i iterations, so the iteration count is len(history) - 1.
     """
     d = d0.copy()
     r = mask * (rhs - apply_op(d))
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
-        return d, 0, 0.0, True
-    p = r.copy()
-    rr = r0 * r0
-    for it in range(1, max_iter + 1):
+        return d, True, [0.0]
+    precondition = _circulant_preconditioner(apply_op, mask, provider)
+    z = precondition(r)
+    p = z
+    rz = float(np.dot(r.ravel(), z.ravel()))
+    history = [1.0]
+    for _ in range(max_iter):
         Ap = mask * apply_op(p)
         pAp = float(np.dot(p.ravel(), Ap.ravel()))
         if pAp <= 0.0:
-            return d, it, float(np.sqrt(rr)) / r0, False
-        alpha = rr / pAp
+            return d, False, history
+        alpha = rz / pAp
         d = d + alpha * p
         r = r - alpha * Ap
-        rr_new = float(np.dot(r.ravel(), r.ravel()))
-        if np.sqrt(rr_new) / r0 <= tol:
-            return d, it, np.sqrt(rr_new) / r0, True
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return d, max_iter, float(np.sqrt(rr)) / r0, False
+        history.append(float(np.linalg.norm(r)) / r0)
+        if history[-1] <= tol:
+            return d, True, history
+        z = precondition(r)
+        rz_new = float(np.dot(r.ravel(), z.ravel()))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return d, False, history
 
 
 def solve_static_linear(
@@ -133,7 +189,7 @@ def solve_static_linear(
     provider=None,
     operator=None,
 ):
-    """Solve the linear static system by masked conjugate gradient.
+    """Solve the linear static system by masked preconditioned CG.
 
     Args:
         chi_omega: mask of the updated coefficients (active minus Dirichlet).
@@ -153,11 +209,15 @@ def solve_static_linear(
     d0 = np.zeros(grid.shape) if dirichlet is None else dirichlet.copy()
     n_active = int(np.count_nonzero(chi_omega))
     start = time.perf_counter()
-    d, iters, resid, converged = _masked_cg(
-        apply_op, rhs, d0, chi_omega, config.tol, config.iter_cap(n_active)
+    d, converged, history = _masked_cg(
+        apply_op, rhs, d0, chi_omega, config.tol, config.iter_cap(n_active),
+        provider,
     )
     wall = time.perf_counter() - start
-    report = SolveReport(iters, resid, wall, converged)
+    iters, resid = len(history) - 1, history[-1]
+    report = SolveReport(
+        iters, resid, wall, converged, residual_history=history
+    )
     if not converged:
         report.warnings.append(
             f"CG stopped at relative residual {resid:.3e} after {iters} iterations"
@@ -201,7 +261,7 @@ def solve_static_nonlinear(
     def residual(dd):
         """Masked residual and the evaluated field it was built from."""
         u = evaluate_field(dd, precomp, provider)
-        fN = nonlinear_force_scalar(nonlinearity(u), precomp, provider)
+        fN = external_force(nonlinearity(u), precomp, provider)
         R = chi_omega * (internal_force(dd, precomp, provider) + fN - rhs)
         return R, u
 
@@ -212,9 +272,7 @@ def solve_static_nonlinear(
 
         def jacobian_product(v):
             dv = evaluate_field(v, precomp, provider)
-            fNp = nonlinear_force_scalar(
-                nonlinearity_prime(u) * dv, precomp, provider
-            )
+            fNp = external_force(nonlinearity_prime(u) * dv, precomp, provider)
             return chi_omega * (internal_force(v, precomp, provider) + fNp)
 
     else:
@@ -315,6 +373,7 @@ def step_transient_diffusion(
         precomp, config.nu
     )
     d = state.d
+    converged = state.converged
     if config.scheme == "explicit-euler":
         if lumped is None:
             raise ValueError("explicit stepping needs the lumped mass field")
@@ -331,19 +390,24 @@ def step_transient_diffusion(
 
         b = mass_force(d, precomp, provider) / dt + rhs
         n_active = int(np.count_nonzero(chi_omega))
-        d_new, iters, resid, converged = _masked_cg(
-            apply_op, b, d, chi_omega, config.tol, config.iter_cap(n_active)
+        d_new, step_converged, history = _masked_cg(
+            apply_op, b, d, chi_omega, config.tol, config.iter_cap(n_active),
+            provider,
         )
-        if not converged:
+        if not step_converged:
+            converged = False
             warnings.warn(
-                f"implicit step {state.step + 1}: CG residual {resid:.3e}",
+                f"implicit step {state.step + 1}: "
+                f"CG residual {history[-1]:.3e}",
                 stacklevel=2,
             )
     if np.any(np.isnan(d_new)):
         raise FloatingPointError(
             f"NaN detected at transient step {state.step + 1}"
         )
-    return TransientState(t=state.t + dt, d=d_new, step=state.step + 1)
+    return TransientState(
+        t=state.t + dt, d=d_new, step=state.step + 1, converged=converged
+    )
 
 
 def run_transient(

@@ -137,6 +137,17 @@ class TestConvergeCSV:
         assert 1.8 <= e_linf_slope <= 2.2
 
 
+    def test_not_converged_exits_1(self, tmp_path):
+        out = tmp_path / "c.csv"
+        cfg = _write(
+            tmp_path, "c.json",
+            {"version": 1, "experiment": "converge", "dim": 1,
+             "powers": [3, 4, 5], "max_iter": 2},
+        )
+        with pytest.warns(UserWarning, match="CG stopped"):
+            assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+
+
 class TestBenchCSV:
     def test_header_frozen(self, bench_rows):
         assert bench_rows[0] == CSV_HEADER
@@ -190,6 +201,16 @@ class TestDiffuseCSV:
         rows = _read_csv(str(out))
         assert rows[0] == ["t", "u_linf", "err_vs_static_linf"]
         assert float(rows[-1][2]) < 1e-4
+
+    def test_not_converged_exits_1(self, tmp_path):
+        out = tmp_path / "d.csv"
+        cfg = _write(
+            tmp_path, "d.json",
+            {"version": 1, "experiment": "diffuse", "dim": 2, "counts": 16,
+             "scheme": "implicit-euler", "t_end": 0.1, "max_iter": 2},
+        )
+        with pytest.warns(UserWarning):
+            assert main(["diffuse", "--config", cfg, "--out", str(out)]) == 1
 
     def test_nu_scaling_halves_time_to_steady(self, tmp_path):
         times = {}

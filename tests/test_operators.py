@@ -14,7 +14,6 @@ from fcrkpm import (
     lumped_mass,
     mass_force,
     nonlinear_force_gradient,
-    nonlinear_force_scalar,
     poisson_case,
 )
 from fcrkpm.grid import boundary_face_weights
@@ -162,12 +161,13 @@ class TestNonlinearForces:
     def test_scalar_zero_and_unit(self, discs):
         d = discs[2]
         assert np.all(
-            nonlinear_force_scalar(np.zeros(d.grid.shape), d.precomp) == 0.0
+            external_force(np.zeros(d.grid.shape), d.precomp) == 0.0
         )
+        # a unit source projects onto the row sums of the consistent mass
         ones = np.ones(d.grid.shape)
         assert np.array_equal(
-            nonlinear_force_scalar(ones, d.precomp),
             external_force(ones, d.precomp),
+            lumped_mass(d.precomp),
         )
 
     def test_scalar_cubic_matches_oracle(self, discs, refs, rng):
@@ -175,7 +175,7 @@ class TestNonlinearForces:
         coeff = d.chi * rng.standard_normal(d.grid.shape)
         u = evaluate_field(coeff, d.precomp)
         assert rel_err(
-            nonlinear_force_scalar(u**3, d.precomp),
+            external_force(u**3, d.precomp),
             refs[2].f_r_direct(u**3),
         ) < 1e-10
 
@@ -282,10 +282,6 @@ class TestTransformCounts:
 
         prov.reset()
         evaluate_field(coeff, d.precomp, prov)
-        assert prov.total == s + 1
-
-        prov.reset()
-        nonlinear_force_scalar(coeff, d.precomp, prov)
         assert prov.total == s + 1
 
         prov.reset()

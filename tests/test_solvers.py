@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcrkpm import (
+    CountingFFTProvider,
     SolverConfig,
     convergence_slope,
     default_explicit_dt,
@@ -20,7 +21,7 @@ from fcrkpm import (
     solve_static_nonlinear,
     step_transient_diffusion,
 )
-from fcrkpm.solvers import TransientState
+from fcrkpm.solvers import TransientState, _circulant_preconditioner
 
 from conftest import rel_err
 
@@ -111,6 +112,46 @@ class TestStaticLinear:
             )
         assert not report.converged
         assert report.iterations == 2
+
+
+class TestPreconditioner:
+    def test_symmetric_positive_on_masked_subspace(self, disc2d, rng):
+        mask = disc2d.chi_omega
+        precondition = _circulant_preconditioner(
+            lambda x: internal_force(x, disc2d.precomp), mask, None
+        )
+        for _ in range(5):
+            r1 = mask * rng.standard_normal(disc2d.grid.shape)
+            r2 = mask * rng.standard_normal(disc2d.grid.shape)
+            P1, P2 = precondition(r1), precondition(r2)
+            a, b = np.vdot(r1, P2), np.vdot(r2, P1)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+            assert np.vdot(r1, P1) > 0.0 and np.vdot(r2, P2) > 0.0
+
+    def test_2d_64_iteration_count(self):
+        # plain CG took 107 iterations on this case
+        disc = discretize(poisson_case(2), counts=64)
+        _, _, report = _solve_poisson(disc)
+        assert report.converged and report.iterations < 60
+
+    def test_transform_count(self, disc2d):
+        # per solve: the initial residual, the stencil probe and each
+        # iteration apply the operator once; the symbol takes one forward
+        # transform; each preconditioning takes two, and the converged
+        # iteration skips it; evaluate_field closes with s + 1
+        prov = CountingFFTProvider()
+        _, _, report = _solve_poisson(disc2d, provider=prov)
+        s = disc2d.precomp.size
+        k = report.iterations
+        assert report.converged and k > 0
+        assert prov.total == (k + 2) * 2 * (s + 1) + 1 + 2 * k + (s + 1)
+
+    def test_residual_history(self, disc2d):
+        _, _, report = _solve_poisson(disc2d)
+        hist = report.residual_history
+        assert len(hist) == report.iterations + 1
+        assert hist[0] == 1.0 and hist[-1] == report.residual
+        assert hist[-1] <= 1e-12 < min(hist[:-1])
 
 
 def _cubic_rhs(disc):
@@ -223,6 +264,24 @@ class TestTransient:
         active = disc.chi > 0.5
         gap = np.max(np.abs(u_t[active] - u_static[active]))
         assert gap / np.max(np.abs(u_static[active])) < 1e-4
+
+    def test_implicit_not_converged_flagged(self, transient_setup):
+        disc, rhs, _ = transient_setup
+        state = TransientState(t=0.0, d=np.zeros(disc.grid.shape))
+        cfg = SolverConfig(
+            dt=1e-2, n_steps=1, scheme="implicit-euler", tol=1e-14, max_iter=1
+        )
+        with pytest.warns(UserWarning, match="implicit step 1"):
+            state = step_transient_diffusion(
+                state, disc.precomp, disc.chi_omega, rhs, cfg
+            )
+        assert not state.converged
+        # a later converged step does not clear the flag
+        cfg = SolverConfig(dt=1e-2, n_steps=1, scheme="implicit-euler")
+        state = step_transient_diffusion(
+            state, disc.precomp, disc.chi_omega, rhs, cfg
+        )
+        assert not state.converged and state.step == 2
 
     def test_explicit_stability_scaling(self):
         # halving dx should shrink the stable step by about 4x
