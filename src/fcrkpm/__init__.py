@@ -63,7 +63,6 @@ from .solvers import (
 from .spectral import (
     CountingFFTProvider,
     FFTProvider,
-    NumpyFFTProvider,
     ScipyFFTProvider,
     circular_convolve,
     default_provider,

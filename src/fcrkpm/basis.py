@@ -15,9 +15,16 @@ zero coincides with the box origin: the per-node argument is the
 minimal-image offset xi of the node index (grid.wrapped_offsets), which is
 pointwise equivalent to splitting the centered function into 2^d corner
 blocks and reordering them onto the box.  For each basis entry p the table
-stores the adjusted monomial field H_p, the kernel-weighted H_p^a, its
-reflection Hbar_p^a(xi) = H_p^a(-xi), and the cached spectra of the two
-kernel-weighted fields.
+stores the adjusted monomial field H_p, the kernel-weighted H_p^a and its
+cached spectrum F_a,p = F(H_p^a).
+
+No reflected array is stored.  The correlations of the weak form need the
+reflection Hbar_p^a(xi) = H_p^a(-xi), but the kernel is evaluated through
+|x|, so phi_a(-xi) equals phi_a(xi) bit for bit, and (-xi)^alpha is
+(-1)^|alpha| xi^alpha exactly (negation is exact in IEEE arithmetic and
+rounding is sign-symmetric).  Hence Hbar_p^a = (-1)^|alpha_p| H_p^a, and by
+linearity of the transform its spectrum is (-1)^|alpha_p| F_a,p, again
+bit for bit.  The operators apply that sign instead of a second spectrum.
 """
 
 from __future__ import annotations
@@ -158,10 +165,10 @@ class BasisTable:
     """Seam-adjusted per-entry node arrays and their cached spectra.
 
     H[p] is the adjusted monomial field, Ha[p] = H[p] * phi_a(xi) the
-    kernel-weighted field, Hbar_a[p] its reflection, and hat_Ha / hat_Hbar_a
-    the spectra used by every convolution-based operator.  `release_real()`
-    drops the real-space arrays once the moment precomputation no longer
-    needs them.
+    kernel-weighted field, and hat_Ha[p] its spectrum, used by every
+    convolution-based operator (the reflected spectrum is the parity-signed
+    hat_Ha[p]; see the module docstring).  `release_real()` drops the
+    real-space arrays once the moment precomputation no longer needs them.
     """
 
     grid: PeriodicGrid
@@ -169,22 +176,19 @@ class BasisTable:
     kernel: KernelSpec
     H: list[np.ndarray]
     Ha: list[np.ndarray]
-    Hbar_a: list[np.ndarray]
     hat_Ha: list[np.ndarray]
-    hat_Hbar_a: list[np.ndarray]
 
     @property
     def size(self) -> int:
         return self.basis.size
 
     def release_real(self):
-        """Drop H, Ha, Hbar_a; only the spectra persist."""
+        """Drop H and Ha; only the spectra persist."""
         self.H = []
         self.Ha = []
-        self.Hbar_a = []
 
     def persistent_nbytes(self) -> int:
-        arrays = self.H + self.Ha + self.Hbar_a + self.hat_Ha + self.hat_Hbar_a
+        arrays = self.H + self.Ha + self.hat_Ha
         return sum(a.nbytes for a in arrays)
 
 
@@ -209,24 +213,10 @@ def build_basis_table(
                 f"period {L}; convolutions would wrap"
             )
     xi = grid.wrapped_offsets()
-    xi_neg = [-x for x in xi]
     phi = eval_kernel(xi, kernel)
-    phi_neg = eval_kernel(xi_neg, kernel)
-    H, Ha, Hbar = [], [], []
-    for alpha in basis.exponents:
-        hp = monomial(xi, alpha)
-        H.append(hp)
-        Ha.append(hp * phi)
-        Hbar.append(monomial(xi_neg, alpha) * phi_neg)
+    H = [monomial(xi, alpha) for alpha in basis.exponents]
+    Ha = [hp * phi for hp in H]
     hat_Ha = [forward(a, provider) for a in Ha]
-    hat_Hbar = [forward(a, provider) for a in Hbar]
     return BasisTable(
-        grid=grid,
-        basis=basis,
-        kernel=kernel,
-        H=H,
-        Ha=Ha,
-        Hbar_a=Hbar,
-        hat_Ha=hat_Ha,
-        hat_Hbar_a=hat_Hbar,
+        grid=grid, basis=basis, kernel=kernel, H=H, Ha=Ha, hat_Ha=hat_Ha
     )

@@ -14,9 +14,10 @@ elimination, batched over nodes, and only the row extracts survive:
     bx_p = -[M^-1]_{2p}   (implicit-gradient rows, one per axis)
     ...
 
-together with the premultiplied products C0_p = chi o V o b0_p (and the
-per-axis gradient versions) that every force subroutine consumes, plus the
-masked chi o b0_p used by field evaluation.
+Only these (1 + d) s row fields persist, next to chi and the quadrature
+weights, which are stored masked (V = chi o V) so that no operator has to
+multiply by chi o V again.  Products such as chi o V o b0_p are formed
+inside the operators, on the fly.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ CONDITION_WARN = 1e12
 class MomentPrecomp:
     """Persistent per-node arrays extracted from the inverse moment matrices.
 
-    Lists are indexed by basis entry p; bgrad/Cgrad are indexed [axis][p].
+    Lists are indexed by basis entry p; bgrad is indexed [axis][p].  V is
+    the masked quadrature weight field (zero off the domain).
     """
 
     grid: PeriodicGrid
@@ -55,9 +57,6 @@ class MomentPrecomp:
     V: np.ndarray
     b0: list[np.ndarray]
     bgrad: list[list[np.ndarray]]
-    C0: list[np.ndarray]
-    Cgrad: list[list[np.ndarray]]
-    chi_b0: list[np.ndarray]
 
     @property
     def size(self) -> int:
@@ -69,10 +68,9 @@ class MomentPrecomp:
 
     def persistent_nbytes(self) -> int:
         """Bytes held by the precomputed arrays (masks and weights included)."""
-        arrays = [self.chi, self.V]
-        arrays += self.b0 + self.C0 + self.chi_b0
-        for ax in range(self.dim):
-            arrays += self.bgrad[ax] + self.Cgrad[ax]
+        arrays = [self.chi, self.V] + self.b0
+        for rows in self.bgrad:
+            arrays += rows
         return sum(a.nbytes for a in arrays) + self.table.persistent_nbytes()
 
 
@@ -187,33 +185,17 @@ def invert_moments(
             stacklevel=2,
         )
 
-    chi_V = chi * V
-    b0, C0, chi_b0 = [], [], []
-    for p in range(s):
-        f = grid.unravel(inv[:, 0, p].copy())
-        b0.append(f)
-        C0.append(chi_V * f)
-        chi_b0.append(chi * f)
-    bgrad, Cgrad = [], []
-    for ax in range(d):
-        row = 1 + ax  # degree-1 monomial for this axis in the graded order
-        bs, Cs = [], []
-        for p in range(s):
-            f = grid.unravel(-inv[:, row, p].copy())
-            bs.append(f)
-            Cs.append(chi_V * f)
-        bgrad.append(bs)
-        Cgrad.append(Cs)
+    # stored C-contiguous like every field the transforms return: mixing
+    # memory orders in the operators' products made internal_force ~15%
+    # slower at 2D 64^2
+    def row_field(v):
+        return np.ascontiguousarray(grid.unravel(v))
+
+    b0 = [row_field(inv[:, 0, p]) for p in range(s)]
+    # row 1 + ax is the degree-1 monomial of axis ax in the graded order
+    bgrad = [[row_field(-inv[:, 1 + ax, p]) for p in range(s)] for ax in range(d)]
     return MomentPrecomp(
-        grid=grid,
-        table=table,
-        chi=chi,
-        V=V,
-        b0=b0,
-        bgrad=bgrad,
-        C0=C0,
-        Cgrad=Cgrad,
-        chi_b0=chi_b0,
+        grid=grid, table=table, chi=chi, V=chi * V, b0=b0, bgrad=bgrad
     )
 
 
@@ -227,8 +209,8 @@ def build_moment_precomp(
     """Assemble, invert, and (by default) release the transient arrays.
 
     The s(s+1)/2 moment fields and the real-space basis arrays are only
-    needed here; afterwards the operators run on the spectra and b/C fields
-    alone, which is what keeps the persistent memory at O(N*s).
+    needed here; afterwards the operators run on the spectra and the b-row
+    fields alone, which is what keeps the persistent memory at O(N*s).
     """
     fields = assemble_moment_fields(chi, table, provider)
     precomp = invert_moments(fields, chi, V, table)

@@ -1,23 +1,35 @@
 """Convolution-form weak-form operators: forces, field evaluation, mass.
 
-Every neighbor-loop summation of the Galerkin system is expressed as a
-circular convolution on the extended periodic box and evaluated through the
-cached kernel spectra.  No stiffness or mass matrix is ever materialized;
-each operator is a fixed pipeline of elementwise products and transforms:
+Every neighbor-loop summation of the Galerkin system is a circular
+convolution on the extended periodic box, evaluated through the cached
+spectra F_a,p = F(H_p^a) of the kernel-weighted monomial fields.  No
+stiffness or mass matrix is ever materialized.  Every operator is a
+composition of two primitives over one or more row sets (b0, or the d
+implicit-gradient rows bgrad):
 
-    internal force   f_int = chi o F^-1{ sum_p F(sum_ax Cax_p o Aax) o Fbar_p }
-                     with Aax = sum_q bax_q o F^-1[F(chi o d) o Fa_q]
-    external force   f_r   = chi o F^-1{ sum_p F(C0_p o r) o Fbar_p }
-    field evaluation u_h   = sum_p (chi o b0_p) o F^-1[F(chi o d) o Fa_p]
-    boundary force   f_q   = chi o F^-1{ sum_p F(chi o A o b0_p o q) o Fbar_p }
-    mass term        f_m   = like f_int with b0/C0 in place of the gradient rows
-    lumped mass      M_l   = chi o F^-1{ sum_p F(C0_p) o Fbar_p }
+    gather   G_row   = sum_p row_p o F^-1[F(chi o d) o F_a,p]
+                       (1 forward + s inverse transforms)
+    scatter  S(f, row) = chi o F^-1{ sum_p (-1)^|alpha_p| F_a,p
+                                    o F(sum_k row_k,p o f_k) }
+                       (s forward + 1 inverse transforms)
 
-where Fa_p / Fbar_p are the cached spectra of the kernel-weighted monomial
-fields and their reflections.  Transform counts are exact and fixed:
-2(s+1) for the internal force and the mass term, s+1 for everything else.
-Inputs are masked by chi inside each operator, so feeding a pre-masked
-field changes nothing.
+The scatter is the correlation with the reflected fields H_p^a(-xi); since
+the kernel is even, their spectrum is the parity-signed F_a,p (exact, see
+basis.py), so no reflected array is stored.  With the masked quadrature
+weights V (V = 0 off the domain):
+
+    internal force   f_int = S(V o G_bgrad, bgrad)
+    external force   f_r   = S(V o r, b0)
+    field evaluation u_h   = chi o G_b0
+    gradient         g     = chi o G_bgrad
+    boundary force   f_q   = S(chi o A o q, b0)
+    gradient force   f_N   = S(V o N, bgrad)
+    mass term        f_m   = S(V o G_b0, b0)
+    lumped mass      M_l   = S(V, b0)
+
+Transform counts are exact and fixed: 2(s+1) for the internal force and
+the mass term, s+1 for everything else.  Inputs are masked by chi inside
+each operator, so feeding a pre-masked field changes nothing.
 """
 
 from __future__ import annotations
@@ -42,29 +54,42 @@ __all__ = [
 ]
 
 
+def _gather(d, rows, precomp: MomentPrecomp, provider) -> list[np.ndarray]:
+    """sum_p row[p] o F^-1[F(chi o d) o F_a,p], one field per row set."""
+    d_hat = forward(precomp.chi * d, provider)
+    out = [np.zeros(precomp.grid.shape) for _ in rows]
+    for p, spectrum in enumerate(precomp.table.hat_Ha):
+        Dp = inverse(d_hat * spectrum, provider)
+        for acc, row in zip(out, rows):
+            acc += row[p] * Dp
+    return out
+
+
+def _scatter(fields, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
+    """chi o F^-1{sum_p (-1)^|alpha_p| F(sum_k rows[k][p] o fields[k]) o F_a,p}."""
+    table = precomp.table
+    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
+    for p, (alpha, spectrum) in enumerate(zip(table.basis.exponents, table.hat_Ha)):
+        mixed = rows[0][p] * fields[0]
+        for row, f in zip(rows[1:], fields[1:]):
+            mixed += row[p] * f
+        term = forward(mixed, provider) * spectrum
+        if sum(alpha) % 2:
+            B_hat -= term
+        else:
+            B_hat += term
+    return precomp.chi * inverse(B_hat, provider)
+
+
 def internal_force(
     d: np.ndarray,
     precomp: MomentPrecomp,
     provider: FFTProvider | None = None,
 ) -> np.ndarray:
-    """Stiffness action K d as a single convolution pipeline (2(s+1) transforms)."""
-    grid = precomp.grid
-    grid.check_field(d, "d")
-    table = precomp.table
-    s = precomp.size
-    d_hat = forward(precomp.chi * d, provider)
-    acc = [np.zeros(grid.shape) for _ in range(precomp.dim)]
-    for p in range(s):
-        Dp = inverse(d_hat * table.hat_Ha[p], provider)
-        for ax in range(precomp.dim):
-            acc[ax] += precomp.bgrad[ax][p] * Dp
-    B_hat = np.zeros(grid.shape, dtype=complex)
-    for p in range(s):
-        mixed = precomp.Cgrad[0][p] * acc[0]
-        for ax in range(1, precomp.dim):
-            mixed += precomp.Cgrad[ax][p] * acc[ax]
-        B_hat += forward(mixed, provider) * table.hat_Hbar_a[p]
-    return precomp.chi * inverse(B_hat, provider)
+    """Stiffness action K d (2(s+1) transforms)."""
+    precomp.grid.check_field(d, "d")
+    grads = _gather(d, precomp.bgrad, precomp, provider)
+    return _scatter([precomp.V * g for g in grads], precomp.bgrad, precomp, provider)
 
 
 def external_force(
@@ -74,10 +99,7 @@ def external_force(
 ) -> np.ndarray:
     """Load vector of a body source r (s+1 transforms)."""
     precomp.grid.check_field(r, "r")
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in range(precomp.size):
-        B_hat += forward(precomp.C0[p] * r, provider) * precomp.table.hat_Hbar_a[p]
-    return precomp.chi * inverse(B_hat, provider)
+    return _scatter([precomp.V * r], [precomp.b0], precomp, provider)
 
 
 def evaluate_field(
@@ -88,11 +110,7 @@ def evaluate_field(
     """Nodal values of the approximated field u_h from the coefficients
     (s+1 transforms).  Off-node evaluation is not supported on this path."""
     precomp.grid.check_field(d, "d")
-    d_hat = forward(precomp.chi * d, provider)
-    u = np.zeros(precomp.grid.shape)
-    for p in range(precomp.size):
-        u += precomp.chi_b0[p] * inverse(d_hat * precomp.table.hat_Ha[p], provider)
-    return u
+    return precomp.chi * _gather(d, [precomp.b0], precomp, provider)[0]
 
 
 def evaluate_gradient(
@@ -102,13 +120,7 @@ def evaluate_gradient(
 ) -> list[np.ndarray]:
     """Nodal implicit-gradient values of u_h, one field per axis."""
     precomp.grid.check_field(d, "d")
-    d_hat = forward(precomp.chi * d, provider)
-    out = [np.zeros(precomp.grid.shape) for _ in range(precomp.dim)]
-    for p in range(precomp.size):
-        Dp = inverse(d_hat * precomp.table.hat_Ha[p], provider)
-        for ax in range(precomp.dim):
-            out[ax] += precomp.bgrad[ax][p] * Dp
-    return [precomp.chi * g for g in out]
+    return [precomp.chi * g for g in _gather(d, precomp.bgrad, precomp, provider)]
 
 
 def boundary_force(
@@ -122,11 +134,7 @@ def boundary_force(
     whole box (s+1 transforms)."""
     precomp.grid.check_field(q, "q")
     precomp.grid.check_field(area, "area")
-    w = precomp.chi * area * q
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in range(precomp.size):
-        B_hat += forward(w * precomp.b0[p], provider) * precomp.table.hat_Hbar_a[p]
-    return precomp.chi * inverse(B_hat, provider)
+    return _scatter([precomp.chi * area * q], [precomp.b0], precomp, provider)
 
 
 def nonlinear_force_gradient(
@@ -142,13 +150,9 @@ def nonlinear_force_gradient(
         )
     for g in N_u_axes:
         precomp.grid.check_field(g, "N_u")
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in range(precomp.size):
-        mixed = precomp.Cgrad[0][p] * N_u_axes[0]
-        for ax in range(1, precomp.dim):
-            mixed += precomp.Cgrad[ax][p] * N_u_axes[ax]
-        B_hat += forward(mixed, provider) * precomp.table.hat_Hbar_a[p]
-    return precomp.chi * inverse(B_hat, provider)
+    return _scatter(
+        [precomp.V * g for g in N_u_axes], precomp.bgrad, precomp, provider
+    )
 
 
 def mass_force(
@@ -158,14 +162,8 @@ def mass_force(
 ) -> np.ndarray:
     """Consistent-mass action M d_dot (2(s+1) transforms)."""
     precomp.grid.check_field(d_dot, "d_dot")
-    d_hat = forward(precomp.chi * d_dot, provider)
-    A0 = np.zeros(precomp.grid.shape)
-    for p in range(precomp.size):
-        A0 += precomp.b0[p] * inverse(d_hat * precomp.table.hat_Ha[p], provider)
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in range(precomp.size):
-        B_hat += forward(precomp.C0[p] * A0, provider) * precomp.table.hat_Hbar_a[p]
-    return precomp.chi * inverse(B_hat, provider)
+    (A0,) = _gather(d_dot, [precomp.b0], precomp, provider)
+    return _scatter([precomp.V * A0], [precomp.b0], precomp, provider)
 
 
 def lumped_mass(
@@ -177,10 +175,7 @@ def lumped_mass(
     Warns when the result is non-positive at an active node, which signals
     a boundary-truncation pathology for explicit stepping.
     """
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in range(precomp.size):
-        B_hat += forward(precomp.C0[p], provider) * precomp.table.hat_Hbar_a[p]
-    Ml = precomp.chi * inverse(B_hat, provider)
+    Ml = _scatter([precomp.V], [precomp.b0], precomp, provider)
     active = precomp.chi > 0.5
     if np.any(Ml[active] <= 0.0):
         idx = np.argwhere(active & (Ml <= 0.0))[0]

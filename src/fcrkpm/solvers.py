@@ -89,6 +89,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of a static solve.
+
+    `residual` and every entry of `residual_history` are relative to the
+    initial masked residual, ||R_i|| / ||R_0||: history[0] is 1.0 (0.0 when
+    the initial residual already vanishes), one entry follows each
+    iteration, and the last entry equals `residual`.
+    """
+
     iterations: int
     residual: float
     wall_time: float
@@ -290,9 +298,11 @@ def solve_static_nonlinear(
     R_norm0 = float(np.linalg.norm(R))
     if R_norm0 == 0.0:
         u_h = evaluate_field(d, precomp, provider)
-        return d, u_h, SolveReport(0, 0.0, time.perf_counter() - start, True)
+        return d, u_h, SolveReport(
+            0, 0.0, time.perf_counter() - start, True, residual_history=[0.0]
+        )
     R_norm = R_norm0
-    history = [R_norm0]
+    history = [1.0]
 
     g = jacobian_product(R)  # merit gradient J R (J is symmetric)
     p = -g
@@ -329,8 +339,8 @@ def solve_static_nonlinear(
                 f"(residual {R_norm / R_norm0:.3e})"
             )
         d, R, u, R_norm = d_try, R_try, u_try, R_try_norm
-        history.append(R_norm)
-        if R_norm / R_norm0 <= config.tol:
+        history.append(R_norm / R_norm0)
+        if history[-1] <= config.tol:
             converged = True
             break
         g_new = jacobian_product(R)
@@ -340,7 +350,7 @@ def solve_static_nonlinear(
         g_dot = float(np.vdot(g, g))
     wall = time.perf_counter() - start
     report = SolveReport(
-        iters, R_norm / R_norm0, wall, converged, residual_history=history
+        len(history) - 1, history[-1], wall, converged, residual_history=history
     )
     if not converged:
         report.warnings.append(

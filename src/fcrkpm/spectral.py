@@ -29,7 +29,6 @@ from .errors import ImaginaryResidueError
 __all__ = [
     "FFTProvider",
     "ScipyFFTProvider",
-    "NumpyFFTProvider",
     "CountingFFTProvider",
     "default_provider",
     "forward",
@@ -67,16 +66,6 @@ class ScipyFFTProvider(FFTProvider):
 
     def ifftn(self, a):
         return scipy.fft.ifftn(a, workers=self.workers)
-
-
-class NumpyFFTProvider(FFTProvider):
-    """numpy backend, kept for cross-checking the default provider."""
-
-    def fftn(self, a):
-        return np.fft.fftn(a)
-
-    def ifftn(self, a):
-        return np.fft.ifftn(a)
 
 
 class CountingFFTProvider(FFTProvider):

@@ -139,18 +139,22 @@ class TestBasisTable:
         expected = -dx * eval_kernel_1d(dx, a)
         assert table.Ha[1][-1] == pytest.approx(expected, rel=1e-14)
 
-    def test_reflection_of_linear_entry(self):
-        # Hbar at node 1 equals Ha at node N-1 for the linear monomial
-        _, table = _table_1d()
-        assert table.Hbar_a[1][1] == table.Ha[1][-1]
-
     def test_reflection_identity_everywhere(self):
-        grid, table = _table_1d(n_nodes=17)  # odd count, no exact L/2 tie
-        for p in range(table.size):
-            ha = table.Ha[p]
-            hbar = table.Hbar_a[p]
-            rolled = np.concatenate(([ha[0]], ha[1:][::-1]))
-            assert np.array_equal(hbar, rolled)
+        # the index reflection Ha[-i mod N] is the parity-signed Ha, bit for
+        # bit, which is what lets the operators derive the reflected spectra
+        for dim in (1, 2, 3):
+            for n_nodes in (9, 10):  # odd, and even with the L/2 tie
+                plan = plan_extension((2.0,) * dim, 1.5, counts=(n_nodes,) * dim)
+                grid = build_grid(plan, (-1.0,) * dim)
+                kernel = KernelSpec(support=plan.kernel_support)
+                for degree in (0, 1, 2):
+                    basis = enumerate_basis(degree, dim)
+                    table = build_basis_table(grid, basis, kernel)
+                    reflect = np.ix_(*[(-np.arange(n)) % n for n in grid.shape])
+                    for p, alpha in enumerate(basis.exponents):
+                        ha = table.Ha[p]
+                        sign = (-1.0) ** sum(alpha)
+                        assert np.array_equal(ha[reflect], sign * ha)
 
     def test_compact_support(self):
         grid, table = _table_1d(n_nodes=32, a_tilde=1.5)
@@ -158,7 +162,6 @@ class TestBasisTable:
         outside = np.abs(xi) >= 1.5 * grid.spacing[0]
         for p in range(table.size):
             assert np.all(table.Ha[p][outside] == 0.0)
-            assert np.all(table.Hbar_a[p][outside] == 0.0)
 
     def test_odd_symmetry_sum(self):
         grid, table = _table_1d(n_nodes=32, degree=2)

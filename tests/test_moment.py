@@ -84,9 +84,7 @@ class TestInversion:
         assert np.allclose(precomp.b0[1][outside], 0.0)
         assert np.allclose(precomp.bgrad[0][0][outside], 0.0)
         assert np.allclose(precomp.bgrad[0][1][outside], -1.0)
-        for p in range(table.size):
-            assert np.all(precomp.C0[p][outside] == 0.0)
-            assert np.all(precomp.Cgrad[0][p][outside] == 0.0)
+        assert np.all(precomp.V[outside] == 0.0)
 
     def test_interior_b0_1d(self):
         # the 2x2 moment matrix is diag(62/81, 8 dx^2/81), so b0 = [81/62, 0]
@@ -189,8 +187,8 @@ class TestMemoryStory:
         nbytes = disc2d.precomp.persistent_nbytes()
         n_total = disc2d.grid.total_nodes
         s, d = disc2d.table.size, disc2d.grid.dim
-        # (3 + 2d)s real fields + 4s real-equivalents of spectra + chi + V
-        expected_fields = (3 + 2 * d) * s + 4 * s + 2
-        # the fixture table still holds its real-space arrays (release=False)
-        expected_fields += 3 * s
+        # chi + V + (1 + d)s b-row fields + 2s real-equivalents of spectra
+        expected_fields = 2 + (1 + d) * s + 2 * s
+        # the fixture table still holds H and Ha (release=False)
+        expected_fields += 2 * s
         assert nbytes == expected_fields * n_total * 8

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrkpm import (
     CountingFFTProvider,
@@ -16,7 +18,16 @@ from fcrkpm import (
     nonlinear_force_gradient,
     poisson_case,
 )
-from fcrkpm.grid import boundary_face_weights
+from fcrkpm.basis import KernelSpec, build_basis_table, enumerate_basis
+from fcrkpm.grid import (
+    boundary_face_weights,
+    build_grid,
+    build_masks,
+    plan_extension,
+    quadrature_weights,
+)
+from fcrkpm.moment import build_moment_precomp
+from fcrkpm.reference import ReferenceModel
 
 from conftest import rel_err
 
@@ -301,3 +312,59 @@ class TestTransformCounts:
         prov = CountingFFTProvider()
         boundary_force(face, area, d.precomp, prov)
         assert prov.total == s + 1
+
+
+# total node counts per axis, kept small for the O(N * neighbors) oracle
+_BALL_COUNTS = {1: (24, 48), 2: (16, 28), 3: (12, 16)}
+
+
+@st.composite
+def _ball_problems(draw):
+    """A random ball inside [-1, 1]^d with the grid and kernel it sits on.
+
+    Degree 2 draws a_tilde >= 2.5: below that a node at a pole of the ball
+    sees only two distinct coordinates along its axis, so no radius makes
+    its moment matrix invertible.  The radius is at least 2.5 spacings,
+    which keeps >= s effective neighbors at every active node.
+    """
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 2))
+    a_tilde = draw(st.floats(1.5 if degree == 1 else 2.5, 3.5))
+    counts = draw(st.integers(*_BALL_COUNTS[dim]))
+    center = draw(st.lists(st.floats(-0.2, 0.2), min_size=dim, max_size=dim))
+    plan = plan_extension((2.0,) * dim, a_tilde, counts=counts)
+    grid = build_grid(plan, (-1.0,) * dim)
+    r_lo = 2.5 * max(grid.spacing)
+    r_hi = 1.0 - max(abs(c) for c in center)
+    radius = r_lo + draw(st.floats(0.0, 1.0)) * (r_hi - r_lo)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return plan, grid, degree, center, radius, seed
+
+
+class TestOracleProperty:
+    """FFT path against direct summation on random ball domains."""
+
+    @given(_ball_problems())
+    @settings(max_examples=20, deadline=None)
+    def test_operators_match_oracle(self, problem):
+        plan, grid, degree, center, radius, seed = problem
+
+        def inside(*x):
+            return sum((xk - ck) ** 2 for xk, ck in zip(x, center)) <= radius**2
+
+        chi, chi_g, _ = build_masks(grid, inside)
+        V = quadrature_weights(grid, chi)
+        basis = enumerate_basis(degree, grid.dim)
+        kernel = KernelSpec(plan.kernel_support)
+        precomp = build_moment_precomp(
+            chi, V, build_basis_table(grid, basis, kernel)
+        )
+        ref = ReferenceModel(grid, chi, V, basis, kernel, chi_g)
+        rng = np.random.default_rng(seed)
+        d = chi * rng.standard_normal(grid.shape)
+        r = chi * rng.standard_normal(grid.shape)
+        assert rel_err(internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
+        assert rel_err(external_force(r, precomp), ref.f_r_direct(r)) < 1e-10
+        assert rel_err(evaluate_field(d, precomp), ref.u_h_direct(d)) < 1e-10
+        assert rel_err(mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
+        assert rel_err(lumped_mass(precomp), ref.lumped_mass_direct()) < 1e-10

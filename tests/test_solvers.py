@@ -206,6 +206,22 @@ class TestStaticNonlinear:
         hist = np.array(report.residual_history)
         assert np.all(np.diff(hist) < 0.0)
 
+    def test_residual_history_is_relative(self):
+        # same meaning as the linear solve: ||R_i|| / ||R_0||
+        disc = discretize(poisson_case(1), counts=16)
+        _, _, report = solve_static_nonlinear(
+            disc.precomp,
+            disc.chi_omega,
+            _cubic_rhs(disc),
+            nonlinearity=lambda u: u**3,
+            nonlinearity_prime=lambda u: 3 * u**2,
+            config=SolverConfig(tol=1e-9, max_iter=2000),
+        )
+        hist = report.residual_history
+        assert report.converged
+        assert len(hist) == report.iterations + 1
+        assert hist[0] == 1.0 and hist[-1] == report.residual
+
     def test_fd_jacobian_fallback(self):
         disc = discretize(poisson_case(1), counts=16)
         _, u_h, report = solve_static_nonlinear(
