@@ -139,6 +139,13 @@ class TestBasisTable:
         expected = -dx * eval_kernel_1d(dx, a)
         assert table.Ha[1][-1] == pytest.approx(expected, rel=1e-14)
 
+    def test_reflection_of_linear_entry(self):
+        # the reflection Hbar_a(xi) = Ha(-xi) at node 1 is Ha at node N-1,
+        # which for the odd linear monomial is the sign-flipped Ha at node 1
+        _, table = _table_1d()
+        assert table.Ha[1][-1] == -table.Ha[1][1]
+        assert table.Ha[1][1] != 0.0
+
     def test_reflection_identity_everywhere(self):
         # the index reflection Ha[-i mod N] is the parity-signed Ha, bit for
         # bit, which is what lets the operators derive the reflected spectra
