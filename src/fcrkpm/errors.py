@@ -13,8 +13,9 @@ class ImaginaryResidueError(RuntimeError):
 class SingularMomentError(RuntimeError):
     """A node inside the physical domain has a singular moment matrix.
 
-    Raised when pivoted elimination meets a pivot below threshold, i.e. the
-    node has fewer effective neighbors than the basis size requires.
+    Raised when the LDL^T factorization of the node's moment matrix meets a
+    pivot |D_k| below 1e-14 max|M|, i.e. the node has fewer effective
+    neighbors than the basis size requires.
     """
 
     def __init__(self, node_index, coordinate, pivot):

@@ -6,9 +6,23 @@ The moment matrix at node I is
 
 i.e. a circular convolution of the domain mask with the monomial-pair
 kernels; the (1 - chi) identity block outside the domain exists only so the
-inverse is defined everywhere (its rows are masked away downstream).  The
-s x s matrix at every node is inverted by partial-pivot Gauss-Jordan
-elimination, batched over nodes, and only the row extracts survive:
+inverse is defined everywhere (its rows are masked away downstream).
+
+The s x s matrices are stacked node-last, (s, s, *grid.shape), and all
+inverted at once by an unpivoted LDL^T factorization that takes one
+whole-field operation per scalar step.  No pivoting is needed: on the
+domain M is a Gram matrix, sum_J chi_J phi(x_I - x_J) H(x_I - x_J)
+H(x_I - x_J)^T with a nonnegative kernel, hence symmetric positive
+semidefinite, and positive definite once the node sees enough neighbors,
+where LDL^T is backward stable without row exchanges; off the domain it is
+the identity.  A node with too few neighbors shows up as a pivot
+|D_k| < 1e-14 max|M| (SingularMomentError), an ill-conditioned one as an
+estimate ||M||_inf ||M^-1||_inf above 1e12 (IllConditionedMomentWarning).
+Lattice nodes with too few neighbors give exactly or nearly zero pivots,
+but a generic dense rank-deficient matrix can keep its last pivot above
+the threshold by rounding (13 of 200 random rank-3 4 x 4 Gram matrices);
+every such case tried still tripped the condition warning.  Only the row
+extracts survive:
 
     b0_p = [M^-1]_{1p}    (shape function row)
     bx_p = -[M^-1]_{2p}   (implicit-gradient rows, one per axis)
@@ -101,34 +115,60 @@ def assemble_moment_fields(
     return fields
 
 
-def _batched_gauss_jordan(mats: np.ndarray, scale: np.ndarray):
-    """Invert a (B, s, s) stack by Gauss-Jordan with partial pivoting.
+def _invert_symmetric(M: np.ndarray):
+    """Invert a stack of symmetric s x s matrices, node axes last.
 
-    Returns (inverses, min_pivot_per_batch).  Pivots are tracked against the
-    per-matrix scale so the caller can flag singular nodes.
+    M has shape (s, s, *nodes), so every M[p, q] is one contiguous field.
+    It is factored as M = L D L^T without pivoting, by one whole-field
+    operation per scalar step:
+
+        D_j  = M_jj - sum_{k<j} L_jk^2 D_k
+        L_ij = (M_ij - sum_{k<j} L_ik L_jk D_k) / D_j          (i > j)
+
+    then W = L^-1 replaces L row by row (W_ij = -L_ij - sum_{j<k<i}
+    L_ik W_kj), and M^-1 = W^T D^-1 W, i.e. [M^-1]_pq = sum_{k>=q}
+    W_kp W_kq / D_k for p <= q.  Only the strict lower triangles of L and
+    W are stored.  Every division goes through a zero-safe denominator, so
+    an exactly zero pivot raises no RuntimeWarning; the caller rejects such
+    a node by the returned pivot ratio.
+
+    Returns:
+        (inverse, min_pivot): the full inverse, shaped like M, and
+        min_k |D_k| / max|M| per node.
     """
-    B, s, _ = mats.shape
-    aug = np.concatenate(
-        [mats, np.broadcast_to(np.eye(s), (B, s, s)).copy()], axis=2
-    )
-    batch = np.arange(B)
-    min_pivot = np.full(B, np.inf)
-    for k in range(s):
-        rel = np.argmax(np.abs(aug[:, k:, k]), axis=1)
-        piv_row = k + rel
-        swap = piv_row != k
-        if np.any(swap):
-            rows_k = aug[batch[swap], k].copy()
-            aug[batch[swap], k] = aug[batch[swap], piv_row[swap]]
-            aug[batch[swap], piv_row[swap]] = rows_k
-        pivots = aug[:, k, k]
-        min_pivot = np.minimum(min_pivot, np.abs(pivots) / scale)
-        safe = np.where(pivots == 0.0, 1.0, pivots)
-        aug[:, k, :] /= safe[:, None]
-        factors = aug[:, :, k].copy()
-        factors[:, k] = 0.0
-        aug -= factors[:, :, None] * aug[:, k, None, :]
-    return aug[:, :, s:], min_pivot
+    s = M.shape[0]
+    L = {}  # (i, j) -> field for i > j
+    D = np.empty(M.shape[1:])
+    for j in range(s):
+        LD = [L[j, k] * D[k] for k in range(j)]
+        d = M[j, j].copy()
+        for k in range(j):
+            d -= L[j, k] * LD[k]
+        D[j] = d
+        safe = np.where(d == 0.0, 1.0, d)
+        for i in range(j + 1, s):
+            v = M[i, j].copy()
+            for k in range(j):
+                v -= L[i, k] * LD[k]
+            L[i, j] = v / safe
+    W = L
+    for i in range(s):
+        for j in range(i):
+            v = -W[i, j]
+            for k in range(j + 1, i):
+                v -= W[i, k] * W[k, j]
+            W[i, j] = v
+    D_inv = 1.0 / np.where(D == 0.0, 1.0, D)
+    inv = np.empty_like(M)
+    for p in range(s):
+        for q in range(p, s):
+            v = D_inv[q] * (W[q, p] if q > p else 1.0)
+            for k in range(q + 1, s):
+                v += W[k, p] * W[k, q] * D_inv[k]
+            inv[p, q] = v
+            inv[q, p] = v
+    scale = np.max(np.abs(M), axis=(0, 1))
+    return inv, np.min(np.abs(D), axis=0) / scale
 
 
 def invert_moments(
@@ -154,30 +194,26 @@ def invert_moments(
         raise ValueError(
             "the implicit-gradient rows need basis degree >= 1"
         )
-    n_nodes = grid.total_nodes
-    mats = np.empty((n_nodes, s, s))
+    mats = np.empty((s, s) + grid.shape)
     for p in range(s):
         for q in range(p, s):
-            flat = grid.ravel(moment_fields[(p, q)])
-            mats[:, p, q] = flat
-            mats[:, q, p] = flat
-    scale = np.max(np.abs(mats), axis=(1, 2))
-    inv, min_pivot = _batched_gauss_jordan(mats, scale)
+            mats[p, q] = mats[q, p] = moment_fields[(p, q)]
+    inv, min_pivot = _invert_symmetric(mats)
 
-    chi_flat = grid.ravel(chi) > 0.5
-    bad = chi_flat & (min_pivot < SINGULAR_PIVOT_RTOL)
+    active = chi > 0.5
+    bad = active & (min_pivot < SINGULAR_PIVOT_RTOL)
     if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        multi = grid.multi_index(idx)
+        # the first bad node in the canonical linearization
+        multi = grid.multi_index(int(np.flatnonzero(grid.ravel(bad))[0]))
+        scale = np.max(np.abs(mats[(Ellipsis, *multi)]))
         raise SingularMomentError(
-            multi, grid.node_coordinate(multi), min_pivot[idx] * scale[idx]
+            multi, grid.node_coordinate(multi), min_pivot[multi] * scale
         )
-    cond = (
-        np.max(np.sum(np.abs(mats), axis=2), axis=1)
-        * np.max(np.sum(np.abs(inv), axis=2), axis=1)
+    cond = np.max(np.sum(np.abs(mats), axis=1), axis=0) * np.max(
+        np.sum(np.abs(inv), axis=1), axis=0
     )
-    if np.any(chi_flat & (cond > CONDITION_WARN)):
-        worst = float(np.max(cond[chi_flat]))
+    if np.any(active & (cond > CONDITION_WARN)):
+        worst = float(np.max(cond[active]))
         warnings.warn(
             f"moment matrix condition estimate up to {worst:.2e} at active "
             "nodes; results may lose accuracy",
@@ -185,15 +221,11 @@ def invert_moments(
             stacklevel=2,
         )
 
-    # stored C-contiguous like every field the transforms return: mixing
-    # memory orders in the operators' products made internal_force ~15%
-    # slower at 2D 64^2
-    def row_field(v):
-        return np.ascontiguousarray(grid.unravel(v))
-
-    b0 = [row_field(inv[:, 0, p]) for p in range(s)]
+    # copies (the negation copies too): views would keep the whole
+    # (s, s, *grid.shape) inverse alive
+    b0 = [inv[0, p].copy() for p in range(s)]
     # row 1 + ax is the degree-1 monomial of axis ax in the graded order
-    bgrad = [[row_field(-inv[:, 1 + ax, p]) for p in range(s)] for ax in range(d)]
+    bgrad = [[-inv[1 + ax, p] for p in range(s)] for ax in range(d)]
     return MomentPrecomp(
         grid=grid, table=table, chi=chi, V=chi * V, b0=b0, bgrad=bgrad
     )

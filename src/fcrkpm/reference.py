@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from .basis import BasisIndex, KernelSpec, eval_kernel_1d
 from .errors import SingularMomentError
 from .grid import PeriodicGrid
-from .moment import SINGULAR_PIVOT_RTOL, _batched_gauss_jordan
+from .moment import SINGULAR_PIVOT_RTOL, _invert_symmetric
 
 __all__ = ["NeighborTable", "ReferenceModel"]
 
@@ -198,19 +198,20 @@ class ReferenceModel:
             return self._b0, self._bgrad
         self.find_neighbors()
         self._assemble_moment_batch()
-        scale = np.max(np.abs(self._moment), axis=(1, 2))
-        inv, min_pivot = _batched_gauss_jordan(self._moment, scale)
+        inv, min_pivot = _invert_symmetric(
+            np.ascontiguousarray(self._moment.transpose(1, 2, 0))
+        )
         bad = min_pivot < SINGULAR_PIVOT_RTOL
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise SingularMomentError(
                 self.grid.multi_index(int(self.omega_linear[i])),
                 tuple(self.coords[i]),
-                min_pivot[i] * scale[i],
+                min_pivot[i] * np.max(np.abs(self._moment[i])),
             )
-        self._b0 = inv[:, 0, :].copy()
+        self._b0 = inv[0].T.copy()
         self._bgrad = np.stack(
-            [-inv[:, 1 + ax, :] for ax in range(self.grid.dim)]
+            [-inv[1 + ax].T for ax in range(self.grid.dim)]
         )
         return self._b0, self._bgrad
 

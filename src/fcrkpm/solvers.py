@@ -120,6 +120,23 @@ def default_explicit_dt(precomp: MomentPrecomp, nu: float = 1.0) -> float:
     return 0.2 * min(precomp.grid.spacing) ** 2 / (2 * precomp.dim * nu)
 
 
+def _time_step(precomp: MomentPrecomp, config: SolverConfig) -> float:
+    return config.dt if config.dt is not None else default_explicit_dt(
+        precomp, config.nu
+    )
+
+
+def _implicit_operator(precomp, dt, nu, provider):
+    """Backward-Euler operator x -> M x / dt + nu K x (consistent mass)."""
+
+    def apply_op(x):
+        return mass_force(x, precomp, provider) / dt + nu * (
+            internal_force(x, precomp, provider)
+        )
+
+    return apply_op
+
+
 def _circulant_preconditioner(apply_op, mask, provider):
     """Inverse of the operator's floored FFT symbol, masked.
 
@@ -148,13 +165,16 @@ def _circulant_preconditioner(apply_op, mask, provider):
     return precondition
 
 
-def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, provider):
+def _masked_cg(
+    apply_op, rhs, d0, mask, tol, max_iter, provider, precondition=None
+):
     """Preconditioned conjugate gradient on the mask-projected operator.
 
     The residual and every search direction are multiplied by the 0/1 mask,
-    so frozen coefficients never move.  The preconditioner comes from
-    `_circulant_preconditioner` of the same operator.  Convergence is on
-    the true residual relative to the initial one.
+    so frozen coefficients never move.  The preconditioner is
+    `_circulant_preconditioner` of the same operator and mask, built here
+    unless the caller passes one it already built.  Convergence is on the
+    true residual relative to the initial one.
 
     Returns:
         (d, converged, history): history[i] is the relative true residual
@@ -165,7 +185,8 @@ def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, provider):
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
         return d, True, [0.0]
-    precondition = _circulant_preconditioner(apply_op, mask, provider)
+    if precondition is None:
+        precondition = _circulant_preconditioner(apply_op, mask, provider)
     z = precondition(r)
     p = z
     rz = float(np.dot(r.ravel(), z.ravel()))
@@ -369,19 +390,22 @@ def step_transient_diffusion(
     config: SolverConfig,
     lumped: np.ndarray | None = None,
     provider=None,
+    *,
+    precondition=None,
 ) -> TransientState:
     """Advance the diffusion system one time step.
 
     Forward Euler divides by the (precomputed) lumped mass on the active
-    nodes; backward Euler solves the consistent-mass system by masked CG.
-    Dirichlet coefficients stay frozen either way.
+    nodes; backward Euler solves the consistent-mass system by masked CG,
+    preconditioned by `precondition` when given (it must be the
+    `_circulant_preconditioner` of the step's operator on chi_omega, which
+    `run_transient` builds once per march) and by a freshly built one
+    otherwise.  Dirichlet coefficients stay frozen either way.
 
     Raises:
         FloatingPointError: the step produced NaN (reported with its index).
     """
-    dt = config.dt if config.dt is not None else default_explicit_dt(
-        precomp, config.nu
-    )
+    dt = _time_step(precomp, config)
     d = state.d
     converged = state.converged
     if config.scheme == "explicit-euler":
@@ -393,16 +417,12 @@ def step_transient_diffusion(
         upd[active] = f[active] / lumped[active]
         d_new = d + dt * upd
     else:
-        def apply_op(x):
-            return mass_force(x, precomp, provider) / dt + config.nu * (
-                internal_force(x, precomp, provider)
-            )
-
         b = mass_force(d, precomp, provider) / dt + rhs
         n_active = int(np.count_nonzero(chi_omega))
         d_new, step_converged, history = _masked_cg(
-            apply_op, b, d, chi_omega, config.tol, config.iter_cap(n_active),
-            provider,
+            _implicit_operator(precomp, dt, config.nu, provider), b, d,
+            chi_omega, config.tol, config.iter_cap(n_active), provider,
+            precondition=precondition,
         )
         if not step_converged:
             converged = False
@@ -436,15 +456,23 @@ def run_transient(
         if dirichlet is None
         else dirichlet.copy()
     )
-    lumped = None
+    # dt, nu and the mask are fixed for the march, so is the step operator
+    lumped = precondition = None
     if config.scheme == "explicit-euler":
         lumped = lumped_mass(precomp, provider)
+    else:
+        precondition = _circulant_preconditioner(
+            _implicit_operator(precomp, _time_step(precomp, config), config.nu,
+                               provider),
+            chi_omega, provider,
+        )
     state = TransientState(t=0.0, d=d0)
     if callback is not None:
         callback(state)
     for _ in range(config.n_steps):
         state = step_transient_diffusion(
-            state, precomp, chi_omega, rhs, config, lumped, provider
+            state, precomp, chi_omega, rhs, config, lumped, provider,
+            precondition=precondition,
         )
         if callback is not None:
             callback(state)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pathlib
 
 import pytest
 
@@ -42,6 +43,14 @@ class TestConfigValidation:
         ]:
             with pytest.raises(ConfigError):
                 load_config(doc)
+
+    def test_committed_configs_valid(self):
+        configs = sorted(
+            (pathlib.Path(__file__).parent.parent / "configs").glob("*.json")
+        )
+        assert configs
+        for path in configs:
+            load_config(json.loads(path.read_text()))
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="experiment"):

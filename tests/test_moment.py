@@ -1,5 +1,8 @@
 """Moment assembly, nodewise inversion, and reproducing conditions."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,14 +12,20 @@ from fcrkpm import (
     build_basis_table,
     build_grid,
     build_moment_precomp,
+    discretize,
     enumerate_basis,
+    eval_kernel_1d,
     evaluate_field,
     evaluate_gradient,
     invert_moments,
     plan_extension,
+    poisson_case,
     quadrature_weights,
 )
 from fcrkpm.errors import SingularMomentError
+from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _invert_symmetric
+
+from conftest import rel_err
 
 
 def _setup_1d(n_nodes=16):
@@ -29,6 +38,53 @@ def _setup_1d(n_nodes=16):
     table = build_basis_table(grid, basis, kernel)
     V = quadrature_weights(grid, chi)
     return grid, chi, V, table
+
+
+@pytest.fixture(scope="module")
+def disc3d_quadratic():
+    return discretize(poisson_case(3), n=2, a_tilde=2.5, counts=16, release=False)
+
+
+def _node_last(mats):
+    """(B, s, s) stack -> the (s, s, B) layout `_invert_symmetric` takes."""
+    return np.ascontiguousarray(mats.transpose(1, 2, 0))
+
+
+def _lattice_moment(offsets, dim, n, a_tilde, h=2.0 / 47):
+    """Direct-sum moment matrix of a node whose neighbors sit at the given
+    lattice offsets (in spacings), like the oracle's per-node sum."""
+    basis = enumerate_basis(n, dim)
+    M = np.zeros((basis.size, basis.size))
+    for o in offsets:
+        x = np.asarray(o, dtype=float) * h
+        phi = np.prod(eval_kernel_1d(x, a_tilde * h))
+        H = np.array([np.prod((-x) ** np.array(al)) for al in basis.exponents])
+        M += phi * np.outer(H, H)
+    return M
+
+
+def _assert_rows_match_numpy(disc):
+    fields = assemble_moment_fields(disc.chi, disc.table)
+    grid = disc.grid
+    s = disc.table.size
+    mats = np.empty((grid.total_nodes, s, s))
+    for p in range(s):
+        for q in range(p, s):
+            flat = grid.ravel(fields[(p, q)])
+            mats[:, p, q] = flat
+            mats[:, q, p] = flat
+    inv_np = np.linalg.inv(mats)
+    precomp = invert_moments(fields, disc.chi, disc.V, disc.table)
+    for p in range(s):
+        mine = grid.ravel(precomp.b0[p])
+        assert np.max(np.abs(mine - inv_np[:, 0, p])) < 1e-12 * np.max(
+            np.abs(inv_np[:, 0, :])
+        )
+        for ax in range(grid.dim):
+            mine = grid.ravel(precomp.bgrad[ax][p])
+            assert np.max(np.abs(mine + inv_np[:, 1 + ax, p])) < 1e-12 * np.max(
+                np.abs(inv_np[:, 1 + ax, :])
+            )
 
 
 class TestAssembly:
@@ -99,22 +155,56 @@ class TestInversion:
         assert disc3d.precomp.b0[0].shape == disc3d.grid.shape
 
     def test_matches_numpy_inverse(self, disc2d):
-        fields = assemble_moment_fields(disc2d.chi, disc2d.table)
-        grid = disc2d.grid
-        s = disc2d.table.size
-        mats = np.empty((grid.total_nodes, s, s))
-        for p in range(s):
-            for q in range(p, s):
-                flat = grid.ravel(fields[(p, q)])
-                mats[:, p, q] = flat
-                mats[:, q, p] = flat
+        _assert_rows_match_numpy(disc2d)
+
+    def test_matches_numpy_inverse_3d_quadratic(self, disc3d_quadratic):
+        _assert_rows_match_numpy(disc3d_quadratic)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 10])
+    def test_invert_symmetric_matches_numpy(self, s):
+        rng = np.random.default_rng(40 + s)
+        A = rng.standard_normal((60, s, 3 * s))
+        mats = A @ A.transpose(0, 2, 1)
+        mats[::4] = np.eye(s)  # the identity block off the domain
+        inv, min_pivot = _invert_symmetric(_node_last(mats))
         inv_np = np.linalg.inv(mats)
-        precomp = invert_moments(fields, disc2d.chi, disc2d.V, disc2d.table)
-        for p in range(s):
-            mine = grid.ravel(precomp.b0[p])
-            assert np.max(np.abs(mine - inv_np[:, 0, p])) < 1e-12 * np.max(
-                np.abs(inv_np[:, 0, :])
+        assert rel_err(inv.transpose(2, 0, 1), inv_np) <= 1e-12
+        assert np.all(min_pivot[::4] == 1.0)
+        assert np.all(min_pivot > SINGULAR_PIVOT_RTOL)
+
+    @pytest.mark.parametrize("dim,n,a_tilde", [(2, 1, 1.5), (3, 1, 1.5),
+                                               (2, 2, 2.5), (3, 2, 2.5)])
+    def test_rank_deficient_node_flagged(self, dim, n, a_tilde):
+        # a node that sees fewer lattice neighbors than basis entries has a
+        # singular moment matrix; the full stencil does not
+        reach = range(-int(np.ceil(a_tilde)) + 1, int(np.ceil(a_tilde)))
+        stencil = list(itertools.product(reach, repeat=dim))
+        s = enumerate_basis(n, dim).size
+        rng = np.random.default_rng(dim + 10 * n)
+        mats = [_lattice_moment(stencil, dim, n, a_tilde)]
+        for _ in range(100):
+            m = int(rng.integers(1, s))
+            picks = rng.choice(len(stencil), m, replace=False)
+            mats.append(
+                _lattice_moment([stencil[i] for i in picks], dim, n, a_tilde)
             )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, min_pivot = _invert_symmetric(_node_last(np.array(mats)))
+        assert min_pivot[0] > SINGULAR_PIVOT_RTOL
+        assert np.all(min_pivot[1:] < SINGULAR_PIVOT_RTOL)
+
+    def test_rows_match_reference(self, disc2d, ref2d):
+        # each row set relative to its own maximum; entries that vanish
+        # analytically are rounding noise on both paths
+        b0, bgrad = ref2d.moment_rows()
+
+        def restricted(rows):
+            return np.stack([ref2d.restrict(f) for f in rows], axis=1)
+
+        precomp = disc2d.precomp
+        assert rel_err(restricted(precomp.b0), b0) < 1e-10
+        assert rel_err(np.stack([restricted(r) for r in precomp.bgrad]), bgrad) < 1e-10
 
     def test_ill_conditioned_warns(self):
         import warnings
