@@ -16,6 +16,7 @@ from .basis import (
     eval_kernel_1d,
     gradient_selector,
     value_selector,
+    weighted_monomials,
 )
 from .grid import (
     ExtensionPlan,
@@ -65,7 +66,6 @@ from .spectral import (
     FFTProvider,
     ScipyFFTProvider,
     circular_convolve,
-    default_provider,
     direct_circular_convolve,
     forward,
     inverse,

@@ -1,4 +1,4 @@
-"""Monomial basis, cubic B-spline kernel, and the seam-adjusted node arrays.
+"""Monomial basis, cubic B-spline kernel, and the cached basis spectra.
 
 The reproducing kernel approximation is built from a vector of monomials
 H(x) = [1, x, y, x^2, xy, y^2, ...] up to total degree n and a compactly
@@ -15,8 +15,10 @@ zero coincides with the box origin: the per-node argument is the
 minimal-image offset xi of the node index (grid.wrapped_offsets), which is
 pointwise equivalent to splitting the centered function into 2^d corner
 blocks and reordering them onto the box.  For each basis entry p the table
-stores the adjusted monomial field H_p, the kernel-weighted H_p^a and its
-cached spectrum F_a,p = F(H_p^a).
+keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi); the
+real-space fields, and the moment integrands H_p H_q^a (the weighted
+monomials of the exponent sums alpha_p + alpha_q), are regenerated from
+grid, basis and kernel by weighted_monomials.
 
 No reflected array is stored.  The correlations of the weak form need the
 reflection Hbar_p^a(xi) = H_p^a(-xi), but the kernel is evaluated through
@@ -44,6 +46,7 @@ __all__ = [
     "eval_kernel",
     "gradient_selector",
     "value_selector",
+    "weighted_monomials",
     "BasisTable",
     "build_basis_table",
 ]
@@ -160,36 +163,39 @@ def monomial(coords, alpha) -> np.ndarray:
     return out
 
 
+def weighted_monomials(grid: PeriodicGrid, kernel: KernelSpec, exponents):
+    """Yield monomial(xi, alpha) * phi_a(xi) on the lattice, one exponent
+    tuple alpha at a time (xi = grid.wrapped_offsets()).
+
+    For the basis exponents these are the kernel-weighted fields H_p^a; for
+    an exponent sum alpha_p + alpha_q, the moment integrand H_p H_q^a.
+    """
+    xi = grid.wrapped_offsets()
+    phi = eval_kernel(xi, kernel)
+    for alpha in exponents:
+        yield monomial(xi, alpha) * phi
+
+
 @dataclass
 class BasisTable:
-    """Seam-adjusted per-entry node arrays and their cached spectra.
+    """Cached spectra of the seam-adjusted kernel-weighted basis entries.
 
-    H[p] is the adjusted monomial field, Ha[p] = H[p] * phi_a(xi) the
-    kernel-weighted field, and hat_Ha[p] its spectrum, used by every
-    convolution-based operator (the reflected spectrum is the parity-signed
-    hat_Ha[p]; see the module docstring).  `release_real()` drops the
-    real-space arrays once the moment precomputation no longer needs them.
+    hat_Ha[p] = F(H_p^a) is used by every convolution-based operator (the
+    reflected spectrum is the parity-signed hat_Ha[p]; see the module
+    docstring).  weighted_monomials regenerates the real-space fields.
     """
 
     grid: PeriodicGrid
     basis: BasisIndex
     kernel: KernelSpec
-    H: list[np.ndarray]
-    Ha: list[np.ndarray]
     hat_Ha: list[np.ndarray]
 
     @property
     def size(self) -> int:
         return self.basis.size
 
-    def release_real(self):
-        """Drop H and Ha; only the spectra persist."""
-        self.H = []
-        self.Ha = []
-
     def persistent_nbytes(self) -> int:
-        arrays = self.H + self.Ha + self.hat_Ha
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in self.hat_Ha)
 
 
 def build_basis_table(
@@ -198,7 +204,7 @@ def build_basis_table(
     kernel: KernelSpec,
     provider: FFTProvider | None = None,
 ) -> BasisTable:
-    """Evaluate the adjusted arrays on the lattice and cache their spectra.
+    """Evaluate the weighted basis entries on the lattice; keep their spectra.
 
     Raises:
         ValueError: if any kernel support reaches half the box period (a
@@ -212,11 +218,8 @@ def build_basis_table(
                 f"kernel support {a} along axis {k} reaches half the box "
                 f"period {L}; convolutions would wrap"
             )
-    xi = grid.wrapped_offsets()
-    phi = eval_kernel(xi, kernel)
-    H = [monomial(xi, alpha) for alpha in basis.exponents]
-    Ha = [hp * phi for hp in H]
-    hat_Ha = [forward(a, provider) for a in Ha]
-    return BasisTable(
-        grid=grid, basis=basis, kernel=kernel, H=H, Ha=Ha, hat_Ha=hat_Ha
-    )
+    hat_Ha = [
+        forward(ha, provider)
+        for ha in weighted_monomials(grid, kernel, basis.exponents)
+    ]
+    return BasisTable(grid=grid, basis=basis, kernel=kernel, hat_Ha=hat_Ha)

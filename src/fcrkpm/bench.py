@@ -121,7 +121,6 @@ def _extrapolate_assembly(dim: int, n: int, a_tilde: float, n_omega: int, reps):
             a_tilde=a_tilde,
             spacing=2.0 / 7,
             pad_to_fast=True,
-            release=False,
         )
     model = small.reference()
     model.moment_rows()
@@ -159,7 +158,6 @@ def bench_cell(
             spacing=spacing,
             pad_to_fast=True,
             provider=provider,
-            release=False,
         )
     n_omega = disc.n_omega
     n_total = disc.grid.total_nodes
@@ -190,12 +188,10 @@ def bench_cell(
 
     records = []
 
-    # convolution path; the moment stage needs the real-space basis arrays
+    # convolution path; the moment stage rebuilds from the basis table
     fc_times = {
         "moment": measure(
-            lambda: build_moment_precomp(
-                disc.chi, disc.V, disc.table, provider, release=False
-            ),
+            lambda: build_moment_precomp(disc.chi, disc.V, disc.table, provider),
             reps,
         ),
         "f_int": measure(
@@ -208,7 +204,6 @@ def bench_cell(
             lambda: ops.evaluate_field(d, disc.precomp, provider), reps
         ),
     }
-    disc.table.release_real()
     fc_bytes = disc.precomp.persistent_nbytes() + disc.chi_gamma_g.nbytes
 
     # traditional path

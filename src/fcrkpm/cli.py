@@ -4,7 +4,8 @@ Experiments are described by a single versioned JSON config; every key is
 schema-checked and unknown keys are rejected before any compute starts.
 Outputs are plot-ready CSVs (converge, bench, diffuse) or a JSON report
 (verify).  Exit codes: 0 success, 1 check failure or a solve that did not
-converge (the CSV is still written), 2 config error.
+converge (the CSV is still written), 2 config error or an output directory
+that cannot be created.
 
 Numeric CSV payloads are deterministic for a fixed config and seed
 (timing columns excepted): random inputs come from a seeded generator and
@@ -19,6 +20,7 @@ import json
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -202,7 +204,7 @@ def cmd_converge(cfg, provider) -> int:
         counts = 2**power
         disc = discretize(
             case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=counts,
-            provider=provider, release=(dim != 1),
+            provider=provider,
         )
         rhs = ops.external_force(disc.r, disc.precomp, provider)
         solver_cfg = SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"])
@@ -264,13 +266,11 @@ def cmd_diffuse(cfg, provider) -> int:
         provider=provider,
     )
     rhs = ops.external_force(disc.r, disc.precomp, provider)
-    # steady state of the nu-scaled diffusion: nu K d = rhs
+    # steady state of the nu-scaled diffusion: nu K d = rhs, i.e. K d = rhs/nu
     _, u_static, static_report = solve_static_linear(
-        disc.precomp, disc.chi_omega, rhs,
+        disc.precomp, disc.chi_omega, rhs / cfg["nu"],
         config=SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"]),
         provider=provider,
-        operator=lambda x: cfg["nu"]
-        * ops.internal_force(x, disc.precomp, provider),
     )
     active = disc.chi > 0.5
     static_scale = float(np.max(np.abs(u_static[active])))
@@ -346,6 +346,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if cfg["out"]:
+        # before any compute, so a bad path cannot cost a whole sweep
+        try:
+            Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     provider = ScipyFFTProvider(workers=cfg["threads"])
     if cfg["threads"] > 1:
         print(

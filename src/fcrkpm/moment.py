@@ -6,7 +6,12 @@ The moment matrix at node I is
 
 i.e. a circular convolution of the domain mask with the monomial-pair
 kernels; the (1 - chi) identity block outside the domain exists only so the
-inverse is defined everywhere (its rows are masked away downstream).
+inverse is defined everywhere (its rows are masked away downstream).  The
+integrand H_p H_q^a is the kernel-weighted monomial of the exponent sum
+alpha_p + alpha_q, so it is generated from grid, basis and kernel
+(basis.weighted_monomials) rather than stored, and pairs with equal sums
+share one convolution: one forward and one inverse transform per distinct
+sum, against a mask spectrum computed once.
 
 The s x s matrices are stacked node-last, (s, s, *grid.shape), and all
 inverted at once by an unpivoted LDL^T factorization that takes one
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisTable
+from .basis import BasisTable, weighted_monomials
 from .errors import IllConditionedMomentWarning, SingularMomentError
 from .grid import PeriodicGrid
 from .spectral import FFTProvider, forward, inverse
@@ -95,23 +100,25 @@ def assemble_moment_fields(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Per-(p, q) moment fields, upper triangle only (M is symmetric).
 
-    The mask spectrum is computed once and reused for all s(s+1)/2 pairs.
+    One convolution per distinct exponent sum alpha_p + alpha_q, i.e.
+    1 + 2 * (number of distinct sums) transforms; off-diagonal pairs with
+    equal sums share the same array.
     """
     grid = table.grid
     grid.check_field(chi, "chi")
-    if not table.H:
-        raise ValueError("basis table real arrays were released; rebuild it")
-    s = table.size
+    exps = table.basis.exponents
+    pairs_by_sum = {}
+    for p in range(table.size):
+        for q in range(p, table.size):
+            alpha = tuple(a + b for a, b in zip(exps[p], exps[q]))
+            pairs_by_sum.setdefault(alpha, []).append((p, q))
     chi_hat = forward(chi, provider)
+    integrands = weighted_monomials(grid, table.kernel, pairs_by_sum)
     fields = {}
-    for p in range(s):
-        for q in range(p, s):
-            conv = inverse(chi_hat * forward(table.H[p] * table.Ha[q], provider),
-                           provider)
-            m = chi * conv
-            if p == q:
-                m = m + (1.0 - chi)
-            fields[(p, q)] = m
+    for pairs, integrand in zip(pairs_by_sum.values(), integrands):
+        m = chi * inverse(chi_hat * forward(integrand, provider), provider)
+        for p, q in pairs:
+            fields[(p, q)] = m + (1.0 - chi) if p == q else m
     return fields
 
 
@@ -236,16 +243,12 @@ def build_moment_precomp(
     V: np.ndarray,
     table: BasisTable,
     provider: FFTProvider | None = None,
-    release: bool = True,
 ) -> MomentPrecomp:
-    """Assemble, invert, and (by default) release the transient arrays.
+    """Assemble and invert the moment matrices.
 
-    The s(s+1)/2 moment fields and the real-space basis arrays are only
-    needed here; afterwards the operators run on the spectra and the b-row
-    fields alone, which is what keeps the persistent memory at O(N*s).
+    The s(s+1)/2 moment fields are only needed here; afterwards the
+    operators run on the spectra and the b-row fields alone, which is what
+    keeps the persistent memory at O(N*s).
     """
     fields = assemble_moment_fields(chi, table, provider)
-    precomp = invert_moments(fields, chi, V, table)
-    if release:
-        table.release_real()
-    return precomp
+    return invert_moments(fields, chi, V, table)

@@ -194,7 +194,6 @@ def discretize(
     spacing=None,
     pad_to_fast: bool = False,
     provider=None,
-    release: bool = True,
 ) -> Discretization:
     """Build grid, masks, weights, basis table, and moment precomputation.
 
@@ -213,7 +212,7 @@ def discretize(
     basis = enumerate_basis(n, dim)
     kernel = KernelSpec(support=plan.kernel_support)
     table = build_basis_table(grid, basis, kernel, provider)
-    precomp = build_moment_precomp(chi, V, table, provider, release=release)
+    precomp = build_moment_precomp(chi, V, table, provider)
     coords = grid.coordinates()
     r = chi * case.source(*coords)
     exact_field = case.exact(*coords)

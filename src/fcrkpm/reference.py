@@ -250,17 +250,6 @@ class ReferenceModel:
         self._pair_I = pair_I
         return psi, dpsi
 
-    def reset_caches(self):
-        """Drop everything derived (for timing stages from scratch)."""
-        self._nbr = None
-        self._moment = None
-        self._b0 = None
-        self._bgrad = None
-        self._psi = None
-        self._dpsi = None
-        self._K = None
-        self._mass = None
-
     # ---------------------------------------------------- sparse assembly
 
     def _assemble_pair_operator(self, kind: str) -> sp.csr_matrix:

@@ -216,17 +216,14 @@ def solve_static_linear(
     dirichlet: np.ndarray | None = None,
     config: SolverConfig | None = None,
     provider=None,
-    operator=None,
 ):
-    """Solve the linear static system by masked preconditioned CG.
+    """Solve the linear static system K d = rhs by masked preconditioned CG.
 
     Args:
         chi_omega: mask of the updated coefficients (active minus Dirichlet).
         rhs: assembled load, e.g. external plus boundary force.
         dirichlet: field carrying the boundary data on the Dirichlet nodes
             (zero elsewhere); kept frozen throughout.
-        operator: optional replacement for the internal force (must be
-            symmetric positive definite on the masked subspace).
 
     Returns:
         (d, u_h, SolveReport)
@@ -234,13 +231,12 @@ def solve_static_linear(
     config = config or SolverConfig()
     grid = precomp.grid
     grid.check_field(rhs, "rhs")
-    apply_op = operator or (lambda x: internal_force(x, precomp, provider))
     d0 = np.zeros(grid.shape) if dirichlet is None else dirichlet.copy()
     n_active = int(np.count_nonzero(chi_omega))
     start = time.perf_counter()
     d, converged, history = _masked_cg(
-        apply_op, rhs, d0, chi_omega, config.tol, config.iter_cap(n_active),
-        provider,
+        lambda x: internal_force(x, precomp, provider), rhs, d0, chi_omega,
+        config.tol, config.iter_cap(n_active), provider,
     )
     wall = time.perf_counter() - start
     iters, resid = len(history) - 1, history[-1]

@@ -30,7 +30,6 @@ __all__ = [
     "FFTProvider",
     "ScipyFFTProvider",
     "CountingFFTProvider",
-    "default_provider",
     "forward",
     "inverse",
     "circular_convolve",
@@ -94,10 +93,6 @@ class CountingFFTProvider(FFTProvider):
 
 
 _DEFAULT = ScipyFFTProvider()
-
-
-def default_provider() -> FFTProvider:
-    return _DEFAULT
 
 
 def forward(a: np.ndarray, provider: FFTProvider | None = None) -> np.ndarray:

@@ -21,6 +21,8 @@ from .spectral import (
     CountingFFTProvider,
     circular_convolve,
     direct_circular_convolve,
+    forward,
+    inverse,
 )
 
 __all__ = ["run_verification"]
@@ -57,18 +59,18 @@ def _convolution_checks(rng):
 
 
 def _cross_method_checks(dim, counts, n, a_tilde, rng, inject_fault=False):
-    disc = discretize(
-        poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts, release=False
-    )
+    disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts)
     if inject_fault:
-        # corrupt one kernel-table entry and keep its spectrum consistent;
-        # the direct-summation side stays clean, so equivalence must fail
-        from .spectral import forward
-
-        p = min(1, disc.table.size - 1)
-        idx = np.unravel_index(disc.table.Ha[p].size // 3, disc.grid.shape)
-        disc.table.Ha[p][idx] += 1e-3 * (1.0 + np.max(np.abs(disc.table.Ha[p])))
-        disc.table.hat_Ha[p] = forward(disc.table.Ha[p])
+        # corrupt one kernel-table entry: by linearity, adding the spectrum
+        # of a single-node bump gives the spectrum of the bumped H_p^a; the
+        # direct-summation side stays clean, so equivalence must fail
+        table = disc.table
+        p = min(1, table.size - 1)
+        bump = np.zeros(disc.grid.shape)
+        bump.flat[bump.size // 3] = 1e-3 * (
+            1.0 + np.max(np.abs(inverse(table.hat_Ha[p])))
+        )
+        table.hat_Ha[p] = table.hat_Ha[p] + forward(bump)
     ref = disc.reference()
     label = f"{dim}d-n{n}-a{a_tilde}"
     checks = []
@@ -220,14 +222,14 @@ def _invariant_checks(disc, rng):
 def _periodic_special_case(dim, rng):
     """With chi = 1 everywhere the box is genuinely periodic and constants
     must still be reproduced without any boundary truncation."""
-    disc = discretize(poisson_case(dim), counts=16, release=False)
+    disc = discretize(poisson_case(dim), counts=16)
     grid = disc.grid
     chi = np.ones(grid.shape)
     from .grid import quadrature_weights
     from .moment import build_moment_precomp
 
     V = quadrature_weights(grid, chi)
-    precomp = build_moment_precomp(chi, V, disc.table, release=False)
+    precomp = build_moment_precomp(chi, V, disc.table)
     u1 = ops.evaluate_field(np.ones(grid.shape), precomp)
     return [_check("periodic-chi1-constants", np.max(np.abs(u1 - 1.0)), 1e-10)]
 

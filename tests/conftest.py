@@ -13,17 +13,17 @@ def rng():
 
 @pytest.fixture(scope="session")
 def disc1d():
-    return discretize(poisson_case(1), n=1, a_tilde=1.5, counts=64, release=False)
+    return discretize(poisson_case(1), n=1, a_tilde=1.5, counts=64)
 
 
 @pytest.fixture(scope="session")
 def disc2d():
-    return discretize(poisson_case(2), n=1, a_tilde=1.5, counts=16, release=False)
+    return discretize(poisson_case(2), n=1, a_tilde=1.5, counts=16)
 
 
 @pytest.fixture(scope="session")
 def disc3d():
-    return discretize(poisson_case(3), n=1, a_tilde=1.5, counts=8, release=False)
+    return discretize(poisson_case(3), n=1, a_tilde=1.5, counts=8)
 
 
 @pytest.fixture(scope="session")

@@ -47,8 +47,7 @@ def cases(rng):
     out = []
     for dim, counts, n, a_tilde in specs:
         disc = fc.discretize(
-            fc.poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts,
-            release=False,
+            fc.poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts
         )
         out.append((disc, disc.reference()))
     return out
@@ -115,7 +114,7 @@ def test_criterion_3_convergence():
         case = fc.poisson_case(dim)
         hs, errs = [], []
         for p in powers:
-            disc = fc.discretize(case, counts=2**p, release=(dim != 1))
+            disc = fc.discretize(case, counts=2**p)
             rhs = ops.external_force(disc.r, disc.precomp)
             d, u_h, report = fc.solve_static_linear(
                 disc.precomp, disc.chi_omega, rhs, dirichlet=disc.dirichlet,
@@ -262,7 +261,7 @@ def test_criterion_8_performance_trends(rng):
     for a_tilde in (1.5, 2.5, 3.5):
         disc = fc.discretize(
             fc.poisson_case(3), a_tilde=a_tilde, spacing=2.0 / 19,
-            pad_to_fast=True, release=False,
+            pad_to_fast=True,
         )
         d = disc.chi * rng.standard_normal(disc.grid.shape)
         ops.internal_force(d, disc.precomp)  # warm
@@ -273,7 +272,6 @@ def test_criterion_8_performance_trends(rng):
         model.find_neighbors()
         model.moment_rows()
         trad_times[a_tilde] = _cpu_time(lambda: _stiffness_from_scratch(model))
-        disc.table.release_real()
         fc_bytes[a_tilde] = disc.precomp.persistent_nbytes()
         trad_bytes[a_tilde] = model.persistent_nbytes()
 
@@ -283,7 +281,7 @@ def test_criterion_8_performance_trends(rng):
 
     disc31 = fc.discretize(
         fc.poisson_case(3), a_tilde=1.5, spacing=2.0 / 30,
-        pad_to_fast=True, release=False,
+        pad_to_fast=True,
     )
     d31 = disc31.chi * rng.standard_normal(disc31.grid.shape)
     ops.internal_force(d31, disc31.precomp)  # warm
@@ -307,7 +305,7 @@ def test_criterion_8_performance_trends(rng):
 
 def test_criterion_9_solvers(rng):
     # (a) CG against a dense direct solve
-    disc = fc.discretize(fc.poisson_case(1), counts=16, release=False)
+    disc = fc.discretize(fc.poisson_case(1), counts=16)
     ref = disc.reference()
     rhs = ops.external_force(disc.r, disc.precomp)
     d_cg, _, rep = fc.solve_static_linear(

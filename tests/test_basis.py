@@ -14,9 +14,11 @@ from fcrkpm import (
     eval_kernel_1d,
     gradient_selector,
     value_selector,
+    weighted_monomials,
 )
 from fcrkpm.basis import monomial
 from fcrkpm.grid import build_grid, plan_extension
+from fcrkpm.spectral import forward
 
 
 class TestEnumerateBasis:
@@ -127,24 +129,34 @@ def _table_1d(n_nodes=16, a_tilde=1.5, degree=1):
     return grid, build_basis_table(grid, basis, kernel)
 
 
+def _Ha(table):
+    """The kernel-weighted basis fields H_p^a behind the table's spectra."""
+    return list(
+        weighted_monomials(table.grid, table.kernel, table.basis.exponents)
+    )
+
+
 class TestBasisTable:
     def test_center_value(self):
         _, table = _table_1d()
-        assert table.Ha[0][0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+        Ha = _Ha(table)
+        assert Ha[0][0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_wrap_value_last_node(self):
         grid, table = _table_1d()
+        Ha = _Ha(table)
         dx = grid.spacing[0]
         a = 1.5 * dx
         expected = -dx * eval_kernel_1d(dx, a)
-        assert table.Ha[1][-1] == pytest.approx(expected, rel=1e-14)
+        assert Ha[1][-1] == pytest.approx(expected, rel=1e-14)
 
     def test_reflection_of_linear_entry(self):
         # the reflection Hbar_a(xi) = Ha(-xi) at node 1 is Ha at node N-1,
         # which for the odd linear monomial is the sign-flipped Ha at node 1
         _, table = _table_1d()
-        assert table.Ha[1][-1] == -table.Ha[1][1]
-        assert table.Ha[1][1] != 0.0
+        Ha = _Ha(table)
+        assert Ha[1][-1] == -Ha[1][1]
+        assert Ha[1][1] != 0.0
 
     def test_reflection_identity_everywhere(self):
         # the index reflection Ha[-i mod N] is the parity-signed Ha, bit for
@@ -157,25 +169,28 @@ class TestBasisTable:
                 for degree in (0, 1, 2):
                     basis = enumerate_basis(degree, dim)
                     table = build_basis_table(grid, basis, kernel)
+                    Ha = _Ha(table)
                     reflect = np.ix_(*[(-np.arange(n)) % n for n in grid.shape])
                     for p, alpha in enumerate(basis.exponents):
-                        ha = table.Ha[p]
+                        ha = Ha[p]
                         sign = (-1.0) ** sum(alpha)
                         assert np.array_equal(ha[reflect], sign * ha)
 
     def test_compact_support(self):
         grid, table = _table_1d(n_nodes=32, a_tilde=1.5)
+        Ha = _Ha(table)
         xi = grid.wrapped_offsets()[0]
         outside = np.abs(xi) >= 1.5 * grid.spacing[0]
         for p in range(table.size):
-            assert np.all(table.Ha[p][outside] == 0.0)
+            assert np.all(Ha[p][outside] == 0.0)
 
     def test_odd_symmetry_sum(self):
         grid, table = _table_1d(n_nodes=32, degree=2)
+        Ha = _Ha(table)
         for p, alpha in enumerate(table.basis.exponents):
             if sum(alpha) % 2 == 1:
-                bound = 1e-12 * grid.counts[0] * np.max(np.abs(table.Ha[p]))
-                assert abs(np.sum(table.Ha[p])) <= bound
+                bound = 1e-12 * grid.counts[0] * np.max(np.abs(Ha[p]))
+                assert abs(np.sum(Ha[p])) <= bound
 
     def test_support_exceeding_half_period_rejected(self):
         plan = plan_extension(2.0, 1.5, counts=16)
@@ -194,6 +209,7 @@ class TestBasisTable:
         basis = enumerate_basis(1, 2)
         kernel = KernelSpec(support=plan.kernel_support)
         table = build_basis_table(grid, basis, kernel)
+        Ha = _Ha(table)
 
         Nx, Ny = grid.counts
         dx, dy = grid.spacing
@@ -215,15 +231,12 @@ class TestBasisTable:
                     shifted[1], kernel.support[1]
                 )
                 rebuilt += quadrant_mask(cx, cy) * monomial(shifted, alpha) * phi
-            assert np.max(np.abs(rebuilt - table.Ha[p])) < 1e-14 * max(
-                np.max(np.abs(table.Ha[p])), 1.0
+            assert np.max(np.abs(rebuilt - Ha[p])) < 1e-14 * max(
+                np.max(np.abs(Ha[p])), 1.0
             )
 
-    def test_release_real(self):
-        _, table = _table_1d()
-        assert table.persistent_nbytes() > 0
-        before = table.persistent_nbytes()
-        table.release_real()
-        assert table.H == [] and table.Ha == []
-        assert table.persistent_nbytes() < before
-        assert len(table.hat_Ha) == table.size
+    def test_spectra_transform_weighted_fields(self):
+        _, table = _table_1d(degree=2)
+        for hat, ha in zip(table.hat_Ha, _Ha(table), strict=True):
+            assert np.array_equal(hat, forward(ha))
+        assert table.persistent_nbytes() == sum(h.nbytes for h in table.hat_Ha)

@@ -66,6 +66,16 @@ class TestExitCodes:
         path = _write(tmp_path, "v.json", {"version": 1, "experiment": "verify"})
         assert main(["bench", "--config", path]) == 2
 
+    def test_missing_out_directory_created(self, tmp_path):
+        out = tmp_path / "new" / "sub" / "c.csv"
+        cfg = _write(
+            tmp_path, "c.json",
+            {"version": 1, "experiment": "converge", "dim": 1,
+             "powers": [3, 4, 5]},
+        )
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        assert _read_csv(str(out))[0] == CONVERGE_HEADER
+
     def test_verify_ok_is_0(self, tmp_path):
         out = tmp_path / "report.json"
         path = _write(

@@ -31,7 +31,7 @@ def _pipeline(plan, x_min, inside, on_gamma=None, n=1):
     basis = enumerate_basis(n, grid.dim)
     kernel = KernelSpec(plan.kernel_support)
     table = build_basis_table(grid, basis, kernel)
-    precomp = build_moment_precomp(chi, V, table, release=False)
+    precomp = build_moment_precomp(chi, V, table)
     ref = ReferenceModel(grid, chi, V, basis, kernel, chi_g)
     return grid, chi, chi_g, chi_o, V, precomp, ref
 

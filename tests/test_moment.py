@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from fcrkpm import (
+    CountingFFTProvider,
     KernelSpec,
     assemble_moment_fields,
     build_basis_table,
     build_grid,
     build_moment_precomp,
+    circular_convolve,
     discretize,
     enumerate_basis,
     eval_kernel_1d,
@@ -21,7 +23,9 @@ from fcrkpm import (
     plan_extension,
     poisson_case,
     quadrature_weights,
+    weighted_monomials,
 )
+from fcrkpm.basis import monomial
 from fcrkpm.errors import SingularMomentError
 from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _invert_symmetric
 
@@ -42,7 +46,7 @@ def _setup_1d(n_nodes=16):
 
 @pytest.fixture(scope="module")
 def disc3d_quadratic():
-    return discretize(poisson_case(3), n=2, a_tilde=2.5, counts=16, release=False)
+    return discretize(poisson_case(3), n=2, a_tilde=2.5, counts=16)
 
 
 def _node_last(mats):
@@ -130,11 +134,51 @@ class TestAssembly:
                 mats[:, q, p] = flat
         np.linalg.cholesky(mats)  # raises if any matrix is not SPD
 
+    @pytest.mark.parametrize(
+        "dim,n,expected",
+        [(1, 1, 7), (1, 2, 11), (2, 1, 13), (2, 2, 31), (3, 1, 21), (3, 2, 71)],
+    )
+    def test_transform_count(self, dim, n, expected):
+        # 1 mask transform + a forward/inverse pair per distinct exponent sum
+        plan = plan_extension((2.0,) * dim, 2.5, counts=(12,) * dim)
+        grid = build_grid(plan, (-1.0,) * dim)
+        basis = enumerate_basis(n, dim)
+        table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
+        sums = {
+            tuple(np.add(a, b))
+            for a, b in itertools.combinations_with_replacement(
+                basis.exponents, 2
+            )
+        }
+        assert 1 + 2 * len(sums) == expected
+        prov = CountingFFTProvider()
+        fields = assemble_moment_fields(np.ones(grid.shape), table, prov)
+        assert prov.forward_count == 1 + len(sums)
+        assert prov.inverse_count == len(sums)
+        assert len(fields) == basis.size * (basis.size + 1) // 2
+
+    def test_matches_pairwise_products(self, disc3d_quadratic):
+        # the exponent-sum integrand against the product H_p * H_q^a of the
+        # two basis entries, convolved with the mask pair by pair
+        disc = disc3d_quadratic
+        table = disc.table
+        xi = disc.grid.wrapped_offsets()
+        H = [monomial(xi, alpha) for alpha in table.basis.exponents]
+        Ha = list(
+            weighted_monomials(disc.grid, table.kernel, table.basis.exponents)
+        )
+        fields = assemble_moment_fields(disc.chi, table)
+        for (p, q), field in fields.items():
+            pairwise = disc.chi * circular_convolve(disc.chi, H[p] * Ha[q])
+            if p == q:
+                pairwise = pairwise + (1.0 - disc.chi)
+            assert rel_err(field, pairwise) < 1e-13
+
 
 class TestInversion:
     def test_identity_rows_outside(self):
         grid, chi, V, table = _setup_1d()
-        precomp = build_moment_precomp(chi, V, table, release=False)
+        precomp = build_moment_precomp(chi, V, table)
         outside = chi < 0.5
         assert np.allclose(precomp.b0[0][outside], 1.0)
         assert np.allclose(precomp.b0[1][outside], 0.0)
@@ -145,7 +189,7 @@ class TestInversion:
     def test_interior_b0_1d(self):
         # the 2x2 moment matrix is diag(62/81, 8 dx^2/81), so b0 = [81/62, 0]
         grid, chi, V, table = _setup_1d()
-        precomp = build_moment_precomp(chi, V, table, release=False)
+        precomp = build_moment_precomp(chi, V, table)
         mid = 5
         assert precomp.b0[0][mid] == pytest.approx(81.0 / 62.0, rel=1e-12)
         assert precomp.b0[1][mid] == pytest.approx(0.0, abs=1e-12)
@@ -266,19 +310,10 @@ class TestReproducingConditions:
 
 
 class TestMemoryStory:
-    def test_released_table_blocks_reassembly(self):
-        grid, chi, V, table = _setup_1d()
-        build_moment_precomp(chi, V, table, release=True)
-        assert table.H == []
-        with pytest.raises(ValueError, match="released"):
-            assemble_moment_fields(chi, table)
-
     def test_persistent_inventory_scales_with_s_and_d(self, disc2d):
         nbytes = disc2d.precomp.persistent_nbytes()
         n_total = disc2d.grid.total_nodes
         s, d = disc2d.table.size, disc2d.grid.dim
         # chi + V + (1 + d)s b-row fields + 2s real-equivalents of spectra
         expected_fields = 2 + (1 + d) * s + 2 * s
-        # the fixture table still holds H and Ha (release=False)
-        expected_fields += 2 * s
         assert nbytes == expected_fields * n_total * 8

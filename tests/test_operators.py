@@ -26,7 +26,7 @@ from fcrkpm.grid import (
     plan_extension,
     quadrature_weights,
 )
-from fcrkpm.moment import build_moment_precomp
+from fcrkpm.moment import assemble_moment_fields, build_moment_precomp
 from fcrkpm.reference import ReferenceModel
 
 from conftest import rel_err
@@ -40,9 +40,9 @@ def rng():
 @pytest.fixture(scope="module")
 def discs():
     return {
-        1: discretize(poisson_case(1), counts=64, release=False),
-        2: discretize(poisson_case(2), counts=32, release=False),
-        3: discretize(poisson_case(3), counts=16, release=False),
+        1: discretize(poisson_case(1), counts=64),
+        2: discretize(poisson_case(2), counts=32),
+        3: discretize(poisson_case(3), counts=16),
     }
 
 
@@ -356,15 +356,29 @@ class TestOracleProperty:
         V = quadrature_weights(grid, chi)
         basis = enumerate_basis(degree, grid.dim)
         kernel = KernelSpec(plan.kernel_support)
-        precomp = build_moment_precomp(
-            chi, V, build_basis_table(grid, basis, kernel)
-        )
+        table = build_basis_table(grid, basis, kernel)
+        precomp = build_moment_precomp(chi, V, table)
         ref = ReferenceModel(grid, chi, V, basis, kernel, chi_g)
         rng = np.random.default_rng(seed)
         d = chi * rng.standard_normal(grid.shape)
         r = chi * rng.standard_normal(grid.shape)
+        fields = assemble_moment_fields(chi, table)
+        for key, direct in ref.moment_fields_direct().items():
+            assert rel_err(ref.restrict(fields[key]), direct) < 1e-10
         assert rel_err(internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
         assert rel_err(external_force(r, precomp), ref.f_r_direct(r)) < 1e-10
         assert rel_err(evaluate_field(d, precomp), ref.u_h_direct(d)) < 1e-10
+        for fast, direct in zip(
+            evaluate_gradient(d, precomp), ref.gradient_direct(d), strict=True
+        ):
+            assert rel_err(fast, direct) < 1e-10
         assert rel_err(mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
         assert rel_err(lumped_mass(precomp), ref.lumped_mass_direct()) < 1e-10
+        # boundary nodes: active with a lattice neighbor off the ball, which
+        # is what cuts their trapezoid weight to at most half a cell
+        boundary = chi * (V < 0.75 * np.prod(grid.spacing))
+        q = boundary * rng.standard_normal(grid.shape)
+        area = boundary * rng.uniform(0.5, 1.5, grid.shape)
+        assert rel_err(
+            boundary_force(q, area, precomp), ref.f_q_direct(q, area)
+        ) < 1e-10

@@ -132,9 +132,3 @@ class TestDiscretize:
 
     def test_dirichlet_field_zero(self, disc2d):
         assert np.all(disc2d.dirichlet == 0.0)
-
-    def test_release_controls_table(self):
-        d1 = discretize(poisson_case(1), counts=16, release=True)
-        assert d1.table.H == []
-        d2 = discretize(poisson_case(1), counts=16, release=False)
-        assert len(d2.table.H) == d2.table.size

@@ -15,7 +15,7 @@ def rng():
 
 @pytest.fixture(scope="module")
 def model3d():
-    disc = discretize(poisson_case(3), counts=12, release=False)
+    disc = discretize(poisson_case(3), counts=12)
     return disc, disc.reference()
 
 
@@ -27,14 +27,14 @@ class TestNeighborCounts:
 
     @pytest.mark.parametrize("a_tilde,expected", [(2.5, 125), (3.5, 343)])
     def test_wider_supports(self, a_tilde, expected):
-        disc = discretize(poisson_case(3), counts=16, a_tilde=a_tilde, release=False)
+        disc = discretize(poisson_case(3), counts=16, a_tilde=a_tilde)
         ref = disc.reference()
         assert np.max(ref.find_neighbors().counts) == expected
 
     def test_integer_support_excludes_edge(self):
         # phi vanishes exactly at the support edge, so a_tilde = 2 keeps 3
         # nodes per axis, same as 1.5
-        disc = discretize(poisson_case(2), counts=16, a_tilde=2.0, release=False)
+        disc = discretize(poisson_case(2), counts=16, a_tilde=2.0)
         ref = disc.reference()
         assert np.max(ref.find_neighbors().counts) == 9
 
@@ -57,7 +57,7 @@ class TestNeighborCounts:
 class TestShapeFunctionsAt:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_reproduction_at_random_points(self, dim, rng):
-        disc = discretize(poisson_case(dim), counts=32, release=False)
+        disc = discretize(poisson_case(dim), counts=32)
         ref = disc.reference()
         for _ in range(10):
             x = rng.uniform(-0.9, 0.9, size=dim)

@@ -35,7 +35,7 @@ def _solve_poisson(disc, **kwargs):
 
 class TestStaticLinear:
     def test_cg_matches_dense_direct_solve(self):
-        disc = discretize(poisson_case(1), counts=16, release=False)
+        disc = discretize(poisson_case(1), counts=16)
         ref = disc.reference()
         rhs = external_force(disc.r, disc.precomp)
         d_cg, _, report = _solve_poisson(disc)
