@@ -54,7 +54,6 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     TransientState,
-    default_explicit_dt,
     explicit_stable_dt,
     run_transient,
     solve_static_linear,

@@ -19,14 +19,12 @@ import csv
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import operators as ops
 from .bench import CSV_HEADER, bench_cell
-from .errors import NonPowerOfTwoWarning
 from .problems import (
     continuous_l2_error_1d,
     convergence_slope,
@@ -109,10 +107,6 @@ _EXPERIMENT_SCHEMA = {
             [1.5, 2.5, 3.5],
         ),
         "reps": (lambda v: isinstance(v, int) and v >= 3, 5),
-        "skip_traditional_above": (
-            lambda v: isinstance(v, int) and v > 0,
-            32**3,
-        ),
     },
     "diffuse": {
         "counts": (lambda v: isinstance(v, int) and v >= 8, 32),
@@ -243,17 +237,17 @@ def cmd_bench(cfg, provider) -> int:
     rows = []
     for nodes in cfg["nodes_per_axis"]:
         for a_tilde in cfg["a_tilde_values"]:
-            records = bench_cell(
-                dim=cfg["dim"],
-                n=cfg["n"],
-                a_tilde=a_tilde,
-                nodes_per_axis=nodes,
-                reps=cfg["reps"],
-                skip_traditional_above=cfg["skip_traditional_above"],
-                seed=cfg["seed"],
-                provider=provider,
+            rows.extend(
+                bench_cell(
+                    dim=cfg["dim"],
+                    n=cfg["n"],
+                    a_tilde=a_tilde,
+                    nodes_per_axis=nodes,
+                    reps=cfg["reps"],
+                    seed=cfg["seed"],
+                    provider=provider,
+                )
             )
-            rows.extend(r.row() for r in records)
     _write_csv(cfg["out"], CSV_HEADER, rows)
     return 0
 
@@ -360,15 +354,13 @@ def main(argv=None) -> int:
             "timings are not comparable with single-threaded runs",
             file=sys.stderr,
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonPowerOfTwoWarning)
-        handler = {
-            "verify": cmd_verify,
-            "converge": cmd_converge,
-            "bench": cmd_bench,
-            "diffuse": cmd_diffuse,
-        }[cfg["experiment"]]
-        return handler(cfg, provider)
+    handler = {
+        "verify": cmd_verify,
+        "converge": cmd_converge,
+        "bench": cmd_bench,
+        "diffuse": cmd_diffuse,
+    }[cfg["experiment"]]
+    return handler(cfg, provider)
 
 
 if __name__ == "__main__":

@@ -39,10 +39,3 @@ class IllConditionedMomentWarning(UserWarning):
 
 class NonPositiveLumpedMassWarning(UserWarning):
     """Lumped mass is non-positive at an active node (boundary pathology)."""
-
-
-class NonPowerOfTwoWarning(UserWarning):
-    """Fixed-spacing extension produced a node count that is not a power of 2.
-
-    The FFTs stay correct, just slower than the power-of-two optimum.
-    """

@@ -26,12 +26,9 @@ marks the nodes the solvers actually update.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import NonPowerOfTwoWarning
 
 __all__ = [
     "PeriodicGrid",
@@ -269,13 +266,6 @@ def plan_extension(
                 ek + (nf - n) * h for ek, nf, n, h in zip(l_e, padded, N, dx)
             )
             N = padded
-        if any(n & (n - 1) for n in N):
-            warnings.warn(
-                f"node counts {N} are not powers of two; FFTs will be "
-                "correct but slower",
-                NonPowerOfTwoWarning,
-                stacklevel=2,
-            )
     return ExtensionPlan(
         domain_length=L, a_tilde=at, m=m, extension=l_e, counts=N, spacing=dx
     )

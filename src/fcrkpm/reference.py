@@ -182,11 +182,6 @@ class ReferenceModel:
         self._moment = M_batch
         return M_batch
 
-    def reset_moment_cache(self):
-        self._moment = None
-        self._b0 = None
-        self._bgrad = None
-
     def moment_rows(self):
         """Per-node b-row extracts (b0, [bx, by, bz]) from M^-1.
 
@@ -196,7 +191,6 @@ class ReferenceModel:
         """
         if self._b0 is not None:
             return self._b0, self._bgrad
-        self.find_neighbors()
         self._assemble_moment_batch()
         inv, min_pivot = _invert_symmetric(
             np.ascontiguousarray(self._moment.transpose(1, 2, 0))
@@ -217,7 +211,6 @@ class ReferenceModel:
 
     def moment_fields_direct(self) -> dict[tuple[int, int], np.ndarray]:
         """Upper-triangle moment entries per active node (the FFT oracle)."""
-        self.find_neighbors()
         self._assemble_moment_batch()
         s = self.basis.size
         return {
@@ -232,7 +225,7 @@ class ReferenceModel:
         if self._psi is not None:
             return self._psi, self._dpsi
         b0, bgrad = self.moment_rows()
-        nbr = self._nbr
+        nbr = self.find_neighbors()
         pair_I = np.repeat(
             np.arange(self.n_nodes, dtype=np.int64), nbr.counts
         )
@@ -444,9 +437,9 @@ class ReferenceModel:
 
     # ------------------------------------------------------------- memory
 
-    def persistent_nbytes(self, include_mass: bool = False) -> int:
+    def persistent_nbytes(self) -> int:
         """Bytes held by the traditional data structures: node table,
-        neighbor lists, and assembled sparse operators."""
+        neighbor lists, and the assembled sparse stiffness."""
         total = (
             self.coords.nbytes + self.V.nbytes + self.omega_linear.nbytes
             + self.gamma_mask.nbytes
@@ -458,11 +451,5 @@ class ReferenceModel:
                 self._K.data.nbytes
                 + self._K.indices.nbytes
                 + self._K.indptr.nbytes
-            )
-        if include_mass and self._mass is not None:
-            total += (
-                self._mass.data.nbytes
-                + self._mass.indices.nbytes
-                + self._mass.indptr.nbytes
             )
         return total

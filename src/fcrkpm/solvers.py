@@ -48,7 +48,6 @@ __all__ = [
     "step_transient_diffusion",
     "run_transient",
     "explicit_stable_dt",
-    "default_explicit_dt",
 ]
 
 # Floor of the preconditioner symbol, relative to its largest entry.  Direct
@@ -63,9 +62,9 @@ SYMBOL_FLOOR = 1e-2
 class SolverConfig:
     """Iteration and time-stepping controls.
 
-    max_iter defaults to 10x the number of active unknowns.  For transient
-    runs, dt=None selects the diffusion stability heuristic
-    0.2 * min(dx)^2 / (2 * dim * nu) (forward Euler).
+    max_iter defaults to 10x the number of active unknowns.  Transient
+    runs need dt (`explicit_stable_dt` gives the forward-Euler limit) and
+    raise ValueError without it; the static solvers ignore it.
     """
 
     tol: float = 1e-12
@@ -114,16 +113,6 @@ class TransientState:
     d: np.ndarray
     step: int = 0
     converged: bool = True
-
-
-def default_explicit_dt(precomp: MomentPrecomp, nu: float = 1.0) -> float:
-    return 0.2 * min(precomp.grid.spacing) ** 2 / (2 * precomp.dim * nu)
-
-
-def _time_step(precomp: MomentPrecomp, config: SolverConfig) -> float:
-    return config.dt if config.dt is not None else default_explicit_dt(
-        precomp, config.nu
-    )
 
 
 def _implicit_operator(precomp, dt, nu, provider):
@@ -399,9 +388,12 @@ def step_transient_diffusion(
     otherwise.  Dirichlet coefficients stay frozen either way.
 
     Raises:
+        ValueError: config.dt is not set.
         FloatingPointError: the step produced NaN (reported with its index).
     """
-    dt = _time_step(precomp, config)
+    dt = config.dt
+    if dt is None:
+        raise ValueError("transient stepping needs config.dt")
     d = state.d
     converged = state.converged
     if config.scheme == "explicit-euler":
@@ -446,7 +438,13 @@ def run_transient(
     callback=None,
 ) -> TransientState:
     """March `config.n_steps` diffusion steps from the Dirichlet-lifted
-    initial state; `callback(state)` is invoked after every step."""
+    initial state; `callback(state)` is invoked after every step.
+
+    Raises:
+        ValueError: config.dt is not set.
+    """
+    if config.dt is None:
+        raise ValueError("transient stepping needs config.dt")
     d0 = (
         np.zeros(precomp.grid.shape)
         if dirichlet is None
@@ -458,8 +456,7 @@ def run_transient(
         lumped = lumped_mass(precomp, provider)
     else:
         precondition = _circulant_preconditioner(
-            _implicit_operator(precomp, _time_step(precomp, config), config.nu,
-                               provider),
+            _implicit_operator(precomp, config.dt, config.nu, provider),
             chi_omega, provider,
         )
     state = TransientState(t=0.0, d=d0)

@@ -173,11 +173,26 @@ class TestBenchCSV:
 
     def test_terms_present(self, bench_rows):
         pairs = {(r[0], r[1]) for r in bench_rows[1:]}
-        for term in ("f_int", "f_r", "u_h", "moment"):
+        for term in ("setup", "moment", "f_int", "f_r", "u_h"):
             assert (term, "fc") in pairs
             assert (term, "traditional") in pairs
-        assert ("K_assembly", "traditional") in pairs
-        assert ("Kd_product", "traditional") in pairs
+
+    def test_like_for_like(self, bench_rows):
+        # every term is timed on both paths, and the fc row's speedup is
+        # the traditional median over the fc median of that same term
+        rows = bench_rows[1:]
+        terms = ("setup", "moment", "f_int", "f_r", "u_h")
+        assert sorted((r[0], r[1]) for r in rows) == sorted(
+            (t, m) for t in terms for m in ("fc", "traditional")
+        )
+        med = CSV_HEADER.index("median_s")
+        assert all(r[med] != "" for r in rows)
+        median = {(r[0], r[1]): float(r[med]) for r in rows}
+        speedup = CSV_HEADER.index("speedup")
+        for r in rows:
+            if r[1] == "fc":
+                expected = median[r[0], "traditional"] / median[r[0], "fc"]
+                assert float(r[speedup]) == expected
 
     def test_neighbor_count_reported(self, bench_rows):
         m_col = CSV_HEADER.index("M")
@@ -190,22 +205,6 @@ class TestBenchCSV:
             r[0]: int(r[b_col]) for r in bench_rows[1:] if r[1] == "traditional"
         }
         assert fc["f_int"] < trad["f_int"]
-
-    def test_size_guard_extrapolates(self, tmp_path):
-        out = tmp_path / "b.csv"
-        cfg = _write(
-            tmp_path, "b.json",
-            {"version": 1, "experiment": "bench", "dim": 3,
-             "nodes_per_axis": [10], "a_tilde_values": [1.5], "reps": 3,
-             "skip_traditional_above": 500},
-        )
-        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
-        rows = _read_csv(str(out))
-        k_rows = [r for r in rows[1:] if r[0] == "K_assembly"]
-        assert len(k_rows) == 1
-        note = k_rows[0][CSV_HEADER.index("note")]
-        assert "skipped" in note and "extrapolation" in note
-        assert k_rows[0][CSV_HEADER.index("median_s")] == ""
 
 
 class TestDiffuseCSV:

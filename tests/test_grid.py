@@ -11,7 +11,6 @@ from fcrkpm import (
     plan_extension,
     quadrature_weights,
 )
-from fcrkpm.errors import NonPowerOfTwoWarning
 
 
 class TestPlanExtension:
@@ -25,8 +24,7 @@ class TestPlanExtension:
     def test_fix_spacing_integer_support(self):
         # a_tilde=2.0 floors to m=2, so l_e = 3*dx
         dx = 0.05
-        with pytest.warns(NonPowerOfTwoWarning):
-            plan = plan_extension(2.0, 2.0, spacing=dx)
+        plan = plan_extension(2.0, 2.0, spacing=dx)
         assert plan.m == (2,)
         assert plan.extension[0] == pytest.approx(3 * dx, rel=1e-15)
         assert plan.counts == (43,)
@@ -59,14 +57,9 @@ class TestPlanExtension:
         with pytest.raises(ValueError, match="does not divide"):
             plan_extension(2.0, 1.5, spacing=0.3)
 
-    def test_non_power_of_two_warns(self):
-        with pytest.warns(NonPowerOfTwoWarning):
-            plan_extension(2.0, 1.5, spacing=2.0 / 40.0)
-
     def test_pad_to_fast_keeps_minimum(self):
-        with pytest.warns(NonPowerOfTwoWarning):
-            base = plan_extension(2.0, 3.5, spacing=2.0 / 19.0)
-            padded = plan_extension(2.0, 3.5, spacing=2.0 / 19.0, pad_to_fast=True)
+        base = plan_extension(2.0, 3.5, spacing=2.0 / 19.0)
+        padded = plan_extension(2.0, 3.5, spacing=2.0 / 19.0, pad_to_fast=True)
         assert padded.extension[0] >= base.extension[0]
         assert padded.extension[0] >= (padded.m[0] + 1) * padded.spacing[0]
         n = padded.counts[0]

@@ -7,7 +7,6 @@ from fcrkpm import (
     CountingFFTProvider,
     SolverConfig,
     convergence_slope,
-    default_explicit_dt,
     discretize,
     evaluate_field,
     explicit_stable_dt,
@@ -350,11 +349,16 @@ class TestTransient:
                 state, disc.precomp, disc.chi_omega, rhs, cfg
             )
 
-    def test_default_dt_heuristic(self, transient_setup):
-        disc, _, _ = transient_setup
-        dt = default_explicit_dt(disc.precomp, nu=1.0)
-        expected = 0.2 * min(disc.grid.spacing) ** 2 / (2 * 2 * 1.0)
-        assert dt == pytest.approx(expected, rel=1e-15)
+    def test_dt_required(self, transient_setup):
+        disc, rhs, _ = transient_setup
+        cfg = SolverConfig(n_steps=1)
+        with pytest.raises(ValueError, match="config.dt"):
+            run_transient(disc.precomp, disc.chi_omega, rhs, cfg)
+        state = TransientState(t=0.0, d=np.zeros(disc.grid.shape))
+        with pytest.raises(ValueError, match="config.dt"):
+            step_transient_diffusion(
+                state, disc.precomp, disc.chi_omega, rhs, cfg
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
