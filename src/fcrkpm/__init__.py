@@ -14,8 +14,6 @@ from .basis import (
     build_basis_table,
     enumerate_basis,
     eval_kernel_1d,
-    gradient_selector,
-    value_selector,
     weighted_monomials,
 )
 from .grid import (

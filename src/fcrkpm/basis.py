@@ -44,8 +44,6 @@ __all__ = [
     "KernelSpec",
     "eval_kernel_1d",
     "eval_kernel",
-    "gradient_selector",
-    "value_selector",
     "weighted_monomials",
     "BasisTable",
     "build_basis_table",
@@ -69,12 +67,6 @@ class BasisIndex:
     @property
     def size(self) -> int:
         return len(self.exponents)
-
-    @property
-    def min_neighbors(self) -> int:
-        """Minimum non-degenerate neighbor count for an invertible moment
-        matrix (equals the basis size)."""
-        return self.size
 
 
 def enumerate_basis(n: int, d: int) -> BasisIndex:
@@ -128,30 +120,6 @@ def eval_kernel(coords, kernel: KernelSpec):
     for x, a in zip(coords[1:], kernel.support[1:]):
         phi = phi * eval_kernel_1d(x, a)
     return phi
-
-
-def value_selector(basis: BasisIndex) -> np.ndarray:
-    """H(0): selects the first row of the inverse moment matrix."""
-    e = np.zeros(basis.size)
-    e[0] = 1.0
-    return e
-
-
-def gradient_selector(axis: int, basis: BasisIndex) -> np.ndarray:
-    """Constant selector vector for the implicit gradient along an axis.
-
-    Carries -1 at the position of that axis's degree-1 monomial; applied to
-    the inverse moment matrix it yields the implicit-gradient coefficient
-    row (minus the (axis+2)-th row).
-    """
-    if basis.degree < 1:
-        raise ValueError("gradient reproduction needs basis degree >= 1")
-    if not 0 <= axis < basis.dim:
-        raise ValueError(f"axis {axis} out of range for dim {basis.dim}")
-    target = tuple(1 if k == axis else 0 for k in range(basis.dim))
-    sel = np.zeros(basis.size)
-    sel[basis.exponents.index(target)] = -1.0
-    return sel
 
 
 def monomial(coords, alpha) -> np.ndarray:

@@ -9,7 +9,10 @@ that cannot be created.
 
 Numeric CSV payloads are deterministic for a fixed config and seed
 (timing columns excepted): random inputs come from a seeded generator and
-floats are written at full precision.
+floats are written at full precision.  The diffuse column
+err_vs_static_linf measures the gap to a static solution that CG solved
+only to the config's tol, so it is meaningful down to about tol; below
+that it is rounding noise.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ FFTs fastest),
     l_e = (m + 1) * L_omega / (N - m - 1),   dx = (L_omega + l_e) / N.
 
 Nodes are laid out uniformly, node i at x_min + i*dx (0-based), and the box
-is periodic with period L = N*dx.  All grid-shaped arrays in this package
-use one canonical linearization: axis 0 varies fastest, so the total index
-of (i0, i1, i2) is I = i0 + N0*(i1 + N1*i2) (Fortran ravel order).
+is periodic with period L = N*dx.  Fields are plain grid-shaped numpy
+arrays indexed [i0, i1, i2]; where a flat node order is needed (the
+direct-summation oracle), it is numpy's own C order.
 
 Three 0/1 masks partition the box: chi marks the closure of Omega (Dirichlet
 boundary nodes included, so they can participate in the approximation),
@@ -98,33 +98,10 @@ class PeriodicGrid:
         """Grid-shaped coordinate array per axis (indexing='ij')."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def linear_index(self, multi) -> int:
-        """Total index of a multi-index, axis 0 fastest."""
-        multi = tuple(multi)
-        idx = 0
-        for i, n in zip(reversed(multi), reversed(self.counts)):
-            idx = idx * n + i
-        return idx
-
-    def multi_index(self, total: int) -> tuple[int, ...]:
-        """Inverse of linear_index."""
-        out = []
-        for n in self.counts:
-            out.append(total % n)
-            total //= n
-        return tuple(out)
-
     def node_coordinate(self, multi) -> tuple[float, ...]:
         return tuple(
             x0 + i * dx for x0, dx, i in zip(self.x_min, self.spacing, multi)
         )
-
-    def ravel(self, a: np.ndarray) -> np.ndarray:
-        """Flatten a grid-shaped array in the canonical linearization."""
-        return np.ravel(a, order="F")
-
-    def unravel(self, v: np.ndarray) -> np.ndarray:
-        return np.reshape(v, self.shape, order="F")
 
     def wrapped_offsets(self) -> list[np.ndarray]:
         """Minimal-image signed offsets xi_k per axis, grid-shaped.
@@ -141,13 +118,6 @@ class PeriodicGrid:
             shape[axis] = n
             out.append(np.broadcast_to(xi.reshape(shape), self.shape).copy())
         return out
-
-    def wrap_coordinate(self, multi) -> tuple[float, ...]:
-        """Minimal-image offset of a single node (see wrapped_offsets)."""
-        return tuple(
-            (i if 2 * i < n else i - n) * dx
-            for i, n, dx in zip(multi, self.counts, self.spacing)
-        )
 
     def check_field(self, a: np.ndarray, name: str = "field"):
         if a.shape != self.shape:

@@ -210,8 +210,7 @@ def invert_moments(
     active = chi > 0.5
     bad = active & (min_pivot < SINGULAR_PIVOT_RTOL)
     if np.any(bad):
-        # the first bad node in the canonical linearization
-        multi = grid.multi_index(int(np.flatnonzero(grid.ravel(bad))[0]))
+        multi = tuple(int(i) for i in np.argwhere(bad)[0])
         scale = np.max(np.abs(mats[(Ellipsis, *multi)]))
         raise SingularMomentError(
             multi, grid.node_coordinate(multi), min_pivot[multi] * scale

@@ -7,6 +7,24 @@ stiffness/mass operators with the classic nested-loop structure: one loop
 over quadrature points, loops over their neighbors inside, giving O(N*M)
 work for forces and field evaluation and O(N*M^2) for matrix assembly.
 
+The active (chi = 1) nodes are numbered in numpy's C order, the order of
+``field[chi > 0.5]``, so restrict and extend are a boolean mask and no
+other linearization exists.  Neighbors come from one node-major table,
+(n_nodes, n_offsets) local ids with -1 for an inactive lattice node,
+built with one np.roll per stencil offset.  Offsets are enumerated in
+np.ndindex order, which is C order, so each table row is already sorted
+by local id whenever no support crosses the periodic seam (the extension
+guarantees that for every mask inside the physical box).  The table
+gives the neighbor lists, the per-node moment sums (one product of the
+0/1 validity pattern with the per-offset basis products) and the shape
+values, which are stored as CSR matrices Psi and B_ax that all share the
+neighbor table's int32 index arrays.  Field evaluation and forces are
+then sparse products with them.
+
+The stiffness and mass assembly keeps its explicit per-node loop of
+outer-product blocks: it is the O(N*M^2) neighbor work the paper's method
+avoids, and it is what the performance comparison times.
+
 Quadrature is direct nodal integration over the same nodes and trapezoid
 weights as the convolution path, which is what lets the two paths agree to
 rounding.  Off-node evaluation (needed for the continuous 1D error norm) is
@@ -34,15 +52,16 @@ _TRIPLET_BUDGET = 8_000_000
 
 @dataclass
 class NeighborTable:
-    """Ragged per-node neighbor lists in CSR layout.
+    """Ragged per-node neighbor lists in CSR layout, int32 throughout.
 
-    ids[indptr[i]:indptr[i+1]] are the neighbors of node i (self included),
-    sorted; offset_idx maps each pair to its lattice offset.
+    ids[indptr[i]:indptr[i+1]] are the neighbors of node i (self included)
+    in offset order, which is sorted by local id unless the support wraps
+    across the periodic seam; the shape matrices reuse both arrays as their
+    own index arrays.
     """
 
     indptr: np.ndarray
     ids: np.ndarray
-    offset_idx: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
@@ -52,7 +71,7 @@ class NeighborTable:
         return self.ids[self.indptr[i] : self.indptr[i + 1]]
 
     def nbytes(self) -> int:
-        return self.indptr.nbytes + self.ids.nbytes + self.offset_idx.nbytes
+        return self.indptr.nbytes + self.ids.nbytes
 
 
 class ReferenceModel:
@@ -60,7 +79,7 @@ class ReferenceModel:
 
     Both paths must share nodes, quadrature weights, basis, and kernel; the
     constructor therefore takes the same grid objects the convolution path
-    uses and extracts the active subset in the canonical linearization.
+    uses and extracts the active subset in C order.
     """
 
     def __init__(
@@ -83,31 +102,24 @@ class ReferenceModel:
             round(a / dx, 9) for a, dx in zip(kernel.support, grid.spacing)
         )
 
-        chi_flat = grid.ravel(chi) > 0.5
-        self.omega_linear = np.flatnonzero(chi_flat)
-        self.n_nodes = int(self.omega_linear.size)
-        multi = np.unravel_index(self.omega_linear, grid.shape, order="F")
-        axes = grid.axes()
+        self.active = chi > 0.5
+        self.n_nodes = int(np.count_nonzero(self.active))
         self.coords = np.column_stack(
-            [axes[k][multi[k]] for k in range(grid.dim)]
+            [x[self.active] for x in grid.coordinates()]
         )
-        self.V = grid.ravel(V)[self.omega_linear]
+        self.V = V[self.active]
         if chi_gamma_g is not None:
-            self.gamma_mask = grid.ravel(chi_gamma_g)[self.omega_linear] > 0.5
+            self.gamma_mask = chi_gamma_g[self.active] > 0.5
         else:
             self.gamma_mask = np.zeros(self.n_nodes, dtype=bool)
-
-        tmp = np.full(grid.total_nodes, -1, dtype=np.int64)
-        tmp[self.omega_linear] = np.arange(self.n_nodes)
-        self._local_id = grid.unravel(tmp)
 
         self._offsets, self._Hraw, self._Hvec = self._offset_tables()
         self._nbr: NeighborTable | None = None
         self._moment: np.ndarray | None = None
         self._b0: np.ndarray | None = None
         self._bgrad: np.ndarray | None = None
-        self._psi: np.ndarray | None = None
-        self._dpsi: list[np.ndarray] | None = None
+        self._Psi: sp.csr_matrix | None = None
+        self._B: list[sp.csr_matrix] | None = None
         self._K: sp.csr_matrix | None = None
         self._mass: sp.csr_matrix | None = None
 
@@ -115,8 +127,9 @@ class ReferenceModel:
 
     def _offset_tables(self):
         """Stencil offsets with per-axis |o| < a_tilde (strict: the kernel
-        vanishes exactly at the support edge) and the per-offset basis data
-        H(-o*dx) and H(-o*dx)*phi(o*dx), which depend on the offset only."""
+        vanishes exactly at the support edge), in np.ndindex (C) order, and
+        the per-offset basis data H(-o*dx) and H(-o*dx)*phi(o*dx), which
+        depend on the offset only."""
         d = self.grid.dim
         ranges = [
             np.arange(-int(np.ceil(at)) + 1, int(np.ceil(at)))
@@ -143,44 +156,40 @@ class ReferenceModel:
                     Hraw[:, p] *= (-disp[:, k]) ** a  # argument x_S - x_J
         return offsets, Hraw, Hraw * phi[:, None]
 
+    def _neighbor_table(self) -> np.ndarray:
+        """Node-major (n_nodes, n_offsets) int32 table: the local id of each
+        active node's lattice neighbor at every stencil offset, -1 where
+        that neighbor is inactive.  Derived on demand, never stored."""
+        local_id = np.full(self.grid.shape, -1, dtype=np.int32)
+        local_id[self.active] = np.arange(self.n_nodes, dtype=np.int32)
+        axes = tuple(range(self.grid.dim))
+        table = np.empty((self.n_nodes, len(self._offsets)), dtype=np.int32)
+        for k, o in enumerate(self._offsets):
+            table[:, k] = np.roll(local_id, tuple(-o), axis=axes)[self.active]
+        return table
+
     def find_neighbors(self) -> NeighborTable:
         """Build (and cache) the ragged neighbor table."""
-        if self._nbr is not None:
-            return self._nbr
-        pair_I, pair_J, pair_off = [], [], []
-        axes = tuple(range(self.grid.dim))
-        for idx, o in enumerate(self._offsets):
-            nbr_id = np.roll(self._local_id, shift=tuple(-o), axis=axes)
-            valid = (self._local_id >= 0) & (nbr_id >= 0)
-            I = self._local_id[valid]
-            pair_I.append(I)
-            pair_J.append(nbr_id[valid])
-            pair_off.append(np.full(I.size, idx, dtype=np.int32))
-        I = np.concatenate(pair_I)
-        J = np.concatenate(pair_J)
-        off = np.concatenate(pair_off)
-        order = np.lexsort((J, I))
-        I, J, off = I[order], J[order], off[order]
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(I, minlength=self.n_nodes), out=indptr[1:])
-        self._nbr = NeighborTable(indptr=indptr, ids=J, offset_idx=off)
+        if self._nbr is None:
+            table = self._neighbor_table()
+            valid = table >= 0
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+            np.cumsum(valid.sum(axis=1), out=indptr[1:])
+            self._nbr = NeighborTable(indptr=indptr, ids=table[valid])
         return self._nbr
 
     def _assemble_moment_batch(self) -> np.ndarray:
-        """Per-node moment matrices by the O(N*M) direct neighbor sum."""
-        if self._moment is not None:
-            return self._moment
-        s = self.basis.size
-        M_batch = np.zeros((self.n_nodes, s, s))
-        axes = tuple(range(self.grid.dim))
-        for idx, o in enumerate(self._offsets):
-            nbr_id = np.roll(self._local_id, shift=tuple(-o), axis=axes)
-            valid = (self._local_id >= 0) & (nbr_id >= 0)
-            M_batch[self._local_id[valid]] += np.outer(
-                self._Hraw[idx], self._Hvec[idx]
-            )
-        self._moment = M_batch
-        return M_batch
+        """Per-node moment matrices by the O(N*M) direct neighbor sum,
+        node-last (s, s, n_nodes): the validity pattern times the
+        per-offset products H(-o*dx) H(-o*dx)^T phi(o*dx)."""
+        if self._moment is None:
+            s = self.basis.size
+            valid = self._neighbor_table() >= 0
+            outer = self._Hraw[:, :, None] * self._Hvec[:, None, :]
+            self._moment = (
+                outer.reshape(-1, s * s).T @ valid.T.astype(float)
+            ).reshape(s, s, self.n_nodes)
+        return self._moment
 
     def moment_rows(self):
         """Per-node b-row extracts (b0, [bx, by, bz]) from M^-1.
@@ -191,17 +200,15 @@ class ReferenceModel:
         """
         if self._b0 is not None:
             return self._b0, self._bgrad
-        self._assemble_moment_batch()
-        inv, min_pivot = _invert_symmetric(
-            np.ascontiguousarray(self._moment.transpose(1, 2, 0))
-        )
+        M = self._assemble_moment_batch()
+        inv, min_pivot = _invert_symmetric(M)
         bad = min_pivot < SINGULAR_PIVOT_RTOL
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise SingularMomentError(
-                self.grid.multi_index(int(self.omega_linear[i])),
+                tuple(int(k) for k in np.argwhere(self.active)[i]),
                 tuple(self.coords[i]),
-                min_pivot[i] * np.max(np.abs(self._moment[i])),
+                min_pivot[i] * np.max(np.abs(M[..., i])),
             )
         self._b0 = inv[0].T.copy()
         self._bgrad = np.stack(
@@ -211,37 +218,33 @@ class ReferenceModel:
 
     def moment_fields_direct(self) -> dict[tuple[int, int], np.ndarray]:
         """Upper-triangle moment entries per active node (the FFT oracle)."""
-        self._assemble_moment_batch()
+        M = self._assemble_moment_batch()
         s = self.basis.size
         return {
-            (p, q): self._moment[:, p, q].copy()
-            for p in range(s)
-            for q in range(p, s)
+            (p, q): M[p, q].copy() for p in range(s) for q in range(p, s)
         }
 
-    def shape_value_table(self):
-        """Flat per-pair shape values Psi_J(x_I) and implicit gradients,
-        aligned with the neighbor table pairs."""
-        if self._psi is not None:
-            return self._psi, self._dpsi
-        b0, bgrad = self.moment_rows()
-        nbr = self.find_neighbors()
-        pair_I = np.repeat(
-            np.arange(self.n_nodes, dtype=np.int64), nbr.counts
-        )
-        total = nbr.ids.size
-        psi = np.empty(total)
-        dpsi = [np.empty(total) for _ in range(self.grid.dim)]
-        for start in range(0, total, 4_000_000):
-            sl = slice(start, min(start + 4_000_000, total))
-            hv = self._Hvec[nbr.offset_idx[sl]]
-            psi[sl] = np.einsum("kp,kp->k", b0[pair_I[sl]], hv)
-            for ax in range(self.grid.dim):
-                dpsi[ax][sl] = np.einsum("kp,kp->k", bgrad[ax][pair_I[sl]], hv)
-        self._psi = psi
-        self._dpsi = dpsi
-        self._pair_I = pair_I
-        return psi, dpsi
+    def shape_matrices(self):
+        """Shape functions Psi[I, J] = Psi_J(x_I) and implicit gradients
+        B_ax[I, J] as CSR matrices over the neighbor pairs (cached).
+
+        Row I's values are b_I . H(x_I - x_J) phi(x_I - x_J), one dense
+        (n_nodes, n_offsets) product per matrix read out by the validity
+        pattern; every matrix shares the neighbor table's indptr and ids.
+        """
+        if self._Psi is None:
+            b0, bgrad = self.moment_rows()
+            nbr = self.find_neighbors()
+            valid = self._neighbor_table() >= 0
+            n = self.n_nodes
+
+            def csr(b):
+                data = (b @ self._Hvec.T)[valid]
+                return sp.csr_matrix((data, nbr.ids, nbr.indptr), shape=(n, n))
+
+            self._Psi = csr(b0)
+            self._B = [csr(b) for b in bgrad]
+        return self._Psi, self._B
 
     # ---------------------------------------------------- sparse assembly
 
@@ -250,10 +253,11 @@ class ReferenceModel:
         block scattered into COO triplets, flushed to CSR in chunks that are
         pairwise-merged at the end (a running sum would re-touch the full
         matrix on every flush)."""
-        psi, dpsi = self.shape_value_table()
+        Psi, B = self.shape_matrices()
+        psi, dpsi = Psi.data, [B_ax.data for B_ax in B]
         nbr = self._nbr
         n = self.n_nodes
-        ids32 = nbr.ids.astype(np.int32)
+        ids32 = nbr.ids
         chunks = []
         rows, cols, vals, pending = [], [], [], 0
 
@@ -309,15 +313,15 @@ class ReferenceModel:
     # ------------------------------------------------- restrict and extend
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
-        """Grid field -> active-node vector (canonical order)."""
+        """Grid field -> active-node vector, field[chi > 0.5] (C order)."""
         self.grid.check_field(field, "field")
-        return self.grid.ravel(field)[self.omega_linear]
+        return field[self.active]
 
     def extend(self, vec: np.ndarray) -> np.ndarray:
         """Active-node vector -> grid field, zero off the domain."""
-        flat = np.zeros(self.grid.total_nodes)
-        flat[self.omega_linear] = vec
-        return self.grid.unravel(flat)
+        out = np.zeros(self.grid.shape)
+        out[self.active] = vec
+        return out
 
     # ------------------------------------------------------- direct terms
 
@@ -327,41 +331,26 @@ class ReferenceModel:
         return self.extend(K @ self.restrict(d))
 
     def f_r_direct(self, r: np.ndarray) -> np.ndarray:
-        """Load vector by the double loop over quadrature nodes and their
-        neighbors, vectorized per pair with a bincount scatter."""
-        psi, _ = self.shape_value_table()
-        w = (self.restrict(r) * self.V)[self._pair_I]
-        return self.extend(
-            np.bincount(self._nbr.ids, weights=psi * w, minlength=self.n_nodes)
-        )
+        """Load vector f_J = sum_S Psi_J(x_S) V_S r_S, i.e. Psi^T (V r)."""
+        Psi, _ = self.shape_matrices()
+        return self.extend(Psi.T @ (self.V * self.restrict(r)))
 
     def u_h_direct(self, d: np.ndarray) -> np.ndarray:
         """Field evaluation u_h(x_I) = sum_J Psi_J(x_I) d_J at the nodes."""
-        psi, _ = self.shape_value_table()
-        dv = self.restrict(d)[self._nbr.ids]
-        return self.extend(
-            np.bincount(self._pair_I, weights=psi * dv, minlength=self.n_nodes)
-        )
+        Psi, _ = self.shape_matrices()
+        return self.extend(Psi @ self.restrict(d))
 
     def gradient_direct(self, d: np.ndarray) -> list[np.ndarray]:
         """Implicit-gradient evaluation at the nodes, one field per axis."""
-        _, dpsi = self.shape_value_table()
-        dv = self.restrict(d)[self._nbr.ids]
-        return [
-            self.extend(
-                np.bincount(self._pair_I, weights=g * dv, minlength=self.n_nodes)
-            )
-            for g in dpsi
-        ]
+        _, B = self.shape_matrices()
+        dv = self.restrict(d)
+        return [self.extend(B_ax @ dv) for B_ax in B]
 
     def f_q_direct(self, q: np.ndarray, area: np.ndarray) -> np.ndarray:
-        """Boundary integral by direct quadrature over the boundary nodes
-        (q and area vanish elsewhere, so the pair sum truncates itself)."""
-        psi, _ = self.shape_value_table()
-        w = (self.restrict(q) * self.restrict(area))[self._pair_I]
-        return self.extend(
-            np.bincount(self._nbr.ids, weights=psi * w, minlength=self.n_nodes)
-        )
+        """Boundary integral Psi^T (q A) by direct quadrature over the
+        boundary nodes (q and area vanish elsewhere)."""
+        Psi, _ = self.shape_matrices()
+        return self.extend(Psi.T @ (self.restrict(q) * self.restrict(area)))
 
     def mass_apply_direct(self, d_dot: np.ndarray) -> np.ndarray:
         """Consistent-mass action M d_dot by sparse product."""
@@ -441,7 +430,7 @@ class ReferenceModel:
         """Bytes held by the traditional data structures: node table,
         neighbor lists, and the assembled sparse stiffness."""
         total = (
-            self.coords.nbytes + self.V.nbytes + self.omega_linear.nbytes
+            self.coords.nbytes + self.V.nbytes + self.active.nbytes
             + self.gamma_mask.nbytes
         )
         if self._nbr is not None:

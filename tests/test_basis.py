@@ -1,4 +1,4 @@
-"""Basis enumeration, kernel profile, selectors, and the adjusted arrays."""
+"""Basis enumeration, kernel profile, row layout, and the adjusted arrays."""
 
 import math
 
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from fcrkpm import (
     KernelSpec,
     build_basis_table,
+    discretize,
     enumerate_basis,
     eval_kernel_1d,
-    gradient_selector,
-    value_selector,
+    poisson_case,
     weighted_monomials,
 )
 from fcrkpm.basis import monomial
@@ -29,7 +29,6 @@ class TestEnumerateBasis:
         basis = enumerate_basis(n, d)
         assert basis.size == s
         assert basis.size == math.comb(n + d, d)
-        assert basis.min_neighbors == s
 
     def test_2d_linear_tuples(self):
         basis = enumerate_basis(1, 2)
@@ -101,24 +100,23 @@ class TestKernel:
         assert eval_kernel_1d(2.0 / 3.0, 1.0) == pytest.approx(4.0 / 81.0, rel=1e-14)
 
 
-class TestSelectors:
-    def test_gradient_selector_2d(self):
-        basis = enumerate_basis(1, 2)
-        assert np.array_equal(gradient_selector(0, basis), [0, -1, 0])
-        assert np.array_equal(gradient_selector(1, basis), [0, 0, -1])
+class TestRowLayout:
+    """The moment inversion reads the shape-function row at 0 and the
+    implicit-gradient row of axis ax at 1 + ax."""
 
-    def test_gradient_selector_3d_z(self):
-        basis = enumerate_basis(1, 3)
-        assert np.array_equal(gradient_selector(2, basis), [0, 0, 0, -1])
-
-    def test_value_selector(self):
-        basis = enumerate_basis(2, 2)
-        e1 = value_selector(basis)
-        assert e1[0] == 1.0 and np.all(e1[1:] == 0.0)
+    def test_value_and_gradient_rows(self):
+        for d in (1, 2, 3):
+            for n in (1, 2, 3):
+                exps = enumerate_basis(n, d).exponents
+                assert exps[0] == (0,) * d
+                for ax in range(d):
+                    unit = tuple(int(k == ax) for k in range(d))
+                    assert exps[1 + ax] == unit
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_selector(0, enumerate_basis(0, 2))
+        # degree 0 has no gradient rows, so the inversion refuses it
+        with pytest.raises(ValueError, match="degree >= 1"):
+            discretize(poisson_case(2), n=0, counts=16)
 
 
 def _table_1d(n_nodes=16, a_tilde=1.5, degree=1):

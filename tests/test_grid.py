@@ -86,16 +86,6 @@ class TestBuildGrid:
         grid = PeriodicGrid(x_min=(0.0, 0.0), length=(1.0, 1.0), counts=(4, 4))
         assert grid.node_coordinate((3, 3)) == (0.75, 0.75)
 
-    def test_canonical_linearization(self):
-        from fcrkpm.grid import PeriodicGrid
-
-        grid = PeriodicGrid(x_min=(0.0, 0.0), length=(1.0, 1.0), counts=(4, 4))
-        assert grid.multi_index(5) == (1, 1)
-        assert grid.linear_index((1, 1)) == 5
-        # ravel follows the same order
-        a = np.arange(16.0).reshape(4, 4)
-        assert grid.ravel(a)[5] == a[1, 1]
-
     def test_far_boundary_on_node(self):
         for N in (8, 12, 64, 100):
             plan = plan_extension(2.0, 1.5, counts=N)
@@ -110,10 +100,11 @@ class TestWrapCoordinate:
 
         grid = PeriodicGrid(x_min=(0.0,), length=(8.0,), counts=(8,))
         dx = grid.spacing[0]
-        assert grid.wrap_coordinate((0,)) == (0.0,)
-        assert grid.wrap_coordinate((7,)) == (-dx,)
+        xi = grid.wrapped_offsets()[0]
+        assert xi[0] == 0.0
+        assert xi[7] == -dx
         # tie at exactly L/2 goes to the negative side
-        assert grid.wrap_coordinate((4,)) == (-4.0,)
+        assert xi[4] == -4.0
 
     @given(n=st.integers(4, 64), i=st.data())
     @settings(max_examples=50, deadline=None)
@@ -122,7 +113,7 @@ class TestWrapCoordinate:
 
         grid = PeriodicGrid(x_min=(0.0,), length=(float(n),), counts=(n,))
         idx = i.draw(st.integers(0, n - 1))
-        (xi,) = grid.wrap_coordinate((idx,))
+        xi = grid.wrapped_offsets()[0][idx]
         assert -n / 2 <= xi < n / 2
         assert (xi - idx) % n == pytest.approx(0.0, abs=1e-12)
 

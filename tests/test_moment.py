@@ -74,18 +74,18 @@ def _assert_rows_match_numpy(disc):
     mats = np.empty((grid.total_nodes, s, s))
     for p in range(s):
         for q in range(p, s):
-            flat = grid.ravel(fields[(p, q)])
+            flat = fields[(p, q)].ravel()
             mats[:, p, q] = flat
             mats[:, q, p] = flat
     inv_np = np.linalg.inv(mats)
     precomp = invert_moments(fields, disc.chi, disc.V, disc.table)
     for p in range(s):
-        mine = grid.ravel(precomp.b0[p])
+        mine = precomp.b0[p].ravel()
         assert np.max(np.abs(mine - inv_np[:, 0, p])) < 1e-12 * np.max(
             np.abs(inv_np[:, 0, :])
         )
         for ax in range(grid.dim):
-            mine = grid.ravel(precomp.bgrad[ax][p])
+            mine = precomp.bgrad[ax][p].ravel()
             assert np.max(np.abs(mine + inv_np[:, 1 + ax, p])) < 1e-12 * np.max(
                 np.abs(inv_np[:, 1 + ax, :])
             )
@@ -123,13 +123,12 @@ class TestAssembly:
 
     def test_spd_at_active_nodes(self, disc2d):
         fields = assemble_moment_fields(disc2d.chi, disc2d.table)
-        grid = disc2d.grid
         s = disc2d.table.size
-        active = np.flatnonzero(grid.ravel(disc2d.chi) > 0.5)
+        active = np.flatnonzero(disc2d.chi.ravel() > 0.5)
         mats = np.empty((active.size, s, s))
         for p in range(s):
             for q in range(p, s):
-                flat = grid.ravel(fields[(p, q)])[active]
+                flat = fields[(p, q)].ravel()[active]
                 mats[:, p, q] = flat
                 mats[:, q, p] = flat
         np.linalg.cholesky(mats)  # raises if any matrix is not SPD

@@ -208,17 +208,10 @@ class TestNonlinearForces:
         d = discs[2]
         fields = [d.chi * rng.standard_normal(d.grid.shape) for _ in range(2)]
         ref = refs[2]
-        _, dpsi = ref.shape_value_table()
+        _, B = ref.shape_matrices()
         # direct pair sum: f_J = sum_S V_S sum_ax grad-Psi_J(x_S) N_ax(x_S)
-        w = sum(
-            g * ref.restrict(f)[ref._pair_I] for g, f in zip(dpsi, fields)
-        )
         direct = ref.extend(
-            np.bincount(
-                ref._nbr.ids,
-                weights=w * ref.V[ref._pair_I],
-                minlength=ref.n_nodes,
-            )
+            sum(B_ax.T @ (ref.V * ref.restrict(f)) for B_ax, f in zip(B, fields))
         )
         got = nonlinear_force_gradient(fields, d.precomp)
         assert rel_err(got, direct) < 1e-10

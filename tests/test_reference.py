@@ -53,6 +53,25 @@ class TestNeighborCounts:
                 pairs.add((i, int(j)))
         assert all((j, i) in pairs for i, j in pairs)
 
+    @pytest.mark.parametrize("dim,a_tilde,counts", [(2, 2.5, 16), (3, 3.5, 12)])
+    def test_matches_brute_force(self, dim, a_tilde, counts):
+        # every row equals a sorted O(N^2) scan for per-axis |dx| < a_tilde
+        disc = discretize(poisson_case(dim), counts=counts, a_tilde=a_tilde)
+        ref = disc.reference()
+        nbr = ref.find_neighbors()
+        steps = (ref.coords - ref.coords[0]) / np.array(disc.grid.spacing)
+        for i in range(ref.n_nodes):
+            near = np.all(np.abs(steps - steps[i]) < a_tilde, axis=1)
+            assert np.array_equal(nbr.neighbors(i), np.flatnonzero(near))
+
+
+class TestNodeOrder:
+    def test_c_order_restrict_and_extend(self, disc2d, ref2d, rng):
+        X, _ = disc2d.grid.coordinates()
+        assert np.array_equal(ref2d.restrict(X), ref2d.coords[:, 0])
+        f = rng.standard_normal(disc2d.grid.shape)
+        assert np.array_equal(ref2d.extend(ref2d.restrict(f)), disc2d.chi * f)
+
 
 class TestShapeFunctionsAt:
     @pytest.mark.parametrize("dim", [1, 2])
@@ -72,12 +91,12 @@ class TestShapeFunctionsAt:
     def test_matches_nodal_tables(self, disc2d, ref2d):
         # evaluated exactly at a node, the point API reproduces the cached
         # per-node shape values
-        psi_tab, _ = ref2d.shape_value_table()
+        Psi, _ = ref2d.shape_matrices()
         node = ref2d.n_nodes // 2
         ids, psi, _ = ref2d.shape_functions_at(ref2d.coords[node])
-        nbr = ref2d._nbr
+        nbr = ref2d.find_neighbors()
         cached_ids = nbr.neighbors(node)
-        cached_psi = psi_tab[nbr.indptr[node] : nbr.indptr[node + 1]]
+        cached_psi = Psi.data[nbr.indptr[node] : nbr.indptr[node + 1]]
         assert np.array_equal(np.sort(ids), np.sort(cached_ids))
         lookup = dict(zip(ids.tolist(), psi.tolist()))
         for j, val in zip(cached_ids, cached_psi):
