@@ -13,6 +13,7 @@ from fcrkpm import (
     discretize,
     enumerate_basis,
     eval_kernel_1d,
+    invert_moments,
     poisson_case,
     weighted_monomials,
 )
@@ -117,6 +118,64 @@ class TestRowLayout:
         # degree 0 has no gradient rows, so the inversion refuses it
         with pytest.raises(ValueError, match="degree >= 1"):
             discretize(poisson_case(2), n=0, counts=16)
+
+
+def _invert_constant(n, d):
+    """Run invert_moments on one well-conditioned SPD moment matrix M at
+    every node of an 8^d lattice; return inv(M) and the precomp."""
+    plan = plan_extension((2.0,) * d, 1.5, counts=(8,) * d)
+    grid = build_grid(plan, (-1.0,) * d)
+    basis = enumerate_basis(n, d)
+    table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
+    s = basis.size
+    A = np.random.default_rng(7).standard_normal((s, s))
+    M = A @ A.T + s * np.eye(s)
+    fields = {
+        (p, q): np.full(grid.shape, M[p, q])
+        for p in range(s) for q in range(p, s)
+    }
+    ones = np.ones(grid.shape)
+    return np.linalg.inv(M), invert_moments(fields, ones, ones, table)
+
+
+class TestSelectors:
+    """invert_moments applies the value selector e_1 and the gradient
+    selector -e_(1+ax) to the inverse moment matrix."""
+
+    def test_gradient_selector_2d(self):
+        basis = enumerate_basis(1, 2)
+        assert basis.exponents[1] == (1, 0)
+        assert basis.exponents[2] == (0, 1)
+        minv, precomp = _invert_constant(1, 2)
+        for ax, sel in enumerate(([0, -1, 0], [0, 0, -1])):
+            row = minv @ np.array(sel, dtype=float)
+            for p in range(basis.size):
+                np.testing.assert_allclose(
+                    precomp.bgrad[ax][p], row[p], rtol=1e-12, atol=1e-15
+                )
+
+    def test_gradient_selector_3d_z(self):
+        basis = enumerate_basis(1, 3)
+        assert basis.exponents[3] == (0, 0, 1)
+        minv, precomp = _invert_constant(1, 3)
+        row = minv @ np.array([0, 0, 0, -1], dtype=float)
+        for p in range(basis.size):
+            np.testing.assert_allclose(
+                precomp.bgrad[2][p], row[p], rtol=1e-12, atol=1e-15
+            )
+
+    def test_value_selector(self):
+        basis = enumerate_basis(2, 2)
+        assert basis.exponents[0] == (0, 0)
+        assert all(sum(a) > 0 for a in basis.exponents[1:])
+        minv, precomp = _invert_constant(2, 2)
+        e1 = np.zeros(basis.size)
+        e1[0] = 1.0
+        row = minv @ e1
+        for p in range(basis.size):
+            np.testing.assert_allclose(
+                precomp.b0[p], row[p], rtol=1e-12, atol=1e-15
+            )
 
 
 def _table_1d(n_nodes=16, a_tilde=1.5, degree=1):
