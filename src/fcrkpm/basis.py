@@ -15,10 +15,13 @@ zero coincides with the box origin: the per-node argument is the
 minimal-image offset xi of the node index (grid.wrapped_offsets), which is
 pointwise equivalent to splitting the centered function into 2^d corner
 blocks and reordering them onto the box.  For each basis entry p the table
-keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi); the
-real-space fields, and the moment integrands H_p H_q^a (the weighted
-monomials of the exponent sums alpha_p + alpha_q), are regenerated from
-grid, basis and kernel by weighted_monomials.
+keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi), stacked
+as one (s, *grid.shape) complex array; the real-space fields, and the
+moment integrands H_p H_q^a (the weighted monomials of the exponent sums
+alpha_p + alpha_q), are regenerated from grid, basis and kernel by
+weighted_monomials.  monomial and eval_kernel are the one evaluation of H
+and phi_a; the direct-summation oracle calls them at its neighbor offsets
+and query points too.
 
 No reflected array is stored.  The correlations of the weak form need the
 reflection Hbar_p^a(xi) = H_p^a(-xi), but the kernel is evaluated through
@@ -148,22 +151,23 @@ def weighted_monomials(grid: PeriodicGrid, kernel: KernelSpec, exponents):
 class BasisTable:
     """Cached spectra of the seam-adjusted kernel-weighted basis entries.
 
-    hat_Ha[p] = F(H_p^a) is used by every convolution-based operator (the
-    reflected spectrum is the parity-signed hat_Ha[p]; see the module
-    docstring).  weighted_monomials regenerates the real-space fields.
+    hat_Ha is one (s, *grid.shape) complex array; hat_Ha[p] = F(H_p^a) is
+    used by every convolution-based operator (the reflected spectrum is the
+    parity-signed hat_Ha[p]; see the module docstring).  weighted_monomials
+    regenerates the real-space fields.
     """
 
     grid: PeriodicGrid
     basis: BasisIndex
     kernel: KernelSpec
-    hat_Ha: list[np.ndarray]
+    hat_Ha: np.ndarray
 
     @property
     def size(self) -> int:
         return self.basis.size
 
     def persistent_nbytes(self) -> int:
-        return sum(a.nbytes for a in self.hat_Ha)
+        return self.hat_Ha.nbytes
 
 
 def build_basis_table(
@@ -186,8 +190,7 @@ def build_basis_table(
                 f"kernel support {a} along axis {k} reaches half the box "
                 f"period {L}; convolutions would wrap"
             )
-    hat_Ha = [
-        forward(ha, provider)
-        for ha in weighted_monomials(grid, kernel, basis.exponents)
-    ]
+    hat_Ha = np.empty((basis.size,) + grid.shape, dtype=complex)
+    for p, ha in enumerate(weighted_monomials(grid, kernel, basis.exponents)):
+        hat_Ha[p] = forward(ha, provider)
     return BasisTable(grid=grid, basis=basis, kernel=kernel, hat_Ha=hat_Ha)

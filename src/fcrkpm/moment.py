@@ -13,25 +13,31 @@ alpha_p + alpha_q, so it is generated from grid, basis and kernel
 share one convolution: one forward and one inverse transform per distinct
 sum, against a mask spectrum computed once.
 
-The s x s matrices are stacked node-last, (s, s, *grid.shape), and all
-inverted at once by an unpivoted LDL^T factorization that takes one
-whole-field operation per scalar step.  No pivoting is needed: on the
-domain M is a Gram matrix, sum_J chi_J phi(x_I - x_J) H(x_I - x_J)
-H(x_I - x_J)^T with a nonnegative kernel, hence symmetric positive
-semidefinite, and positive definite once the node sees enough neighbors,
-where LDL^T is backward stable without row exchanges; off the domain it is
-the identity.  A node with too few neighbors shows up as a pivot
-|D_k| < 1e-14 max|M| (SingularMomentError), an ill-conditioned one as an
-estimate ||M||_inf ||M^-1||_inf above 1e12 (IllConditionedMomentWarning).
-Lattice nodes with too few neighbors give exactly or nearly zero pivots,
-but a generic dense rank-deficient matrix can keep its last pivot above
-the threshold by rounding (13 of 200 random rank-3 4 x 4 Gram matrices);
-every such case tried still tripped the condition warning.  Only the row
-extracts survive:
+Both paths carry the moment matrices as one symmetric stack with the node
+axes last, (s, s, *nodes), so every entry M[p, q] is one contiguous field:
+assemble_moment_fields over the whole grid, the direct-summation oracle
+(reference.py) over its active nodes.  One helper, _b_rows, inverts every
+matrix at once by an unpivoted LDL^T factorization (one whole-field
+operation per scalar step), checks it, and extracts the rows.  No pivoting is
+needed: on the domain M is a Gram matrix, sum_J chi_J phi(x_I - x_J)
+H(x_I - x_J) H(x_I - x_J)^T with a nonnegative kernel, hence symmetric
+positive semidefinite, and positive definite once the node sees enough
+neighbors, where LDL^T is backward stable without row exchanges; off the
+domain it is the identity.
 
-    b0_p = [M^-1]_{1p}    (shape function row)
-    bx_p = -[M^-1]_{2p}   (implicit-gradient rows, one per axis)
-    ...
+A node with too few neighbors shows up as a pivot |D_k| < 1e-14 max|M|
+(SingularMomentError), an ill-conditioned one as an estimate
+||M||_inf ||M^-1||_inf above 1e12 (IllConditionedMomentWarning).  Lattice
+nodes with too few neighbors give exactly or nearly zero pivots, but a
+generic dense rank-deficient matrix can keep its last pivot above the
+threshold by rounding (a few percent of random rank-(s-1) Gram matrices);
+every such case tried had a condition estimate above 1e16, so it is
+reported by the warning, which stays a warning (tests/test_moment.py pins
+that no such matrix passes silently).  Only the row extracts survive, as
+one (1 + d, s, *nodes) array:
+
+    rows[0, p]      =  [M^-1]_{1p}         (shape function row b0)
+    rows[1 + ax, p] = -[M^-1]_{2+ax, p}    (implicit-gradient rows bgrad)
 
 Only these (1 + d) s row fields persist, next to chi and the quadrature
 weights, which are stored masked (V = chi o V) so that no operator has to
@@ -66,16 +72,17 @@ CONDITION_WARN = 1e12
 class MomentPrecomp:
     """Persistent per-node arrays extracted from the inverse moment matrices.
 
-    Lists are indexed by basis entry p; bgrad is indexed [axis][p].  V is
-    the masked quadrature weight field (zero off the domain).
+    rows is the (1 + d, s, *grid.shape) array of b-row fields; b0 (the
+    shape-function row, indexed [p]) and bgrad (the implicit-gradient rows,
+    indexed [axis][p]) are views of it.  V is the masked quadrature weight
+    field (zero off the domain).
     """
 
     grid: PeriodicGrid
     table: BasisTable
     chi: np.ndarray
     V: np.ndarray
-    b0: list[np.ndarray]
-    bgrad: list[list[np.ndarray]]
+    rows: np.ndarray
 
     @property
     def size(self) -> int:
@@ -85,41 +92,50 @@ class MomentPrecomp:
     def dim(self) -> int:
         return self.grid.dim
 
+    @property
+    def b0(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def bgrad(self) -> np.ndarray:
+        return self.rows[1:]
+
     def persistent_nbytes(self) -> int:
         """Bytes held by the precomputed arrays (masks and weights included)."""
-        arrays = [self.chi, self.V] + self.b0
-        for rows in self.bgrad:
-            arrays += rows
-        return sum(a.nbytes for a in arrays) + self.table.persistent_nbytes()
+        return (
+            self.chi.nbytes + self.V.nbytes + self.rows.nbytes
+            + self.table.persistent_nbytes()
+        )
 
 
 def assemble_moment_fields(
     chi: np.ndarray,
     table: BasisTable,
     provider: FFTProvider | None = None,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Per-(p, q) moment fields, upper triangle only (M is symmetric).
+) -> np.ndarray:
+    """The symmetric moment stack M, shaped (s, s, *grid.shape).
 
     One convolution per distinct exponent sum alpha_p + alpha_q, i.e.
-    1 + 2 * (number of distinct sums) transforms; off-diagonal pairs with
-    equal sums share the same array.
+    1 + 2 * (number of distinct sums) transforms, written to every entry
+    (p, q) and (q, p) with that sum.
     """
     grid = table.grid
     grid.check_field(chi, "chi")
+    s = table.size
     exps = table.basis.exponents
     pairs_by_sum = {}
-    for p in range(table.size):
-        for q in range(p, table.size):
+    for p in range(s):
+        for q in range(p, s):
             alpha = tuple(a + b for a, b in zip(exps[p], exps[q]))
             pairs_by_sum.setdefault(alpha, []).append((p, q))
     chi_hat = forward(chi, provider)
     integrands = weighted_monomials(grid, table.kernel, pairs_by_sum)
-    fields = {}
+    M = np.empty((s, s) + grid.shape)
     for pairs, integrand in zip(pairs_by_sum.values(), integrands):
         m = chi * inverse(chi_hat * forward(integrand, provider), provider)
         for p, q in pairs:
-            fields[(p, q)] = m + (1.0 - chi) if p == q else m
-    return fields
+            M[p, q] = M[q, p] = m + (1.0 - chi) if p == q else m
+    return M
 
 
 def _invert_symmetric(M: np.ndarray):
@@ -136,12 +152,12 @@ def _invert_symmetric(M: np.ndarray):
     L_ik W_kj), and M^-1 = W^T D^-1 W, i.e. [M^-1]_pq = sum_{k>=q}
     W_kp W_kq / D_k for p <= q.  Only the strict lower triangles of L and
     W are stored.  Every division goes through a zero-safe denominator, so
-    an exactly zero pivot raises no RuntimeWarning; the caller rejects such
-    a node by the returned pivot ratio.
+    an exactly zero pivot (or an all-zero matrix) raises no RuntimeWarning;
+    the caller rejects such a node by the returned pivot ratio.
 
     Returns:
         (inverse, min_pivot): the full inverse, shaped like M, and
-        min_k |D_k| / max|M| per node.
+        min_k |D_k| / max|M| per node (0 where M is all zeros).
     """
     s = M.shape[0]
     L = {}  # (i, j) -> field for i > j
@@ -175,18 +191,55 @@ def _invert_symmetric(M: np.ndarray):
             inv[p, q] = v
             inv[q, p] = v
     scale = np.max(np.abs(M), axis=(0, 1))
-    return inv, np.min(np.abs(D), axis=0) / scale
+    return inv, np.min(np.abs(D), axis=0) / np.where(scale == 0.0, 1.0, scale)
+
+
+def _norm_inf(A: np.ndarray) -> np.ndarray:
+    """max_p sum_q |A_pq| per node, one row p at a time so that no
+    temporary as large as the whole (s, s, *nodes) stack is made."""
+    return np.max([np.sum(np.abs(row), axis=0) for row in A], axis=0)
+
+
+def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
+    """Invert the moment stack M (s, s, *nodes), check it at the active
+    nodes, and return the (1 + d, s, *nodes) b-rows (module docstring).
+
+    locate maps the node-axes index of the first singular node to the
+    (node_index, coordinate) that SingularMomentError reports.  The
+    degree-1 monomial of axis ax sits at 1 + ax in the graded basis order.
+    """
+    inv, min_pivot = _invert_symmetric(M)
+    bad = active & (min_pivot < SINGULAR_PIVOT_RTOL)
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        scale = np.max(np.abs(M[(Ellipsis, *first)]))
+        raise SingularMomentError(*locate(first), min_pivot[first] * scale)
+    cond = _norm_inf(M) * _norm_inf(inv)
+    worst = float(np.max(cond[active], initial=0.0))
+    if worst > CONDITION_WARN:
+        warnings.warn(
+            f"moment matrix condition estimate up to {worst:.2e} at active "
+            "nodes; results may lose accuracy",
+            IllConditionedMomentWarning,
+            stacklevel=3,
+        )
+    # a copy: a view would keep the whole (s, s, *nodes) inverse alive
+    rows = inv[: 1 + dim].copy()
+    np.negative(rows[1:], out=rows[1:])
+    return rows
 
 
 def invert_moments(
-    moment_fields: dict[tuple[int, int], np.ndarray],
+    M: np.ndarray,
     chi: np.ndarray,
     V: np.ndarray,
     table: BasisTable,
 ) -> MomentPrecomp:
-    """Invert the per-node moment matrices and extract the b-row fields.
+    """Invert the moment stack M (s, s, *grid.shape) at every node and keep
+    the b-row fields.
 
     Raises:
+        ValueError: basis degree 0 (no implicit-gradient rows).
         SingularMomentError: a node with chi = 1 has a pivot below
             1e-14 * max|M|, i.e. too few effective neighbors.
 
@@ -195,46 +248,15 @@ def invert_moments(
             active node.
     """
     grid = table.grid
-    s = table.size
-    d = grid.dim
     if table.basis.degree < 1:
         raise ValueError(
             "the implicit-gradient rows need basis degree >= 1"
         )
-    mats = np.empty((s, s) + grid.shape)
-    for p in range(s):
-        for q in range(p, s):
-            mats[p, q] = mats[q, p] = moment_fields[(p, q)]
-    inv, min_pivot = _invert_symmetric(mats)
-
-    active = chi > 0.5
-    bad = active & (min_pivot < SINGULAR_PIVOT_RTOL)
-    if np.any(bad):
-        multi = tuple(int(i) for i in np.argwhere(bad)[0])
-        scale = np.max(np.abs(mats[(Ellipsis, *multi)]))
-        raise SingularMomentError(
-            multi, grid.node_coordinate(multi), min_pivot[multi] * scale
-        )
-    cond = np.max(np.sum(np.abs(mats), axis=1), axis=0) * np.max(
-        np.sum(np.abs(inv), axis=1), axis=0
+    rows = _b_rows(
+        M, grid.dim, chi > 0.5,
+        lambda multi: (multi, grid.node_coordinate(multi)),
     )
-    if np.any(active & (cond > CONDITION_WARN)):
-        worst = float(np.max(cond[active]))
-        warnings.warn(
-            f"moment matrix condition estimate up to {worst:.2e} at active "
-            "nodes; results may lose accuracy",
-            IllConditionedMomentWarning,
-            stacklevel=2,
-        )
-
-    # copies (the negation copies too): views would keep the whole
-    # (s, s, *grid.shape) inverse alive
-    b0 = [inv[0, p].copy() for p in range(s)]
-    # row 1 + ax is the degree-1 monomial of axis ax in the graded order
-    bgrad = [[-inv[1 + ax, p] for p in range(s)] for ax in range(d)]
-    return MomentPrecomp(
-        grid=grid, table=table, chi=chi, V=chi * V, b0=b0, bgrad=bgrad
-    )
+    return MomentPrecomp(grid=grid, table=table, chi=chi, V=chi * V, rows=rows)
 
 
 def build_moment_precomp(
@@ -245,9 +267,9 @@ def build_moment_precomp(
 ) -> MomentPrecomp:
     """Assemble and invert the moment matrices.
 
-    The s(s+1)/2 moment fields are only needed here; afterwards the
-    operators run on the spectra and the b-row fields alone, which is what
-    keeps the persistent memory at O(N*s).
+    The s x s moment stack is only needed here; afterwards the operators
+    run on the spectra and the b-row fields alone, which is what keeps the
+    persistent memory at O(N*s).
     """
-    fields = assemble_moment_fields(chi, table, provider)
-    return invert_moments(fields, chi, V, table)
+    M = assemble_moment_fields(chi, table, provider)
+    return invert_moments(M, chi, V, table)

@@ -99,7 +99,7 @@ def external_force(
 ) -> np.ndarray:
     """Load vector of a body source r (s+1 transforms)."""
     precomp.grid.check_field(r, "r")
-    return _scatter([precomp.V * r], [precomp.b0], precomp, provider)
+    return _scatter([precomp.V * r], precomp.rows[:1], precomp, provider)
 
 
 def evaluate_field(
@@ -110,7 +110,7 @@ def evaluate_field(
     """Nodal values of the approximated field u_h from the coefficients
     (s+1 transforms).  Off-node evaluation is not supported on this path."""
     precomp.grid.check_field(d, "d")
-    return precomp.chi * _gather(d, [precomp.b0], precomp, provider)[0]
+    return precomp.chi * _gather(d, precomp.rows[:1], precomp, provider)[0]
 
 
 def evaluate_gradient(
@@ -134,7 +134,7 @@ def boundary_force(
     whole box (s+1 transforms)."""
     precomp.grid.check_field(q, "q")
     precomp.grid.check_field(area, "area")
-    return _scatter([precomp.chi * area * q], [precomp.b0], precomp, provider)
+    return _scatter([precomp.chi * area * q], precomp.rows[:1], precomp, provider)
 
 
 def nonlinear_force_gradient(
@@ -162,8 +162,8 @@ def mass_force(
 ) -> np.ndarray:
     """Consistent-mass action M d_dot (2(s+1) transforms)."""
     precomp.grid.check_field(d_dot, "d_dot")
-    (A0,) = _gather(d_dot, [precomp.b0], precomp, provider)
-    return _scatter([precomp.V * A0], [precomp.b0], precomp, provider)
+    (A0,) = _gather(d_dot, precomp.rows[:1], precomp, provider)
+    return _scatter([precomp.V * A0], precomp.rows[:1], precomp, provider)
 
 
 def lumped_mass(
@@ -175,7 +175,7 @@ def lumped_mass(
     Warns when the result is non-positive at an active node, which signals
     a boundary-truncation pathology for explicit stepping.
     """
-    Ml = _scatter([precomp.V], [precomp.b0], precomp, provider)
+    Ml = _scatter([precomp.V], precomp.rows[:1], precomp, provider)
     active = precomp.chi > 0.5
     if np.any(Ml[active] <= 0.0):
         idx = np.argwhere(active & (Ml <= 0.0))[0]

@@ -21,6 +21,11 @@ values, which are stored as CSR matrices Psi and B_ax that all share the
 neighbor table's int32 index arrays.  Field evaluation and forces are
 then sparse products with them.
 
+The moment matrices form the node-last stack (s, s, n_nodes) of the
+convolution path, and moment._b_rows inverts, checks and reads out their
+rows, as it does for the (s, s, 1) stack of an off-node query.  H and phi
+come from basis.monomial and basis.eval_kernel.
+
 The stiffness and mass assembly keeps its explicit per-node loop of
 outer-product blocks: it is the O(N*M^2) neighbor work the paper's method
 avoids, and it is what the performance comparison times.
@@ -39,10 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import BasisIndex, KernelSpec, eval_kernel_1d
-from .errors import SingularMomentError
+from .basis import BasisIndex, KernelSpec, eval_kernel, monomial
 from .grid import PeriodicGrid
-from .moment import SINGULAR_PIVOT_RTOL, _invert_symmetric
+from .moment import _b_rows
 
 __all__ = ["NeighborTable", "ReferenceModel"]
 
@@ -116,8 +120,7 @@ class ReferenceModel:
         self._offsets, self._Hraw, self._Hvec = self._offset_tables()
         self._nbr: NeighborTable | None = None
         self._moment: np.ndarray | None = None
-        self._b0: np.ndarray | None = None
-        self._bgrad: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._Psi: sp.csr_matrix | None = None
         self._B: list[sp.csr_matrix] | None = None
         self._K: sp.csr_matrix | None = None
@@ -125,11 +128,20 @@ class ReferenceModel:
 
     # ---------------------------------------------------------------- setup
 
+    def _weighted_basis(self, diff: np.ndarray):
+        """H(diff) and H(diff) phi_a(diff), each (len(diff), s), for
+        displacements diff (len(diff), d)."""
+        coords = list(diff.T)
+        H = np.stack(
+            [monomial(coords, alpha) for alpha in self.basis.exponents], axis=1
+        )
+        return H, H * eval_kernel(coords, self.kernel)[:, None]
+
     def _offset_tables(self):
         """Stencil offsets with per-axis |o| < a_tilde (strict: the kernel
         vanishes exactly at the support edge), in np.ndindex (C) order, and
-        the per-offset basis data H(-o*dx) and H(-o*dx)*phi(o*dx), which
-        depend on the offset only."""
+        the per-offset basis data H(-o*dx) and H(-o*dx)*phi(-o*dx), which
+        depend on the offset only (phi is even, bit for bit)."""
         d = self.grid.dim
         ranges = [
             np.arange(-int(np.ceil(at)) + 1, int(np.ceil(at)))
@@ -146,15 +158,7 @@ class ReferenceModel:
             [[ranges[k][o[k]] for k in range(d)] for o in offsets], dtype=np.int64
         )
         disp = offsets * np.array(self.grid.spacing)  # x_J - x_S per offset
-        phi = np.ones(len(offsets))
-        for k in range(d):
-            phi *= eval_kernel_1d(disp[:, k], self.kernel.support[k])
-        Hraw = np.ones((len(offsets), self.basis.size))
-        for p, alpha in enumerate(self.basis.exponents):
-            for k, a in enumerate(alpha):
-                if a:
-                    Hraw[:, p] *= (-disp[:, k]) ** a  # argument x_S - x_J
-        return offsets, Hraw, Hraw * phi[:, None]
+        return (offsets, *self._weighted_basis(-disp))  # argument x_S - x_J
 
     def _neighbor_table(self) -> np.ndarray:
         """Node-major (n_nodes, n_offsets) int32 table: the local id of each
@@ -178,10 +182,12 @@ class ReferenceModel:
             self._nbr = NeighborTable(indptr=indptr, ids=table[valid])
         return self._nbr
 
-    def _assemble_moment_batch(self) -> np.ndarray:
-        """Per-node moment matrices by the O(N*M) direct neighbor sum,
-        node-last (s, s, n_nodes): the validity pattern times the
-        per-offset products H(-o*dx) H(-o*dx)^T phi(o*dx)."""
+    def moment_matrices(self) -> np.ndarray:
+        """Per-node moment matrices by the O(N*M) direct neighbor sum, the
+        symmetric node-last stack (s, s, n_nodes) (cached): the validity
+        pattern times the per-offset products H(-o*dx) H(-o*dx)^T phi(o*dx).
+        This is the oracle for moment.assemble_moment_fields restricted to
+        the active nodes."""
         if self._moment is None:
             s = self.basis.size
             valid = self._neighbor_table() >= 0
@@ -191,38 +197,27 @@ class ReferenceModel:
             ).reshape(s, s, self.n_nodes)
         return self._moment
 
-    def moment_rows(self):
-        """Per-node b-row extracts (b0, [bx, by, bz]) from M^-1.
+    def moment_rows(self) -> np.ndarray:
+        """The (1 + d, s, n_nodes) b-rows of M^-1 at the active nodes
+        (cached): row 0 the shape-function row, row 1 + ax the implicit
+        gradient of axis ax.  A SingularMomentError names the lattice node
+        as invert_moments does.
 
         This is the per-node matrix assembly and inversion stage the
         convolution path shares; it is timed as the 'moment' term in
         benchmarks.
         """
-        if self._b0 is not None:
-            return self._b0, self._bgrad
-        M = self._assemble_moment_batch()
-        inv, min_pivot = _invert_symmetric(M)
-        bad = min_pivot < SINGULAR_PIVOT_RTOL
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise SingularMomentError(
-                tuple(int(k) for k in np.argwhere(self.active)[i]),
-                tuple(self.coords[i]),
-                min_pivot[i] * np.max(np.abs(M[..., i])),
-            )
-        self._b0 = inv[0].T.copy()
-        self._bgrad = np.stack(
-            [-inv[1 + ax].T for ax in range(self.grid.dim)]
-        )
-        return self._b0, self._bgrad
+        if self._rows is None:
 
-    def moment_fields_direct(self) -> dict[tuple[int, int], np.ndarray]:
-        """Upper-triangle moment entries per active node (the FFT oracle)."""
-        M = self._assemble_moment_batch()
-        s = self.basis.size
-        return {
-            (p, q): M[p, q].copy() for p in range(s) for q in range(p, s)
-        }
+            def locate(i):
+                multi = tuple(int(k) for k in np.argwhere(self.active)[i[0]])
+                return multi, self.grid.node_coordinate(multi)
+
+            self._rows = _b_rows(
+                self.moment_matrices(), self.grid.dim,
+                np.ones(self.n_nodes, dtype=bool), locate,
+            )
+        return self._rows
 
     def shape_matrices(self):
         """Shape functions Psi[I, J] = Psi_J(x_I) and implicit gradients
@@ -233,17 +228,17 @@ class ReferenceModel:
         pattern; every matrix shares the neighbor table's indptr and ids.
         """
         if self._Psi is None:
-            b0, bgrad = self.moment_rows()
+            rows = self.moment_rows()
             nbr = self.find_neighbors()
             valid = self._neighbor_table() >= 0
             n = self.n_nodes
 
             def csr(b):
-                data = (b @ self._Hvec.T)[valid]
+                data = (b.T @ self._Hvec.T)[valid]
                 return sp.csr_matrix((data, nbr.ids, nbr.indptr), shape=(n, n))
 
-            self._Psi = csr(b0)
-            self._B = [csr(b) for b in bgrad]
+            self._Psi = csr(rows[0])
+            self._B = [csr(b) for b in rows[1:]]
         return self._Psi, self._B
 
     # ---------------------------------------------------- sparse assembly
@@ -370,46 +365,24 @@ class ReferenceModel:
         Returns (ids, psi, dpsi) where ids are the active nodes whose
         rectangular support covers x (strictly).  Needed for the continuous
         1D error norm; O(N) per query.
+
+        Raises:
+            SingularMomentError: node_index ("point",), when the covering
+                nodes cannot reproduce the basis.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         inside = np.ones(self.n_nodes, dtype=bool)
         for k in range(self.grid.dim):
             inside &= np.abs(x[k] - self.coords[:, k]) < self.kernel.support[k]
         ids = np.flatnonzero(inside)
-        if ids.size < self.basis.size:
-            raise SingularMomentError(("point",), tuple(x), 0.0)
-        diff = x[None, :] - self.coords[ids]  # x - x_J
-        phi = np.ones(ids.size)
-        for k in range(self.grid.dim):
-            phi *= eval_kernel_1d(diff[:, k], self.kernel.support[k])
-        H = np.ones((ids.size, self.basis.size))
-        for p, alpha in enumerate(self.basis.exponents):
-            for k, a in enumerate(alpha):
-                if a:
-                    H[:, p] *= diff[:, k] ** a
-        Hvec = H * phi[:, None]
-        M = H.T @ Hvec
-        try:
-            inv = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMomentError(("point",), tuple(x), 0.0) from exc
-        psi = Hvec @ inv[0]
-        dpsi = [Hvec @ (-inv[1 + ax]) for ax in range(self.grid.dim)]
-        return ids, psi, dpsi
+        H, Hvec = self._weighted_basis(x[None, :] - self.coords[ids])  # x - x_J
+        rows = _b_rows(
+            (H.T @ Hvec)[:, :, None], self.grid.dim, np.ones(1, dtype=bool),
+            lambda _: (("point",), tuple(x)),
+        )[:, :, 0]
+        return ids, Hvec @ rows[0], [Hvec @ b for b in rows[1:]]
 
     # ------------------------------------------------------------- solving
-
-    def solve_dense(self, rhs: np.ndarray, g: np.ndarray | None = None):
-        """Dense direct solve with Dirichlet rows eliminated (small systems)."""
-        K = self.assemble_stiffness().toarray()
-        b = self.restrict(rhs)
-        d = np.zeros(self.n_nodes)
-        if g is not None:
-            d[self.gamma_mask] = self.restrict(g)[self.gamma_mask]
-        free = ~self.gamma_mask
-        b_f = b[free] - K[np.ix_(free, self.gamma_mask)] @ d[self.gamma_mask]
-        d[free] = np.linalg.solve(K[np.ix_(free, free)], b_f)
-        return self.extend(d)
 
     def solve_sparse(self, rhs: np.ndarray, g: np.ndarray | None = None):
         """Sparse direct solve with Dirichlet rows eliminated."""

@@ -130,12 +130,10 @@ def _invert_constant(n, d):
     s = basis.size
     A = np.random.default_rng(7).standard_normal((s, s))
     M = A @ A.T + s * np.eye(s)
-    fields = {
-        (p, q): np.full(grid.shape, M[p, q])
-        for p in range(s) for q in range(p, s)
-    }
+    stack = np.empty((s, s) + grid.shape)
+    stack[...] = M.reshape((s, s) + (1,) * d)
     ones = np.ones(grid.shape)
-    return np.linalg.inv(M), invert_moments(fields, ones, ones, table)
+    return np.linalg.inv(M), invert_moments(stack, ones, ones, table)
 
 
 class TestSelectors:

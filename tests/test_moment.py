@@ -26,8 +26,9 @@ from fcrkpm import (
     weighted_monomials,
 )
 from fcrkpm.basis import monomial
-from fcrkpm.errors import SingularMomentError
-from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _invert_symmetric
+from fcrkpm.errors import IllConditionedMomentWarning, SingularMomentError
+from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _b_rows, _invert_symmetric
+from fcrkpm.reference import ReferenceModel
 
 from conftest import rel_err
 
@@ -67,18 +68,17 @@ def _lattice_moment(offsets, dim, n, a_tilde, h=2.0 / 47):
     return M
 
 
+def _upper_pairs(s):
+    return itertools.combinations_with_replacement(range(s), 2)
+
+
 def _assert_rows_match_numpy(disc):
-    fields = assemble_moment_fields(disc.chi, disc.table)
+    M = assemble_moment_fields(disc.chi, disc.table)
     grid = disc.grid
     s = disc.table.size
-    mats = np.empty((grid.total_nodes, s, s))
-    for p in range(s):
-        for q in range(p, s):
-            flat = fields[(p, q)].ravel()
-            mats[:, p, q] = flat
-            mats[:, q, p] = flat
+    mats = M.reshape(s, s, -1).transpose(2, 0, 1)
     inv_np = np.linalg.inv(mats)
-    precomp = invert_moments(fields, disc.chi, disc.V, disc.table)
+    precomp = invert_moments(M, disc.chi, disc.V, disc.table)
     for p in range(s):
         mine = precomp.b0[p].ravel()
         assert np.max(np.abs(mine - inv_np[:, 0, p])) < 1e-12 * np.max(
@@ -94,43 +94,38 @@ def _assert_rows_match_numpy(disc):
 class TestAssembly:
     def test_identity_outside_domain(self):
         grid, chi, V, table = _setup_1d()
-        fields = assemble_moment_fields(chi, table)
+        M = assemble_moment_fields(chi, table)
         outside = chi < 0.5
         assert np.any(outside)
-        assert np.allclose(fields[(0, 0)][outside], 1.0)
-        assert np.allclose(fields[(1, 1)][outside], 1.0)
-        assert np.allclose(fields[(0, 1)][outside], 0.0)
+        assert np.allclose(M[0, 0][outside], 1.0)
+        assert np.allclose(M[1, 1][outside], 1.0)
+        assert np.allclose(M[0, 1][outside], 0.0)
+        assert np.array_equal(M[1, 0], M[0, 1])
 
     def test_interior_values_1d(self):
         # interior node with neighbors at offsets {-dx, 0, +dx}:
         # M11 = 2*phi(dx) + phi(0) = 2*(4/81) + 54/81 = 62/81
         # M12 = 0 by odd symmetry, M22 = 2*dx^2*phi(dx) = 8*dx^2/81
         grid, chi, V, table = _setup_1d()
-        fields = assemble_moment_fields(chi, table)
+        M = assemble_moment_fields(chi, table)
         dx = grid.spacing[0]
         mid = 5  # interior node of the physical domain
-        assert fields[(0, 0)][mid] == pytest.approx(62.0 / 81.0, rel=1e-13)
-        assert fields[(0, 1)][mid] == pytest.approx(0.0, abs=1e-15)
-        assert fields[(1, 1)][mid] == pytest.approx(8.0 * dx**2 / 81.0, rel=1e-13)
+        assert M[0, 0][mid] == pytest.approx(62.0 / 81.0, rel=1e-13)
+        assert M[0, 1][mid] == pytest.approx(0.0, abs=1e-15)
+        assert M[1, 1][mid] == pytest.approx(8.0 * dx**2 / 81.0, rel=1e-13)
 
     def test_matches_direct_sum_oracle(self, disc2d, ref2d):
-        fields = assemble_moment_fields(disc2d.chi, disc2d.table)
-        direct = ref2d.moment_fields_direct()
-        for key, vals in direct.items():
-            fc = ref2d.restrict(fields[key])
-            scale = max(np.max(np.abs(vals)), 1e-300)
-            assert np.max(np.abs(fc - vals)) < 1e-11 * scale
+        # entry by entry, each against its own scale
+        M = assemble_moment_fields(disc2d.chi, disc2d.table)
+        direct = ref2d.moment_matrices()
+        for pq in _upper_pairs(disc2d.table.size):
+            fc = ref2d.restrict(M[pq])
+            scale = max(np.max(np.abs(direct[pq])), 1e-300)
+            assert np.max(np.abs(fc - direct[pq])) < 1e-11 * scale
 
     def test_spd_at_active_nodes(self, disc2d):
-        fields = assemble_moment_fields(disc2d.chi, disc2d.table)
-        s = disc2d.table.size
-        active = np.flatnonzero(disc2d.chi.ravel() > 0.5)
-        mats = np.empty((active.size, s, s))
-        for p in range(s):
-            for q in range(p, s):
-                flat = fields[(p, q)].ravel()[active]
-                mats[:, p, q] = flat
-                mats[:, q, p] = flat
+        M = assemble_moment_fields(disc2d.chi, disc2d.table)
+        mats = M[:, :, disc2d.chi > 0.5].transpose(2, 0, 1)
         np.linalg.cholesky(mats)  # raises if any matrix is not SPD
 
     @pytest.mark.parametrize(
@@ -151,10 +146,10 @@ class TestAssembly:
         }
         assert 1 + 2 * len(sums) == expected
         prov = CountingFFTProvider()
-        fields = assemble_moment_fields(np.ones(grid.shape), table, prov)
+        M = assemble_moment_fields(np.ones(grid.shape), table, prov)
         assert prov.forward_count == 1 + len(sums)
         assert prov.inverse_count == len(sums)
-        assert len(fields) == basis.size * (basis.size + 1) // 2
+        assert M.shape == (basis.size, basis.size) + grid.shape
 
     def test_matches_pairwise_products(self, disc3d_quadratic):
         # the exponent-sum integrand against the product H_p * H_q^a of the
@@ -166,12 +161,13 @@ class TestAssembly:
         Ha = list(
             weighted_monomials(disc.grid, table.kernel, table.basis.exponents)
         )
-        fields = assemble_moment_fields(disc.chi, table)
-        for (p, q), field in fields.items():
+        M = assemble_moment_fields(disc.chi, table)
+        for p, q in _upper_pairs(table.size):
             pairwise = disc.chi * circular_convolve(disc.chi, H[p] * Ha[q])
             if p == q:
                 pairwise = pairwise + (1.0 - disc.chi)
-            assert rel_err(field, pairwise) < 1e-13
+            assert rel_err(M[p, q], pairwise) < 1e-13
+            assert np.array_equal(M[q, p], M[p, q])
 
 
 class TestInversion:
@@ -240,29 +236,43 @@ class TestInversion:
     def test_rows_match_reference(self, disc2d, ref2d):
         # each row set relative to its own maximum; entries that vanish
         # analytically are rounding noise on both paths
-        b0, bgrad = ref2d.moment_rows()
-
-        def restricted(rows):
-            return np.stack([ref2d.restrict(f) for f in rows], axis=1)
-
-        precomp = disc2d.precomp
-        assert rel_err(restricted(precomp.b0), b0) < 1e-10
-        assert rel_err(np.stack([restricted(r) for r in precomp.bgrad]), bgrad) < 1e-10
+        rows = ref2d.moment_rows()
+        fc = disc2d.precomp.rows[..., ref2d.active]
+        assert fc.shape == rows.shape
+        assert rel_err(fc[0], rows[0]) < 1e-10
+        assert rel_err(fc[1:], rows[1:]) < 1e-10
 
     def test_ill_conditioned_warns(self):
-        import warnings
-
-        from fcrkpm.errors import IllConditionedMomentWarning
-
         grid, chi, V, table = _setup_1d()
-        fields = assemble_moment_fields(chi, table)
+        M = assemble_moment_fields(chi, table)
         # squeeze the second diagonal towards singular (pivot still above
         # the 1e-14 threshold, condition estimate beyond 1e12)
-        fields[(1, 1)] = np.where(chi > 0.5, 1e-13, fields[(1, 1)])
+        M[1, 1] = np.where(chi > 0.5, 1e-13, M[1, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedMomentWarning):
-                invert_moments(fields, chi, V, table)
+                invert_moments(M, chi, V, table)
+
+    @pytest.mark.parametrize("s,dim", [(3, 2), (4, 3), (10, 3)])
+    def test_rank_deficient_gram_never_silent(self, s, dim):
+        # the condition bound stays a warning: a dense rank-(s-1) Gram
+        # matrix whose last pivot survives rounding above the 1e-14 test
+        # must still trip the 1e12 condition warning, one node at a time
+        rng = np.random.default_rng(s)
+        for _ in range(200):
+            A = rng.standard_normal((s, s - 1))
+            M = (A @ A.T)[:, :, None]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    _b_rows(M, dim, np.ones(1, dtype=bool),
+                            lambda i: (i, (0.0,)))
+                except SingularMomentError:
+                    continue
+            assert any(
+                issubclass(w.category, IllConditionedMomentWarning)
+                for w in caught
+            )
 
     def test_singular_node_reported(self):
         # an isolated active node has 1 neighbor < s = 2: singular
@@ -274,11 +284,17 @@ class TestInversion:
         basis = enumerate_basis(1, 1)
         table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
         V = quadrature_weights(grid, chi)
-        fields = assemble_moment_fields(chi, table)
+        M = assemble_moment_fields(chi, table)
         with pytest.raises(SingularMomentError) as err:
-            invert_moments(fields, chi, V, table)
+            invert_moments(M, chi, V, table)
         assert err.value.node_index == (5,)
         assert err.value.coordinate[0] == pytest.approx(x[5])
+        # the oracle counts nodes in the same C order and names the same one
+        model = ReferenceModel(grid, chi, V, basis, table.kernel)
+        with pytest.raises(SingularMomentError) as ref_err:
+            model.moment_rows()
+        assert ref_err.value.node_index == (5,)
+        assert ref_err.value.coordinate == err.value.coordinate
 
 
 class TestReproducingConditions:

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from fcrkpm import discretize, poisson_case
-
-from conftest import rel_err
+from fcrkpm import (
+    KernelSpec,
+    build_grid,
+    discretize,
+    enumerate_basis,
+    plan_extension,
+    poisson_case,
+    quadrature_weights,
+)
+from fcrkpm.errors import SingularMomentError
+from fcrkpm.reference import ReferenceModel
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +111,28 @@ class TestShapeFunctionsAt:
             assert lookup[int(j)] == pytest.approx(val, rel=1e-12, abs=1e-14)
 
 
+    def test_collinear_cover_is_singular(self):
+        # on a one-row 2D strip every node covering a point of the row has
+        # the same y, so the y monomial vanishes and M is singular
+        plan = plan_extension((2.0, 2.0), 1.5, counts=(16, 16))
+        grid = build_grid(plan, (-1.0, -1.0))
+        chi = np.zeros(grid.shape)
+        chi[:, 8] = 1.0
+        ref = ReferenceModel(
+            grid, chi, quadrature_weights(grid, chi), enumerate_basis(1, 2),
+            KernelSpec(plan.kernel_support),
+        )
+        x0, y0 = grid.node_coordinate((7, 8))
+        x = (x0 + 0.3 * grid.spacing[0], y0)
+        with pytest.raises(SingularMomentError) as err:
+            ref.shape_functions_at(x)
+        assert err.value.node_index == ("point",)
+        assert err.value.coordinate == x
+        # a point no node covers has an all-zero M, singular too
+        with pytest.raises(SingularMomentError):
+            ref.shape_functions_at((x0, y0 + 3.0 * grid.spacing[1]))
+
+
 class TestStiffness:
     def test_annihilates_constants(self, disc2d, ref2d):
         K = ref2d.assemble_stiffness()
@@ -148,13 +178,6 @@ class TestDirectTerms:
         far = (X < 1.0 - 2 * disc2d.kernel.support[0]) & (disc2d.chi > 0.5)
         assert np.all(f[far] == 0.0)
         assert np.any(f != 0.0)
-
-    def test_solvers_agree(self, disc1d):
-        ref = disc1d.reference()
-        rhs = ref.f_r_direct(disc1d.r)
-        dense = ref.solve_dense(rhs)
-        sparse = ref.solve_sparse(rhs)
-        assert rel_err(sparse, dense) < 1e-12
 
 
 class TestMemoryAccounting:

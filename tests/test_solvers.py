@@ -33,13 +33,12 @@ def _solve_poisson(disc, **kwargs):
 
 
 class TestStaticLinear:
-    def test_cg_matches_dense_direct_solve(self):
+    def test_cg_matches_sparse_direct_solve(self):
         disc = discretize(poisson_case(1), counts=16)
         ref = disc.reference()
-        rhs = external_force(disc.r, disc.precomp)
         d_cg, _, report = _solve_poisson(disc)
         assert report.converged
-        d_direct = ref.solve_dense(ref.f_r_direct(disc.r))
+        d_direct = ref.solve_sparse(ref.f_r_direct(disc.r))
         assert rel_err(d_cg, d_direct) < 1e-10
 
     def test_1d_solution_quality(self, disc1d):
