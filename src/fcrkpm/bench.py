@@ -90,8 +90,7 @@ def bench_cell(
     def fc_setup():
         nonlocal disc
         disc = discretize(
-            case, n=n, a_tilde=a_tilde, spacing=spacing, pad_to_fast=True,
-            provider=provider,
+            case, n=n, a_tilde=a_tilde, spacing=spacing, provider=provider,
         )
 
     def trad_setup():

@@ -1,7 +1,8 @@
 """Command-line driver: verify | converge | bench | diffuse.
 
-Experiments are described by a single versioned JSON config; every key is
-schema-checked and unknown keys are rejected before any compute starts.
+Experiments are described by a single versioned JSON config.  Each
+experiment accepts only the keys it reads; every key is schema-checked and
+any other key is rejected before any compute starts.
 Outputs are plot-ready CSVs (converge, bench, diffuse) or a JSON report
 (verify).  Exit codes: 0 success, 1 check failure or a solve that did not
 converge (the CSV is still written), 2 config error or an output directory
@@ -64,7 +65,8 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# key -> (validator, default); None default means "required"
+# key -> (validator, default); version and experiment are required, every
+# other key is optional (a None default: the program picks the value)
 _COMMON_SCHEMA = {
     "version": (lambda v: v == 1, None),
     "experiment": (lambda v: v in ("verify", "converge", "bench", "diffuse"), None),
@@ -125,8 +127,19 @@ _EXPERIMENT_SCHEMA = {
 }
 
 
+# the common keys each experiment's cmd_* reads (threads through the FFT
+# provider main builds); the others are rejected like unknown keys
+_COMMON_KEYS = {
+    "verify": ("seed", "out"),
+    "converge": ("dim", "n", "a_tilde", "tol", "max_iter", "threads", "out"),
+    "bench": ("dim", "n", "seed", "threads", "out"),
+    "diffuse": ("dim", "n", "a_tilde", "tol", "max_iter", "threads", "out"),
+}
+
+
 def load_config(doc: dict) -> dict:
-    """Validate a config document against the schema; unknown keys fail."""
+    """Validate a config document against its experiment's schema, the keys
+    that experiment reads; any other key fails."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     if "experiment" not in doc:
@@ -136,7 +149,8 @@ def load_config(doc: dict) -> dict:
     experiment = doc["experiment"]
     if experiment not in _EXPERIMENT_SCHEMA:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    schema = dict(_COMMON_SCHEMA)
+    keys = ("version", "experiment", *_COMMON_KEYS[experiment])
+    schema = {key: _COMMON_SCHEMA[key] for key in keys}
     schema.update(_EXPERIMENT_SCHEMA[experiment])
     unknown = set(doc) - set(schema)
     if unknown:
@@ -149,10 +163,8 @@ def load_config(doc: dict) -> dict:
                 raise ConfigError(f"invalid value for {key!r}: {value!r}")
             cfg[key] = value
         else:
-            if default is None and key in ("version", "experiment"):
-                raise ConfigError(f"missing required key {key!r}")
             cfg[key] = default
-    if experiment == "converge" and cfg.get("powers") is None:
+    if experiment == "converge" and cfg["powers"] is None:
         cfg["powers"] = DEFAULT_POWERS[cfg["dim"]]
     return cfg
 
@@ -309,12 +321,14 @@ def main(argv=None) -> int:
         description="FFT-accelerated RKPM experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "converge", "bench", "diffuse"):
+    for name, keys in _COMMON_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", help="output file (CSV or JSON)")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--threads", type=int, help="FFT worker threads")
+        if "seed" in keys:
+            p.add_argument("--seed", type=int, help="random seed override")
+        if "threads" in keys:
+            p.add_argument("--threads", type=int, help="FFT worker threads")
     args = parser.parse_args(argv)
 
     doc = {"version": 1, "experiment": args.command}
@@ -335,7 +349,7 @@ def main(argv=None) -> int:
         )
         return 2
     for key in ("out", "seed", "threads"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
     try:
@@ -350,10 +364,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
-    provider = ScipyFFTProvider(workers=cfg["threads"])
-    if cfg["threads"] > 1:
+    threads = cfg.get("threads", 1)
+    provider = ScipyFFTProvider(workers=threads)
+    if threads > 1:
         print(
-            f"note: parallel FFT provider active ({cfg['threads']} workers); "
+            f"note: parallel FFT provider active ({threads} workers); "
             "timings are not comparable with single-threaded runs",
             file=sys.stderr,
         )

@@ -7,8 +7,8 @@ across the periodic seam.  With m = floor(a_tilde), the minimum extension is
 
     l_e = (m + 1) * dx                                  (spacing given)
 
-and, when the node count N per axis is chosen first (powers of two make the
-FFTs fastest),
+(then grown by whole spacings until N is a fast FFT size), and, when the
+node count N per axis is chosen first (powers of two make the FFTs fastest),
 
     l_e = (m + 1) * L_omega / (N - m - 1),   dx = (L_omega + l_e) / N.
 
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "PeriodicGrid",
@@ -169,7 +170,6 @@ def plan_extension(
     *,
     counts=None,
     spacing=None,
-    pad_to_fast=False,
 ) -> ExtensionPlan:
     """Plan the periodic extension of a physical box.
 
@@ -182,10 +182,9 @@ def plan_extension(
         domain_length: per-axis extent of the physical box (scalar or tuple).
         a_tilde: per-axis normalized kernel support, >= 1.
         counts: per-axis total node count N (fix-count mode).
-        spacing: per-axis nodal spacing dx (fix-spacing mode).
-        pad_to_fast: fix-spacing only; grow the extension beyond the
-            (m+1)*dx minimum until the node count is FFT-friendly
-            (5-smooth).  Off by default, which keeps the minimal extension.
+        spacing: per-axis nodal spacing dx (fix-spacing mode).  The
+            extension grows beyond its (m+1)*dx minimum until N is the next
+            fast FFT size, scipy.fft.next_fast_len (11-smooth).
     """
     if (counts is None) == (spacing is None):
         raise ValueError("give exactly one of counts= or spacing=")
@@ -228,14 +227,11 @@ def plan_extension(
                 )
             if n <= mk + 1:
                 raise ValueError(f"N={n} too small for extension m+1={mk + 1}")
-        if pad_to_fast:
-            import scipy.fft
-
-            padded = tuple(scipy.fft.next_fast_len(n) for n in N)
-            l_e = tuple(
-                ek + (nf - n) * h for ek, nf, n, h in zip(l_e, padded, N, dx)
-            )
-            N = padded
+        padded = tuple(scipy.fft.next_fast_len(n) for n in N)
+        l_e = tuple(
+            ek + (nf - n) * h for ek, nf, n, h in zip(l_e, padded, N, dx)
+        )
+        N = padded
     return ExtensionPlan(
         domain_length=L, a_tilde=at, m=m, extension=l_e, counts=N, spacing=dx
     )

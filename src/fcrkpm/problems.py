@@ -102,7 +102,6 @@ def poisson_case(dim: int) -> ManufacturedCase:
 class ErrorReport:
     e_l2: float
     e_linf: float
-    continuous_l2: float | None = None
 
 
 def nodal_errors(u_h, exact_field, chi) -> ErrorReport:
@@ -192,7 +191,6 @@ def discretize(
     a_tilde=1.5,
     counts=None,
     spacing=None,
-    pad_to_fast: bool = False,
     provider=None,
 ) -> Discretization:
     """Build grid, masks, weights, basis table, and moment precomputation.
@@ -202,9 +200,7 @@ def discretize(
     """
     dim = case.dim
     lengths = tuple(hi - lo for lo, hi in case.bounds)
-    plan = plan_extension(
-        lengths, a_tilde, counts=counts, spacing=spacing, pad_to_fast=pad_to_fast
-    )
+    plan = plan_extension(lengths, a_tilde, counts=counts, spacing=spacing)
     grid = build_grid(plan, tuple(lo for lo, _ in case.bounds))
     inside, on_gamma = box_predicates(case.bounds)
     chi, chi_g, chi_omega = build_masks(grid, inside, on_gamma)

@@ -1,11 +1,12 @@
 """Traditional direct-summation RKPM on the bounded domain.
 
 This is the correctness oracle for the convolution path and the benchmark
-counterpart.  It holds explicit neighbor lists, computes shape function and
-implicit-gradient values neighbor by neighbor, and assembles the sparse
-stiffness/mass operators with the classic nested-loop structure: one loop
-over quadrature points, loops over their neighbors inside, giving O(N*M)
-work for forces and field evaluation and O(N*M^2) for matrix assembly.
+counterpart.  It holds explicit neighbor lists and computes shape function
+and implicit-gradient values neighbor by neighbor.  Only the stiffness is
+assembled, with the classic nested-loop structure: one loop over
+quadrature points, their neighbors inside, O(N*M^2) work.  Every other
+direct term (forces, field and gradient evaluation, the consistent-mass
+action, the lumped mass) is an O(N*M) product with the CSR shape matrices.
 
 The active (chi = 1) nodes are numbered in numpy's C order, the order of
 ``field[chi > 0.5]``, so restrict and extend are a boolean mask and no
@@ -26,9 +27,9 @@ convolution path, and moment._b_rows inverts, checks and reads out their
 rows, as it does for the (s, s, 1) stack of an off-node query.  H and phi
 come from basis.monomial and basis.eval_kernel.
 
-The stiffness and mass assembly keeps its explicit per-node loop of
-outer-product blocks: it is the O(N*M^2) neighbor work the paper's method
-avoids, and it is what the performance comparison times.
+The stiffness assembly keeps its explicit per-node loop of outer-product
+blocks: it is the O(N*M^2) neighbor work the paper's method avoids, and it
+is what the performance comparison times.
 
 Quadrature is direct nodal integration over the same nodes and trapezoid
 weights as the convolution path, which is what lets the two paths agree to
@@ -124,7 +125,6 @@ class ReferenceModel:
         self._Psi: sp.csr_matrix | None = None
         self._B: list[sp.csr_matrix] | None = None
         self._K: sp.csr_matrix | None = None
-        self._mass: sp.csr_matrix | None = None
 
     # ---------------------------------------------------------------- setup
 
@@ -243,16 +243,21 @@ class ReferenceModel:
 
     # ---------------------------------------------------- sparse assembly
 
-    def _assemble_pair_operator(self, kind: str) -> sp.csr_matrix:
-        """O(N*M^2) assembly: per quadrature node, an M x M outer-product
-        block scattered into COO triplets, flushed to CSR in chunks that are
-        pairwise-merged at the end (a running sum would re-touch the full
-        matrix on every flush)."""
+    def assemble_stiffness(self) -> sp.csr_matrix:
+        """Sparse stiffness K = sum_ax B_ax^T diag(V) B_ax under DNI (cached).
+
+        The O(N*M^2) assembly: per quadrature node, an M x M outer-product
+        block of its implicit gradients scattered into COO triplets, flushed
+        to CSR in chunks that are pairwise-merged at the end (a running sum
+        would re-touch the full matrix on every flush).  The pattern is the
+        shape matrices' own indptr and indices.
+        """
+        if self._K is not None:
+            return self._K
         Psi, B = self.shape_matrices()
-        psi, dpsi = Psi.data, [B_ax.data for B_ax in B]
-        nbr = self._nbr
+        dpsi = [B_ax.data for B_ax in B]
+        indptr, ids32 = Psi.indptr, Psi.indices
         n = self.n_nodes
-        ids32 = nbr.ids
         chunks = []
         rows, cols, vals, pending = [], [], [], 0
 
@@ -266,13 +271,10 @@ class ReferenceModel:
             )
 
         for S in range(n):
-            sl = slice(nbr.indptr[S], nbr.indptr[S + 1])
+            sl = slice(indptr[S], indptr[S + 1])
             ids = ids32[sl]
-            if kind == "stiffness":
-                g = np.stack([dax[sl] for dax in dpsi])  # (d, M_S)
-                block = (g.T @ g) * self.V[S]
-            else:
-                block = np.outer(psi[sl], psi[sl]) * self.V[S]
+            g = np.stack([dax[sl] for dax in dpsi])  # (d, M_S)
+            block = (g.T @ g) * self.V[S]
             m = ids.size
             rows.append(np.repeat(ids, m))
             cols.append(np.tile(ids, m))
@@ -291,19 +293,8 @@ class ReferenceModel:
             chunks = merged
         K = chunks[0]
         K.sort_indices()
+        self._K = K
         return K
-
-    def assemble_stiffness(self) -> sp.csr_matrix:
-        """Sparse stiffness from the implicit-gradient pairs under DNI."""
-        if self._K is None:
-            self._K = self._assemble_pair_operator("stiffness")
-        return self._K
-
-    def assemble_mass(self) -> sp.csr_matrix:
-        """Sparse consistent mass from the shape-function pairs under DNI."""
-        if self._mass is None:
-            self._mass = self._assemble_pair_operator("mass")
-        return self._mass
 
     # ------------------------------------------------- restrict and extend
 
@@ -348,14 +339,15 @@ class ReferenceModel:
         return self.extend(Psi.T @ (self.restrict(q) * self.restrict(area)))
 
     def mass_apply_direct(self, d_dot: np.ndarray) -> np.ndarray:
-        """Consistent-mass action M d_dot by sparse product."""
-        M = self.assemble_mass()
-        return self.extend(M @ self.restrict(d_dot))
+        """Consistent-mass action Psi^T (V (Psi d_dot)), never assembled."""
+        Psi, _ = self.shape_matrices()
+        return self.extend(Psi.T @ (self.V * (Psi @ self.restrict(d_dot))))
 
     def lumped_mass_direct(self) -> np.ndarray:
-        """Row sums of the assembled consistent mass."""
-        M = self.assemble_mass()
-        return self.extend(np.asarray(M.sum(axis=1)).ravel())
+        """Row sums of the consistent mass, Psi^T (V (Psi 1)): the Psi 1
+        factor keeps the partition of unity under test."""
+        Psi, _ = self.shape_matrices()
+        return self.extend(Psi.T @ (self.V * (Psi @ np.ones(self.n_nodes))))
 
     # ------------------------------------------------- arbitrary-point API
 

@@ -261,8 +261,7 @@ def test_criterion_8_performance_trends(rng):
     fc_times, trad_times, fc_bytes, trad_bytes = {}, {}, {}, {}
     for a_tilde in (1.5, 2.5, 3.5):
         disc = fc.discretize(
-            fc.poisson_case(3), a_tilde=a_tilde, spacing=2.0 / 19,
-            pad_to_fast=True,
+            fc.poisson_case(3), a_tilde=a_tilde, spacing=2.0 / 19
         )
         d = disc.chi * rng.standard_normal(disc.grid.shape)
         ops.internal_force(d, disc.precomp)  # warm
@@ -281,8 +280,7 @@ def test_criterion_8_performance_trends(rng):
     mem_ok = all(fc_bytes[a] < trad_bytes[a] for a in (1.5, 2.5, 3.5))
 
     disc31 = fc.discretize(
-        fc.poisson_case(3), a_tilde=1.5, spacing=2.0 / 30,
-        pad_to_fast=True,
+        fc.poisson_case(3), a_tilde=1.5, spacing=2.0 / 30
     )
     d31 = disc31.chi * rng.standard_normal(disc31.grid.shape)
     ops.internal_force(d31, disc31.precomp)  # warm

@@ -52,6 +52,22 @@ class TestConfigValidation:
         for path in configs:
             load_config(json.loads(path.read_text()))
 
+    def test_keys_the_experiment_never_reads_rejected(self):
+        for doc in [
+            {"version": 1, "experiment": "bench", "a_tilde": 3.5},
+            {"version": 1, "experiment": "verify", "threads": 2},
+            {"version": 1, "experiment": "converge", "seed": 7},
+        ]:
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                load_config(doc)
+
+    def test_flags_only_where_read(self):
+        # --seed for verify/bench, --threads for converge/bench/diffuse
+        for argv in (["converge", "--seed", "1"], ["verify", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="experiment"):
             load_config({"version": 1})
@@ -273,7 +289,7 @@ class TestDeterminism:
             cfg = _write(
                 tmp_path, f"{tag}.json",
                 {"version": 1, "experiment": "converge", "dim": 2,
-                 "powers": [3, 4, 5], "seed": 7},
+                 "powers": [3, 4, 5]},
             )
             assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
             outs.append(_read_csv(str(out)))

@@ -22,12 +22,14 @@ class TestPlanExtension:
         assert plan.spacing[0] == pytest.approx((2.0 + 2.0 / 31.0) / 64.0, rel=1e-15)
 
     def test_fix_spacing_integer_support(self):
-        # a_tilde=2.0 floors to m=2, so l_e = 3*dx
+        # a_tilde=2.0 floors to m=2, so l_e >= 3*dx; the minimal 43 nodes
+        # grow to the next fast FFT size, 44
         dx = 0.05
         plan = plan_extension(2.0, 2.0, spacing=dx)
         assert plan.m == (2,)
-        assert plan.extension[0] == pytest.approx(3 * dx, rel=1e-15)
-        assert plan.counts == (43,)
+        assert plan.extension[0] >= 3 * dx
+        assert plan.extension[0] == pytest.approx(4 * dx, rel=1e-15)
+        assert plan.counts == (44,)
 
     def test_fix_count_2d(self):
         # per-axis l_e = 4/254 at N=2^8
@@ -57,12 +59,11 @@ class TestPlanExtension:
         with pytest.raises(ValueError, match="does not divide"):
             plan_extension(2.0, 1.5, spacing=0.3)
 
-    def test_pad_to_fast_keeps_minimum(self):
-        base = plan_extension(2.0, 3.5, spacing=2.0 / 19.0)
-        padded = plan_extension(2.0, 3.5, spacing=2.0 / 19.0, pad_to_fast=True)
-        assert padded.extension[0] >= base.extension[0]
-        assert padded.extension[0] >= (padded.m[0] + 1) * padded.spacing[0]
-        n = padded.counts[0]
+    def test_fix_spacing_pads_to_fast_count(self):
+        # 19 + (m+1) = 23 nodes minimum, a prime, grows to 24
+        plan = plan_extension(2.0, 3.5, spacing=2.0 / 19.0)
+        assert plan.extension[0] >= (plan.m[0] + 1) * plan.spacing[0]
+        n = plan.counts[0]
         while n % 2 == 0:
             n //= 2
         while n % 3 == 0:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fcrkpm import (
     KernelSpec,
@@ -12,6 +13,7 @@ from fcrkpm import (
     poisson_case,
     quadrature_weights,
 )
+from fcrkpm import reference
 from fcrkpm.errors import SingularMomentError
 from fcrkpm.reference import ReferenceModel
 
@@ -157,9 +159,37 @@ class TestStiffness:
 
     def test_mass_row_sums_are_volumes(self, disc2d, ref2d):
         # partition of unity: row sums of M equal integral of Psi_I
-        M = ref2d.assemble_mass()
-        total = float(np.sum(M.data))
+        total = float(np.sum(ref2d.lumped_mass_direct()))
         assert total == pytest.approx(np.sum(ref2d.V), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim,counts,n,a_tilde",
+        [(1, 32, 1, 1.5), (2, 16, 1, 1.5), (3, 10, 1, 1.5), (3, 12, 2, 2.5)],
+    )
+    def test_matches_gradient_products(self, dim, counts, n, a_tilde, monkeypatch):
+        # the per-node loop equals sum_ax B_ax^T diag(V) B_ax entry by entry,
+        # with a triplet budget small enough that the flushed chunks go
+        # through the pairwise merge, odd leftover chunk included
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts)
+        ref = disc.reference()
+        Psi, B = ref.shape_matrices()
+        triplets = int(np.sum(np.diff(Psi.indptr).astype(np.int64) ** 2))
+        monkeypatch.setattr(reference, "_TRIPLET_BUDGET", triplets // 20 + 1)
+        flushes = []
+        coo = reference.sp.coo_matrix
+        monkeypatch.setattr(
+            reference.sp, "coo_matrix",
+            lambda *args, **kw: flushes.append(1) or coo(*args, **kw),
+        )
+        K = ref.assemble_stiffness()
+        chunks = len(flushes)
+        monkeypatch.undo()
+        # a chunk count that is not a power of two leaves an odd count at
+        # some merge level
+        assert chunks >= 3 and chunks & (chunks - 1)
+        K_ref = sum(B_ax.T @ sp.diags(ref.V) @ B_ax for B_ax in B)
+        scale = abs(K_ref).max()
+        assert abs(K - K_ref).max() <= 1e-13 * scale
 
 
 class TestDirectTerms:

@@ -5,9 +5,14 @@ import pytest
 
 from fcrkpm import (
     CountingFFTProvider,
+    KernelSpec,
+    PeriodicGrid,
     SolverConfig,
+    build_basis_table,
+    build_moment_precomp,
     convergence_slope,
     discretize,
+    enumerate_basis,
     evaluate_field,
     explicit_stable_dt,
     external_force,
@@ -15,6 +20,7 @@ from fcrkpm import (
     lumped_mass,
     nodal_errors,
     poisson_case,
+    quadrature_weights,
     run_transient,
     solve_static_linear,
     solve_static_nonlinear,
@@ -110,6 +116,30 @@ class TestStaticLinear:
             )
         assert not report.converged
         assert report.iterations == 2
+
+
+class TestPeriodicControl:
+    @pytest.mark.parametrize(
+        "n,a_tilde", [(1, 1.5), (1, 2.5), (1, 3.5), (2, 2.5), (2, 3.5)]
+    )
+    def test_whole_periodic_box_is_second_order(self, n, a_tilde):
+        # chi = 1 on the whole periodic 1D box: no boundary and no Dirichlet
+        # nodes, so the rate is that of the interior discretization alone
+        hs, errs = [], []
+        for N in (64, 128, 256):
+            grid = PeriodicGrid(x_min=(0.0,), length=(1.0,), counts=(N,))
+            chi = np.ones(grid.shape)
+            kernel = KernelSpec(support=(a_tilde * grid.spacing[0],))
+            table = build_basis_table(grid, enumerate_basis(n, 1), kernel)
+            precomp = build_moment_precomp(chi, quadrature_weights(grid, chi), table)
+            (x,) = grid.coordinates()
+            u = np.sin(2.0 * np.pi * x)
+            rhs = external_force(4.0 * np.pi**2 * u, precomp)
+            _, u_h, report = solve_static_linear(precomp, chi, rhs)
+            assert report.converged
+            hs.append(grid.spacing[0])
+            errs.append(nodal_errors(u_h, u, chi).e_l2)
+        assert 1.8 <= convergence_slope(hs, errs) <= 2.2
 
 
 class TestPreconditioner:
