@@ -16,9 +16,11 @@ sum, against a mask spectrum computed once.
 Both paths carry the moment matrices as one symmetric stack with the node
 axes last, (s, s, *nodes), so every entry M[p, q] is one contiguous field:
 assemble_moment_fields over the whole grid, the direct-summation oracle
-(reference.py) over its active nodes.  One helper, _b_rows, inverts every
-matrix at once by an unpivoted LDL^T factorization (one whole-field
-operation per scalar step), checks it, and extracts the rows.  No pivoting is
+(reference.py) over its active nodes.  One helper, _b_rows, inverts the
+matrices by an unpivoted LDL^T factorization (one whole-slab operation per
+scalar step) over slabs of the flattened node axes, checks them, and writes
+their rows out, so that the transient memory is O(slab s^2) next to the
+rows rather than a whole-stack inverse.  No pivoting is
 needed: on the domain M is a Gram matrix, sum_J chi_J phi(x_I - x_J)
 H(x_I - x_J) H(x_I - x_J)^T with a nonnegative kernel, hence symmetric
 positive semidefinite, and positive definite once the node sees enough
@@ -66,6 +68,9 @@ __all__ = [
 
 SINGULAR_PIVOT_RTOL = 1e-14
 CONDITION_WARN = 1e12
+
+# nodes per slab of the inversion in _b_rows; bounds its transient memory
+_SLAB_NODES = 4096
 
 
 @dataclass
@@ -194,28 +199,39 @@ def _invert_symmetric(M: np.ndarray):
     return inv, np.min(np.abs(D), axis=0) / np.where(scale == 0.0, 1.0, scale)
 
 
-def _norm_inf(A: np.ndarray) -> np.ndarray:
-    """max_p sum_q |A_pq| per node, one row p at a time so that no
-    temporary as large as the whole (s, s, *nodes) stack is made."""
-    return np.max([np.sum(np.abs(row), axis=0) for row in A], axis=0)
-
-
 def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
     """Invert the moment stack M (s, s, *nodes), check it at the active
     nodes, and return the (1 + d, s, *nodes) b-rows (module docstring).
 
-    locate maps the node-axes index of the first singular node to the
+    The flattened node axes are taken in slabs of _SLAB_NODES nodes, so
+    the transient memory is O(_SLAB_NODES s^2) next to the rows: each
+    slab is factored, checked and written into the rows before the next.
+    Slabs run in C order, so the first singular slab holds the first
+    singular node; the condition warning waits for the worst estimate over
+    every slab.  locate maps the node-axes index of that node to the
     (node_index, coordinate) that SingularMomentError reports.  The
     degree-1 monomial of axis ax sits at 1 + ax in the graded basis order.
     """
-    inv, min_pivot = _invert_symmetric(M)
-    bad = active & (min_pivot < SINGULAR_PIVOT_RTOL)
-    if np.any(bad):
-        first = tuple(int(i) for i in np.argwhere(bad)[0])
-        scale = np.max(np.abs(M[(Ellipsis, *first)]))
-        raise SingularMomentError(*locate(first), min_pivot[first] * scale)
-    cond = _norm_inf(M) * _norm_inf(inv)
-    worst = float(np.max(cond[active], initial=0.0))
+    s, nodes = M.shape[0], M.shape[2:]
+    flat = M.reshape(s, s, -1)
+    on = active.reshape(-1)
+    rows = np.empty((1 + dim, s, flat.shape[2]))
+    worst = 0.0
+    for start in range(0, flat.shape[2], _SLAB_NODES):
+        slab = slice(start, start + _SLAB_NODES)
+        Ms = flat[..., slab]
+        inv, min_pivot = _invert_symmetric(Ms)
+        bad = on[slab] & (min_pivot < SINGULAR_PIVOT_RTOL)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            first = tuple(int(k) for k in np.unravel_index(start + i, nodes))
+            scale = np.max(np.abs(Ms[..., i]))
+            raise SingularMomentError(*locate(first), min_pivot[i] * scale)
+        # ||M||_inf ||M^-1||_inf, the max row sum of |entries| per node
+        cond = (np.abs(Ms).sum(axis=1).max(axis=0)
+                * np.abs(inv).sum(axis=1).max(axis=0))
+        worst = max(worst, float(np.max(cond[on[slab]], initial=0.0)))
+        rows[..., slab] = inv[: 1 + dim]
     if worst > CONDITION_WARN:
         warnings.warn(
             f"moment matrix condition estimate up to {worst:.2e} at active "
@@ -223,10 +239,8 @@ def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
             IllConditionedMomentWarning,
             stacklevel=3,
         )
-    # a copy: a view would keep the whole (s, s, *nodes) inverse alive
-    rows = inv[: 1 + dim].copy()
     np.negative(rows[1:], out=rows[1:])
-    return rows
+    return rows.reshape(rows.shape[:2] + nodes)
 
 
 def invert_moments(

@@ -292,6 +292,9 @@ class ReferenceModel:
             ]
             chunks = merged
         K = chunks[0]
+        # exact-zero sums: a single chunk's coo -> csr keeps them, a merge
+        # drops them, so the stored count would depend on _TRIPLET_BUDGET
+        K.eliminate_zeros()
         K.sort_indices()
         self._K = K
         return K

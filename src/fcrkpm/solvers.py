@@ -93,7 +93,10 @@ class SolveReport:
     `residual` and every entry of `residual_history` are relative to the
     initial masked residual, ||R_i|| / ||R_0||: history[0] is 1.0 (0.0 when
     the initial residual already vanishes), one entry follows each
-    iteration, and the last entry equals `residual`.
+    iteration, and the last entry equals `residual`.  A linear solve whose
+    initial residual is not finite (a NaN or inf in the load or the
+    Dirichlet data) runs no iteration: history is [nan], `residual` is NaN
+    and `converged` is False.
     """
 
     iterations: int
@@ -163,17 +166,23 @@ def _masked_cg(
     so frozen coefficients never move.  The preconditioner is
     `_circulant_preconditioner` of the same operator and mask, built here
     unless the caller passes one it already built.  Convergence is on the
-    true residual relative to the initial one.
+    true residual relative to the initial one.  A non-finite initial
+    residual (a NaN or inf in rhs or d0) stops it before the first
+    iteration, and a curvature p.Ap that is not positive (NaN included)
+    stops it at once, both as not converged.
 
     Returns:
         (d, converged, history): history[i] is the relative true residual
-        after i iterations, so the iteration count is len(history) - 1.
+        after i iterations, so the iteration count is len(history) - 1;
+        [nan] when the initial residual is not finite.
     """
     d = d0.copy()
     r = mask * (rhs - apply_op(d))
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
         return d, True, [0.0]
+    if not np.isfinite(r0):
+        return d, False, [float("nan")]
     if precondition is None:
         precondition = _circulant_preconditioner(apply_op, mask, provider)
     z = precondition(r)
@@ -183,7 +192,7 @@ def _masked_cg(
     for _ in range(max_iter):
         Ap = mask * apply_op(p)
         pAp = float(np.dot(p.ravel(), Ap.ravel()))
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             return d, False, history
         alpha = rz / pAp
         d = d + alpha * p

@@ -1,6 +1,7 @@
 """Moment assembly, nodewise inversion, and reproducing conditions."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from fcrkpm import (
 )
 from fcrkpm.basis import monomial
 from fcrkpm.errors import IllConditionedMomentWarning, SingularMomentError
+from fcrkpm import moment
 from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _b_rows, _invert_symmetric
 from fcrkpm.reference import ReferenceModel
 
@@ -297,6 +299,83 @@ class TestInversion:
         assert ref_err.value.coordinate == err.value.coordinate
 
 
+def _stack_with(nodes, specials, s=3, seed=7):
+    """(s, s, *nodes) stack of random SPD matrices, with the matrices in
+    specials ({flat node index: s x s matrix}) put in their place."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(nodes))
+    A = rng.standard_normal((n, s, 2 * s))
+    mats = A @ A.transpose(0, 2, 1)
+    for i, m in specials.items():
+        mats[i] = m
+    return _node_last(mats).reshape((s, s) + tuple(nodes))
+
+
+# the last pivot of this matrix is exactly zero
+_SINGULAR = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 1.0], [2.0, 1.0, 2.0]])
+
+
+class TestSlabs:
+    """_b_rows over slabs of _SLAB_NODES nodes against a single slab."""
+
+    @staticmethod
+    def _one_and_slabbed(monkeypatch, compute, slab):
+        monkeypatch.setattr(moment, "_SLAB_NODES", 1 << 30)
+        one = compute()
+        monkeypatch.setattr(moment, "_SLAB_NODES", slab)
+        return one, compute()
+
+    @pytest.mark.parametrize("fixture", ["disc2d", "disc3d_quadratic"])
+    def test_rows_bit_identical(self, fixture, request, monkeypatch):
+        disc = request.getfixturevalue(fixture)
+        M = assemble_moment_fields(disc.chi, disc.table)
+        # 37 divides no node count here: a short last slab on both paths
+        assert M[0, 0].size > 37
+        one, slabbed = self._one_and_slabbed(
+            monkeypatch,
+            lambda: invert_moments(M, disc.chi, disc.V, disc.table).rows,
+            37,
+        )
+        assert np.array_equal(one, slabbed)
+        one, slabbed = self._one_and_slabbed(
+            monkeypatch, lambda: disc.reference().moment_rows(), 37
+        )
+        assert np.array_equal(one, slabbed)
+
+    def test_singular_node_in_later_slab(self, monkeypatch):
+        # flat node 5 is singular but inactive; 7 and 10 are singular and
+        # active, in the third and fourth slab of three nodes each
+        nodes = (3, 4)
+        M = _stack_with(nodes, {5: _SINGULAR, 7: _SINGULAR, 10: _SINGULAR})
+        active = np.ones(nodes, dtype=bool)
+        active.flat[5] = False
+
+        def raised():
+            with pytest.raises(SingularMomentError) as err:
+                _b_rows(M, 2, active, lambda multi: (multi, multi))
+            return err.value
+
+        one, slabbed = self._one_and_slabbed(monkeypatch, raised, 3)
+        assert one.node_index == slabbed.node_index == (1, 3)
+        assert one.pivot == slabbed.pivot
+
+    def test_ill_conditioned_node_in_later_slab(self, monkeypatch):
+        # condition estimate 1e13 at flat node 10 (slab 4 of 3 nodes) and
+        # 1e14 at the inactive node 4: one warning, naming the active one
+        nodes = (3, 4)
+        M = _stack_with(nodes, {4: np.diag([1.0, 1.0, 1e-14]),
+                                10: np.diag([1.0, 1.0, 1e-13])})
+        active = np.ones(nodes, dtype=bool)
+        active.flat[4] = False
+        monkeypatch.setattr(moment, "_SLAB_NODES", 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _b_rows(M, 2, active, lambda multi: (multi, multi))
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, IllConditionedMomentWarning)
+        assert "1.00e+13" in str(caught[0].message)
+
+
 class TestReproducingConditions:
     def test_partition_of_unity(self, disc2d):
         # sum_I Psi_I(x_J) = 1 at active nodes <=> u_h of d = 1 equals 1
@@ -332,3 +411,17 @@ class TestMemoryStory:
         # chi + V + (1 + d)s b-row fields + 2s real-equivalents of spectra
         expected_fields = 2 + (1 + d) * s + 2 * s
         assert nbytes == expected_fields * n_total * 8
+
+    def test_inversion_transient_below_moment_stack(self):
+        # the slabbed inversion holds the rows plus O(slab s^2) scratch,
+        # never a second whole-stack array: at 32^3, s = 10, M is 26.2 MB
+        disc = discretize(poisson_case(3), n=2, a_tilde=2.5, counts=32)
+        assert disc.grid.shape == (32, 32, 32)
+        M = assemble_moment_fields(disc.chi, disc.table)
+        tracemalloc.start()
+        try:
+            rows = invert_moments(M, disc.chi, disc.V, disc.table).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < M.nbytes

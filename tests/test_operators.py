@@ -309,72 +309,129 @@ class TestTransformCounts:
         assert prov.total == s + 1
 
 
-# total node counts per axis, kept small for the O(N * neighbors) oracle
+# total node counts per axis, kept small for the O(N * neighbors) oracle;
+# two balls need finer grids, where 2.5 spacings still fit twice in [-1, 1]
 _BALL_COUNTS = {1: (24, 48), 2: (16, 28), 3: (12, 16)}
+_TWO_BALL_COUNTS = {2: (16, 28), 3: (16, 18)}
+
+
+def _draw_cell(draw, dims, counts):
+    """Dimension, basis degree and grid of a random oracle problem.
+
+    Degree 2 draws a_tilde >= 2.5: below that a node at a pole of a ball
+    sees only two distinct coordinates along its axis, so no radius makes
+    its moment matrix invertible.
+    """
+    dim = draw(st.integers(*dims))
+    degree = draw(st.integers(1, 2))
+    a_tilde = draw(st.floats(1.5 if degree == 1 else 2.5, 3.5))
+    plan = plan_extension(
+        (2.0,) * dim, a_tilde, counts=draw(st.integers(*counts[dim]))
+    )
+    return plan, build_grid(plan, (-1.0,) * dim), degree
 
 
 @st.composite
 def _ball_problems(draw):
     """A random ball inside [-1, 1]^d with the grid and kernel it sits on.
 
-    Degree 2 draws a_tilde >= 2.5: below that a node at a pole of the ball
-    sees only two distinct coordinates along its axis, so no radius makes
-    its moment matrix invertible.  The radius is at least 2.5 spacings,
-    which keeps >= s effective neighbors at every active node.
+    The radius is at least 2.5 spacings, which keeps >= s effective
+    neighbors at every active node.
     """
-    dim = draw(st.integers(1, 3))
-    degree = draw(st.integers(1, 2))
-    a_tilde = draw(st.floats(1.5 if degree == 1 else 2.5, 3.5))
-    counts = draw(st.integers(*_BALL_COUNTS[dim]))
-    center = draw(st.lists(st.floats(-0.2, 0.2), min_size=dim, max_size=dim))
-    plan = plan_extension((2.0,) * dim, a_tilde, counts=counts)
-    grid = build_grid(plan, (-1.0,) * dim)
+    plan, grid, degree = _draw_cell(draw, (1, 3), _BALL_COUNTS)
+    center = draw(
+        st.lists(st.floats(-0.2, 0.2), min_size=grid.dim, max_size=grid.dim)
+    )
     r_lo = 2.5 * max(grid.spacing)
     r_hi = 1.0 - max(abs(c) for c in center)
     radius = r_lo + draw(st.floats(0.0, 1.0)) * (r_hi - r_lo)
     seed = draw(st.integers(0, 2**32 - 1))
-    return plan, grid, degree, center, radius, seed
+    return plan, grid, degree, [(np.array(center), radius)], seed
+
+
+@st.composite
+def _two_ball_problems(draw):
+    """The union of two overlapping balls of radius r inside [-1, 1]^d,
+    d >= 2, a non-convex domain.
+
+    The centers are c +- h e for a unit direction e and h in [0.3 r, r].
+    Each ball keeps the radius rule of _ball_problems, so every active node
+    has enough neighbors inside its own ball alone.
+    """
+    plan, grid, degree = _draw_cell(draw, (2, 3), _TWO_BALL_COUNTS)
+    dim = grid.dim
+    c = np.array(draw(
+        st.lists(st.floats(-0.1, 0.1), min_size=dim, max_size=dim)
+    ))
+    e = np.array(draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+        .filter(lambda v: np.linalg.norm(v) > 0.1)
+    ))
+    e /= np.linalg.norm(e)
+    t = draw(st.floats(0.3, 1.0))
+    # |c_k| + t r |e_k| + r <= 1 on every axis keeps both balls in the box
+    r_lo = 2.5 * max(grid.spacing)
+    r_hi = float(np.min((1.0 - np.abs(c)) / (1.0 + t * np.abs(e))))
+    radius = r_lo + draw(st.floats(0.0, 1.0)) * (r_hi - r_lo)
+    seed = draw(st.integers(0, 2**32 - 1))
+    balls = [(c + t * radius * e, radius), (c - t * radius * e, radius)]
+    return plan, grid, degree, balls, seed
+
+
+def _check_against_oracle(plan, grid, degree, balls, seed):
+    """Every operator of the FFT path against direct summation on the
+    union of the balls, each at relative tolerance 1e-10."""
+
+    def inside(*x):
+        return np.any(
+            [sum((xk - ck) ** 2 for xk, ck in zip(x, center)) <= radius**2
+             for center, radius in balls],
+            axis=0,
+        )
+
+    chi, chi_g, _ = build_masks(grid, inside)
+    V = quadrature_weights(grid, chi)
+    basis = enumerate_basis(degree, grid.dim)
+    kernel = KernelSpec(plan.kernel_support)
+    table = build_basis_table(grid, basis, kernel)
+    precomp = build_moment_precomp(chi, V, table)
+    ref = ReferenceModel(grid, chi, V, basis, kernel, chi_g)
+    rng = np.random.default_rng(seed)
+    d = chi * rng.standard_normal(grid.shape)
+    r = chi * rng.standard_normal(grid.shape)
+    M = assemble_moment_fields(chi, table)
+    direct = ref.moment_matrices()
+    for pq in combinations_with_replacement(range(basis.size), 2):
+        assert rel_err(ref.restrict(M[pq]), direct[pq]) < 1e-10
+    assert rel_err(internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
+    assert rel_err(external_force(r, precomp), ref.f_r_direct(r)) < 1e-10
+    assert rel_err(evaluate_field(d, precomp), ref.u_h_direct(d)) < 1e-10
+    for fast, direct in zip(
+        evaluate_gradient(d, precomp), ref.gradient_direct(d), strict=True
+    ):
+        assert rel_err(fast, direct) < 1e-10
+    assert rel_err(mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
+    assert rel_err(lumped_mass(precomp), ref.lumped_mass_direct()) < 1e-10
+    # boundary nodes: active with a lattice neighbor off the domain, which
+    # is what cuts their trapezoid weight to at most half a cell
+    boundary = chi * (V < 0.75 * np.prod(grid.spacing))
+    q = boundary * rng.standard_normal(grid.shape)
+    area = boundary * rng.uniform(0.5, 1.5, grid.shape)
+    assert rel_err(
+        boundary_force(q, area, precomp), ref.f_q_direct(q, area)
+    ) < 1e-10
 
 
 class TestOracleProperty:
-    """FFT path against direct summation on random ball domains."""
+    """FFT path against direct summation on random ball domains, and on
+    non-convex unions of two overlapping balls."""
 
     @given(_ball_problems())
     @settings(max_examples=20, deadline=None)
     def test_operators_match_oracle(self, problem):
-        plan, grid, degree, center, radius, seed = problem
+        _check_against_oracle(*problem)
 
-        def inside(*x):
-            return sum((xk - ck) ** 2 for xk, ck in zip(x, center)) <= radius**2
-
-        chi, chi_g, _ = build_masks(grid, inside)
-        V = quadrature_weights(grid, chi)
-        basis = enumerate_basis(degree, grid.dim)
-        kernel = KernelSpec(plan.kernel_support)
-        table = build_basis_table(grid, basis, kernel)
-        precomp = build_moment_precomp(chi, V, table)
-        ref = ReferenceModel(grid, chi, V, basis, kernel, chi_g)
-        rng = np.random.default_rng(seed)
-        d = chi * rng.standard_normal(grid.shape)
-        r = chi * rng.standard_normal(grid.shape)
-        M = assemble_moment_fields(chi, table)
-        direct = ref.moment_matrices()
-        for pq in combinations_with_replacement(range(basis.size), 2):
-            assert rel_err(ref.restrict(M[pq]), direct[pq]) < 1e-10
-        assert rel_err(internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
-        assert rel_err(external_force(r, precomp), ref.f_r_direct(r)) < 1e-10
-        assert rel_err(evaluate_field(d, precomp), ref.u_h_direct(d)) < 1e-10
-        for fast, direct in zip(
-            evaluate_gradient(d, precomp), ref.gradient_direct(d), strict=True
-        ):
-            assert rel_err(fast, direct) < 1e-10
-        assert rel_err(mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
-        assert rel_err(lumped_mass(precomp), ref.lumped_mass_direct()) < 1e-10
-        # boundary nodes: active with a lattice neighbor off the ball, which
-        # is what cuts their trapezoid weight to at most half a cell
-        boundary = chi * (V < 0.75 * np.prod(grid.spacing))
-        q = boundary * rng.standard_normal(grid.shape)
-        area = boundary * rng.uniform(0.5, 1.5, grid.shape)
-        assert rel_err(
-            boundary_force(q, area, precomp), ref.f_q_direct(q, area)
-        ) < 1e-10
+    @given(_two_ball_problems())
+    @settings(max_examples=20, deadline=None)
+    def test_operators_match_oracle_non_convex(self, problem):
+        _check_against_oracle(*problem)

@@ -191,6 +191,29 @@ class TestStiffness:
         scale = abs(K_ref).max()
         assert abs(K - K_ref).max() <= 1e-13 * scale
 
+    def test_stored_entries_independent_of_budget(self, monkeypatch):
+        # a single chunk's coo -> csr keeps the exact-zero sums and the
+        # pairwise merge drops them; K stores neither, whatever the budget
+        disc = discretize(poisson_case(2), n=1, a_tilde=1.5, counts=16)
+        K_one = disc.reference().assemble_stiffness()
+        ref = disc.reference()
+        Psi, _ = ref.shape_matrices()
+        triplets = int(np.sum(np.diff(Psi.indptr).astype(np.int64) ** 2))
+        assert triplets < reference._TRIPLET_BUDGET  # the default: one chunk
+        monkeypatch.setattr(reference, "_TRIPLET_BUDGET", triplets // 4 + 1)
+        flushes = []
+        coo = reference.sp.coo_matrix
+        monkeypatch.setattr(
+            reference.sp, "coo_matrix",
+            lambda *args, **kw: flushes.append(1) or coo(*args, **kw),
+        )
+        K_merged = ref.assemble_stiffness()
+        monkeypatch.undo()
+        assert len(flushes) >= 3
+        assert K_one.nnz == K_merged.nnz
+        assert np.all(K_one.data != 0.0) and np.all(K_merged.data != 0.0)
+        assert abs(K_one - K_merged).max() <= 1e-14 * abs(K_one).max()
+
 
 class TestDirectTerms:
     def test_f_r_unit_source(self, disc2d, ref2d):

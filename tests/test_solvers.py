@@ -117,6 +117,19 @@ class TestStaticLinear:
         assert not report.converged
         assert report.iterations == 2
 
+    def test_non_finite_rhs_fails_fast(self, disc2d):
+        # one NaN in the load stops CG before it iterates, instead of
+        # running to the 10 x n_active cap on a NaN residual
+        rhs = external_force(disc2d.r, disc2d.precomp)
+        rhs[np.unravel_index(np.argmax(disc2d.chi_omega), rhs.shape)] = np.nan
+        with pytest.warns(UserWarning, match="CG stopped"):
+            _, _, report = solve_static_linear(
+                disc2d.precomp, disc2d.chi_omega, rhs
+            )
+        assert not report.converged
+        assert report.iterations <= 1
+        assert np.isnan(report.residual)
+
 
 class TestPeriodicControl:
     @pytest.mark.parametrize(
@@ -349,6 +362,29 @@ class TestTransient:
             state, disc.precomp, disc.chi_omega, rhs, cfg
         )
         assert not state.converged and state.step == 2
+
+    def test_implicit_non_finite_rhs_fails_fast(self, transient_setup):
+        # the inner CG stops before its first iteration on a NaN load: the
+        # step warns, keeps d and counts no more transforms than a step
+        # that converges at once from d = 0 on a zero load
+        disc, rhs, _ = transient_setup
+        bad = rhs.copy()
+        bad[np.unravel_index(np.argmax(disc.chi_omega), bad.shape)] = np.nan
+        state = TransientState(t=0.0, d=np.zeros(disc.grid.shape))
+        cfg = SolverConfig(dt=1e-2, n_steps=1, scheme="implicit-euler")
+        zero = CountingFFTProvider()
+        step_transient_diffusion(
+            state, disc.precomp, disc.chi_omega, 0.0 * rhs, cfg, provider=zero
+        )
+        counting = CountingFFTProvider()
+        with pytest.warns(UserWarning, match="implicit step 1: CG residual nan"):
+            after = step_transient_diffusion(
+                state, disc.precomp, disc.chi_omega, bad, cfg,
+                provider=counting,
+            )
+        assert not after.converged
+        assert np.array_equal(after.d, state.d)
+        assert counting.total <= zero.total
 
     def test_explicit_stability_scaling(self):
         # halving dx should shrink the stable step by about 4x
