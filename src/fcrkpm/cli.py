@@ -13,7 +13,9 @@ Numeric CSV payloads are deterministic for a fixed config and seed
 floats are written at full precision.  The diffuse column
 err_vs_static_linf measures the gap to a static solution that CG solved
 only to the config's tol, so it is meaningful down to about tol; below
-that it is rounding noise.
+that it is rounding noise, so the column is floored at tol.  The
+converge column warnings lists the categories of the warnings that fired
+while each cell ran, ;-joined (empty when none); they are still shown.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +52,7 @@ __all__ = ["main", "load_config", "ConfigError", "CONVERGE_HEADER"]
 
 CONVERGE_HEADER = [
     "dim", "n", "a_tilde", "Nx", "Ny", "Nz", "N_omega",
-    "e_l2", "e_linf", "cg_iters", "wall_s",
+    "e_l2", "e_linf", "cg_iters", "wall_s", "warnings",
 ]
 
 DIFFUSE_HEADER = ["t", "u_linf", "err_vs_static_linf"]
@@ -187,6 +190,14 @@ def _write_csv(path, header, rows):
             out.close()
 
 
+def _reissue(fired) -> str:
+    """Show recorded warnings to the user and return their categories,
+    ;-joined in the order they first fired ('' when none)."""
+    for w in fired:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return ";".join(dict.fromkeys(w.category.__name__ for w in fired))
+
+
 def cmd_verify(cfg, provider) -> int:
     counts = None
     if cfg.get("verify_counts"):
@@ -211,29 +222,31 @@ def cmd_converge(cfg, provider) -> int:
     all_converged = True
     for power in cfg["powers"]:
         counts = 2**power
-        disc = discretize(
-            case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=counts,
-            provider=provider,
-        )
-        rhs = ops.external_force(disc.r, disc.precomp, provider)
-        solver_cfg = SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"])
-        t0 = time.perf_counter()
-        d, u_h, report = solve_static_linear(
-            disc.precomp, disc.chi_omega, rhs, dirichlet=disc.dirichlet,
-            config=solver_cfg, provider=provider,
-        )
-        wall = time.perf_counter() - t0
+        with warnings.catch_warnings(record=True) as fired:
+            warnings.simplefilter("always")
+            disc = discretize(
+                case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=counts,
+                provider=provider,
+            )
+            rhs = ops.external_force(disc.r, disc.precomp, provider)
+            solver_cfg = SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"])
+            t0 = time.perf_counter()
+            d, u_h, report = solve_static_linear(
+                disc.precomp, disc.chi_omega, rhs, dirichlet=disc.dirichlet,
+                config=solver_cfg, provider=provider,
+            )
+            wall = time.perf_counter() - t0
+            err = nodal_errors(u_h, disc.exact_field, disc.chi)
+            if dim == 1:
+                # the 1D study uses the continuous integral norm
+                e_l2 = continuous_l2_error_1d(d, case.exact, disc.reference())
+            else:
+                e_l2 = err.e_l2
         all_converged &= report.converged
-        err = nodal_errors(u_h, disc.exact_field, disc.chi)
-        if dim == 1:
-            # the 1D study uses the continuous integral norm
-            e_l2 = continuous_l2_error_1d(d, case.exact, disc.reference())
-        else:
-            e_l2 = err.e_l2
         shape = list(disc.grid.counts) + [""] * (3 - dim)
         rows.append(
             [dim, cfg["n"], cfg["a_tilde"], *shape, disc.n_omega,
-             e_l2, err.e_linf, report.iterations, wall]
+             e_l2, err.e_linf, report.iterations, wall, _reissue(fired)]
         )
         hs.append(max(disc.grid.spacing))
         e2s.append(e_l2)
@@ -242,7 +255,7 @@ def cmd_converge(cfg, provider) -> int:
     slope_linf = convergence_slope(hs, einfs)
     rows.append(
         [dim, cfg["n"], cfg["a_tilde"], "", "", "", "slope",
-         slope_l2, slope_linf, "", ""]
+         slope_l2, slope_linf, "", "", ""]
     )
     _write_csv(cfg["out"], CONVERGE_HEADER, rows)
     return 0 if all_converged else 1
@@ -303,8 +316,10 @@ def cmd_diffuse(cfg, provider) -> int:
             return
         u_t = ops.evaluate_field(state.d, disc.precomp, provider)
         gap = float(np.max(np.abs(u_t[active] - u_static[active])))
+        # below the static solve's tol the gap is rounding noise
         rows.append(
-            [state.t, float(np.max(np.abs(u_t[active]))), gap / static_scale]
+            [state.t, float(np.max(np.abs(u_t[active]))),
+             max(gap / static_scale, cfg["tol"])]
         )
 
     final = run_transient(

@@ -13,6 +13,12 @@ implicit-gradient rows bgrad):
                                     o F(sum_k row_k,p o f_k) }
                        (s forward + 1 inverse transforms)
 
+Both take their k row sets stacked, as one (k, s, *grid) slice of
+precomp.rows, and the scatter takes its k fields as one (k, *grid) array.
+Per basis entry p they read the single view rows[:, p] and do one
+broadcast multiply-add over all k row sets; the scatter's mixed field is
+one .sum(axis=0).  The transform counts above do not depend on k.
+
 The scatter is the correlation with the reflected fields H_p^a(-xi); since
 the kernel is even, their spectrum is the parity-signed F_a,p (exact, see
 basis.py), so no reflected array is stored.  With the masked quadrature
@@ -54,26 +60,21 @@ __all__ = [
 ]
 
 
-def _gather(d, rows, precomp: MomentPrecomp, provider) -> list[np.ndarray]:
-    """sum_p row[p] o F^-1[F(chi o d) o F_a,p], one field per row set."""
+def _gather(d, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
+    """sum_p rows[:, p] o F^-1[F(chi o d) o F_a,p], one field per row set."""
     d_hat = forward(precomp.chi * d, provider)
-    out = [np.zeros(precomp.grid.shape) for _ in rows]
+    out = np.zeros((len(rows),) + precomp.grid.shape)
     for p, spectrum in enumerate(precomp.table.hat_Ha):
-        Dp = inverse(d_hat * spectrum, provider)
-        for acc, row in zip(out, rows):
-            acc += row[p] * Dp
+        out += rows[:, p] * inverse(d_hat * spectrum, provider)
     return out
 
 
 def _scatter(fields, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
-    """chi o F^-1{sum_p (-1)^|alpha_p| F(sum_k rows[k][p] o fields[k]) o F_a,p}."""
+    """chi o F^-1{sum_p (-1)^|alpha_p| F(sum_k rows[k, p] o fields[k]) o F_a,p}."""
     table = precomp.table
     B_hat = np.zeros(precomp.grid.shape, dtype=complex)
     for p, (alpha, spectrum) in enumerate(zip(table.basis.exponents, table.hat_Ha)):
-        mixed = rows[0][p] * fields[0]
-        for row, f in zip(rows[1:], fields[1:]):
-            mixed += row[p] * f
-        term = forward(mixed, provider) * spectrum
+        term = forward((rows[:, p] * fields).sum(axis=0), provider) * spectrum
         if sum(alpha) % 2:
             B_hat -= term
         else:
@@ -88,8 +89,8 @@ def internal_force(
 ) -> np.ndarray:
     """Stiffness action K d (2(s+1) transforms)."""
     precomp.grid.check_field(d, "d")
-    grads = _gather(d, precomp.bgrad, precomp, provider)
-    return _scatter([precomp.V * g for g in grads], precomp.bgrad, precomp, provider)
+    fields = precomp.V * _gather(d, precomp.bgrad, precomp, provider)
+    return _scatter(fields, precomp.bgrad, precomp, provider)
 
 
 def external_force(
@@ -99,7 +100,7 @@ def external_force(
 ) -> np.ndarray:
     """Load vector of a body source r (s+1 transforms)."""
     precomp.grid.check_field(r, "r")
-    return _scatter([precomp.V * r], precomp.rows[:1], precomp, provider)
+    return _scatter((precomp.V * r)[None], precomp.rows[:1], precomp, provider)
 
 
 def evaluate_field(
@@ -120,7 +121,7 @@ def evaluate_gradient(
 ) -> list[np.ndarray]:
     """Nodal implicit-gradient values of u_h, one field per axis."""
     precomp.grid.check_field(d, "d")
-    return [precomp.chi * g for g in _gather(d, precomp.bgrad, precomp, provider)]
+    return list(precomp.chi * _gather(d, precomp.bgrad, precomp, provider))
 
 
 def boundary_force(
@@ -134,7 +135,9 @@ def boundary_force(
     whole box (s+1 transforms)."""
     precomp.grid.check_field(q, "q")
     precomp.grid.check_field(area, "area")
-    return _scatter([precomp.chi * area * q], precomp.rows[:1], precomp, provider)
+    return _scatter(
+        (precomp.chi * area * q)[None], precomp.rows[:1], precomp, provider
+    )
 
 
 def nonlinear_force_gradient(
@@ -151,7 +154,7 @@ def nonlinear_force_gradient(
     for g in N_u_axes:
         precomp.grid.check_field(g, "N_u")
     return _scatter(
-        [precomp.V * g for g in N_u_axes], precomp.bgrad, precomp, provider
+        precomp.V * np.stack(N_u_axes), precomp.bgrad, precomp, provider
     )
 
 
@@ -162,8 +165,8 @@ def mass_force(
 ) -> np.ndarray:
     """Consistent-mass action M d_dot (2(s+1) transforms)."""
     precomp.grid.check_field(d_dot, "d_dot")
-    (A0,) = _gather(d_dot, precomp.rows[:1], precomp, provider)
-    return _scatter([precomp.V * A0], precomp.rows[:1], precomp, provider)
+    fields = precomp.V * _gather(d_dot, precomp.rows[:1], precomp, provider)
+    return _scatter(fields, precomp.rows[:1], precomp, provider)
 
 
 def lumped_mass(
@@ -175,7 +178,7 @@ def lumped_mass(
     Warns when the result is non-positive at an active node, which signals
     a boundary-truncation pathology for explicit stepping.
     """
-    Ml = _scatter([precomp.V], precomp.rows[:1], precomp, provider)
+    Ml = _scatter(precomp.V[None], precomp.rows[:1], precomp, provider)
     active = precomp.chi > 0.5
     if np.any(Ml[active] <= 0.0):
         idx = np.argwhere(active & (Ml <= 0.0))[0]

@@ -410,8 +410,7 @@ def step_transient_diffusion(
             raise ValueError("explicit stepping needs the lumped mass field")
         f = rhs - config.nu * internal_force(d, precomp, provider)
         upd = np.zeros(precomp.grid.shape)
-        active = chi_omega > 0.5
-        upd[active] = f[active] / lumped[active]
+        np.divide(f, lumped, out=upd, where=chi_omega > 0.5)
         d_new = d + dt * upd
     else:
         b = mass_force(d, precomp, provider) / dt + rhs
@@ -428,7 +427,7 @@ def step_transient_diffusion(
                 f"CG residual {history[-1]:.3e}",
                 stacklevel=2,
             )
-    if np.any(np.isnan(d_new)):
+    if np.isnan(d_new).any():
         raise FloatingPointError(
             f"NaN detected at transient step {state.step + 1}"
         )
@@ -500,7 +499,7 @@ def explicit_stable_dt(
     for _ in range(iterations):
         w = np.zeros(precomp.grid.shape)
         f = internal_force(z, precomp, provider)
-        w[active] = f[active] / lumped[active]
+        np.divide(f, lumped, out=w, where=active)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             break

@@ -181,6 +181,19 @@ class TestConvergeCSV:
         )
         with pytest.warns(UserWarning, match="CG stopped"):
             assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        col = CONVERGE_HEADER.index("warnings")
+        rows = _read_csv(str(out))[1:]
+        assert all("UserWarning" in r[col].split(";") for r in rows[:-1])
+
+    def test_committed_1d_config_warns_nothing(self, tmp_path):
+        out = tmp_path / "c.csv"
+        configs = pathlib.Path(__file__).parent.parent / "configs"
+        cfg = str(configs / "convergence_1d.json")
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        col = CONVERGE_HEADER.index("warnings")
+        rows = _read_csv(str(out))[1:]
+        assert len(rows) == 7 + 1
+        assert all(r[col] == "" for r in rows)
 
 
 class TestBenchCSV:
@@ -261,6 +274,20 @@ class TestDiffuseCSV:
             times[nu] = float(reached[0][0])
         ratio = times[1.0] / times[2.0]
         assert 1.7 <= ratio <= 2.3
+
+    def test_gap_floored_at_tol(self, tmp_path):
+        # the nu = 2.0 march of the test above ends below the static
+        # solve's tol (1e-12), where the gap is rounding noise
+        out = tmp_path / "d.csv"
+        cfg = _write(
+            tmp_path, "d.json",
+            {"version": 1, "experiment": "diffuse", "dim": 2,
+             "counts": 16, "t_end": 4.0, "nu": 2.0, "sample_stride": 5},
+        )
+        assert main(["diffuse", "--config", cfg, "--out", str(out)]) == 0
+        gaps = [float(r[2]) for r in _read_csv(str(out))[1:]]
+        assert gaps[-1] == 1e-12
+        assert min(gaps) == 1e-12
 
 
 class TestMeasure:

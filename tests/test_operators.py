@@ -14,7 +14,9 @@ from fcrkpm import (
     evaluate_field,
     evaluate_gradient,
     external_force,
+    forward,
     internal_force,
+    inverse,
     lumped_mass,
     mass_force,
     nonlinear_force_gradient,
@@ -97,6 +99,41 @@ class TestInternalForce:
         assert np.array_equal(
             internal_force(raw, d.precomp),
             internal_force(d.chi * raw, d.precomp),
+        )
+
+
+class TestStackedRows:
+    """The stacked row form does the arithmetic of a loop over row sets."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_internal_force_equals_per_row_loop(self, dim, discs, rng):
+        d = discs[dim]
+        pc = d.precomp
+        coeff = rng.standard_normal(d.grid.shape)
+        d_hat = forward(pc.chi * coeff)
+        grads = [np.zeros(d.grid.shape) for _ in pc.bgrad]
+        for p, spectrum in enumerate(pc.table.hat_Ha):
+            Dp = inverse(d_hat * spectrum)
+            for acc, row in zip(grads, pc.bgrad):
+                acc += row[p] * Dp
+        fields = [pc.V * g for g in grads]
+        B_hat = np.zeros(d.grid.shape, dtype=complex)
+        exponents = pc.table.basis.exponents
+        for p, (alpha, spectrum) in enumerate(zip(exponents, pc.table.hat_Ha)):
+            mixed = pc.bgrad[0][p] * fields[0]
+            for row, f in zip(pc.bgrad[1:], fields[1:]):
+                mixed += row[p] * f
+            term = forward(mixed) * spectrum
+            if sum(alpha) % 2:
+                B_hat -= term
+            else:
+                B_hat += term
+        assert np.array_equal(
+            internal_force(coeff, pc), pc.chi * inverse(B_hat)
+        )
+        assert np.array_equal(
+            np.stack(evaluate_gradient(coeff, pc)),
+            pc.chi * np.stack(grads),
         )
 
 

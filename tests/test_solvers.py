@@ -1,5 +1,7 @@
 """Static CG, nonlinear CG, Dirichlet freezing, and transient stepping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,40 @@ class TestTransient:
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match="step"):
                 run_transient(disc.precomp, disc.chi_omega, rhs, cfg)
+
+    def test_explicit_update_masked_at_inactive_nodes(self, transient_setup):
+        # a zero or negative lumped mass where chi_omega is off is never
+        # divided by: no RuntimeWarning under warnings-as-errors, and the
+        # update there is exactly 0
+        disc, rhs, _ = transient_setup
+        Ml = lumped_mass(disc.precomp)
+        inactive = np.argwhere(disc.chi_omega <= 0.5)
+        zero_at, negative_at = tuple(inactive[0]), tuple(inactive[-1])
+        Ml[zero_at], Ml[negative_at] = 0.0, -1.0
+        d = np.random.default_rng(5).standard_normal(disc.grid.shape)
+        state = TransientState(t=0.0, d=d)
+        cfg = SolverConfig(dt=1e-3, n_steps=1, scheme="explicit-euler")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            after = step_transient_diffusion(
+                state, disc.precomp, disc.chi_omega, rhs, cfg, Ml
+            )
+        inactive = disc.chi_omega <= 0.5
+        assert np.array_equal(after.d[inactive], d[inactive])
+        assert not np.array_equal(after.d, d)
+
+    def test_explicit_nan_at_active_node_reports_step(self, transient_setup):
+        disc, rhs, _ = transient_setup
+        Ml = lumped_mass(disc.precomp)
+        Ml[np.unravel_index(np.argmax(disc.chi_omega), Ml.shape)] = np.nan
+        state = TransientState(t=0.0, d=np.zeros(disc.grid.shape))
+        cfg = SolverConfig(dt=1e-3, n_steps=1, scheme="explicit-euler")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="transient step 1"):
+                step_transient_diffusion(
+                    state, disc.precomp, disc.chi_omega, rhs, cfg, Ml
+                )
 
     def test_explicit_requires_lumped_mass(self, transient_setup):
         disc, rhs, _ = transient_setup

@@ -13,6 +13,7 @@ from fcrkpm import (
     inverse,
 )
 from fcrkpm.errors import ImaginaryResidueError
+from fcrkpm.spectral import IMAG_TOL
 
 
 class TestTransformConvention:
@@ -65,6 +66,32 @@ class TestTransformConvention:
         spec[1] = 1.0  # single mode: inverse is genuinely complex
         with pytest.raises(ImaginaryResidueError):
             inverse(spec)
+
+    @staticmethod
+    def _dc_spectrum(value):
+        # a DC-only spectrum inverts exactly to the constant `value`
+        spec = np.zeros((4, 4), dtype=complex)
+        spec[0, 0] = 16 * value
+        return spec
+
+    def test_imaginary_residue_verdict_at_the_boundary(self):
+        # raise iff max|imag| > IMAG_TOL * (1 + max|real|): a residue in
+        # (IMAG_TOL, bound] passes the short circuit and then the bound
+        real = 3.0
+        bound = IMAG_TOL * (1.0 + real)
+        for resid in (IMAG_TOL, np.nextafter(IMAG_TOL, 1), bound):
+            out = inverse(self._dc_spectrum(real + 1j * resid))
+            assert np.all(out == real)
+        with pytest.raises(ImaginaryResidueError):
+            inverse(self._dc_spectrum(real + 1j * np.nextafter(bound, 1)))
+        # at max|real| = 0 the bound is IMAG_TOL itself
+        with pytest.raises(ImaginaryResidueError):
+            inverse(self._dc_spectrum(1j * np.nextafter(IMAG_TOL, 1)))
+
+    def test_nan_spectrum_passes_through(self):
+        # NaN compares false against the bound: no raise, NaN comes back
+        out = inverse(np.full((4, 4), np.nan, dtype=complex))
+        assert np.all(np.isnan(out))
 
     def test_counting_provider(self, rng):
         prov = CountingFFTProvider()
