@@ -15,31 +15,45 @@ zero coincides with the box origin: the per-node argument is the
 minimal-image offset xi of the node index (grid.wrapped_offsets), which is
 pointwise equivalent to splitting the centered function into 2^d corner
 blocks and reordering them onto the box.  For each basis entry p the table
-keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi), stacked
-as one (s, *grid.shape) complex array; the real-space fields, and the
-moment integrands H_p H_q^a (the weighted monomials of the exponent sums
-alpha_p + alpha_q), are regenerated from grid, basis and kernel by
-weighted_monomials.  monomial and eval_kernel are the one evaluation of H
-and phi_a; the direct-summation oracle calls them at its neighbor offsets
-and query points too.
+keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi), and
+keeps it as one real number per frequency (below); the real-space fields,
+and the moment integrands H_p H_q^a (the weighted monomials of the
+exponent sums alpha_p + alpha_q), are regenerated from grid, basis and
+kernel by weighted_monomials.  monomial and eval_kernel are the one
+evaluation of H and phi_a; the direct-summation oracle calls them at its
+neighbor offsets and query points too.
 
-No reflected array is stored.  The correlations of the weak form need the
-reflection Hbar_p^a(xi) = H_p^a(-xi), but the kernel is evaluated through
-|x|, so phi_a(-xi) equals phi_a(xi) bit for bit, and (-xi)^alpha is
-(-1)^|alpha| xi^alpha exactly (negation is exact in IEEE arithmetic and
-rounding is sign-symmetric).  Hence Hbar_p^a = (-1)^|alpha_p| H_p^a, and by
-linearity of the transform its spectrum is (-1)^|alpha_p| F_a,p, again
-bit for bit.  The operators apply that sign instead of a second spectrum.
+The kernel is evaluated through |x|, so phi_a(-xi) equals phi_a(xi) bit
+for bit, and (-xi)^alpha is (-1)^|alpha| xi^alpha exactly (negation is
+exact in IEEE arithmetic and rounding is sign-symmetric).  Hence
+
+    H_p^a(-xi) = (-1)^|alpha_p| H_p^a(xi),
+
+so H_p^a is even or odd with |alpha_p|, and the spectrum of a real even
+(odd) field is real (imaginary).  The table stores one real (s, *grid)
+array hat_Ha with
+
+    F_a,p = c_p hat_Ha[p],   c_p = 1 for even |alpha_p|, i for odd,
+
+i.e. hat_Ha[p] is F(H_p^a).real or F(H_p^a).imag.  The part it drops is
+rounding noise, and build_basis_table checks that it is.  The operators
+apply c_p to the one transformed field they hold, not to the spectra.
+
+No reflected array is stored either.  The correlations of the weak form
+need the reflection Hbar_p^a(xi) = H_p^a(-xi) = (-1)^|alpha_p| H_p^a(xi),
+whose spectrum is (-1)^|alpha_p| F_a,p by linearity of the transform.  The
+operators apply that sign too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import PeriodicGrid
-from .spectral import FFTProvider, forward
+from .spectral import IMAG_TOL, FFTProvider, forward
 
 __all__ = [
     "BasisIndex",
@@ -151,10 +165,11 @@ def weighted_monomials(grid: PeriodicGrid, kernel: KernelSpec, exponents):
 class BasisTable:
     """Cached spectra of the seam-adjusted kernel-weighted basis entries.
 
-    hat_Ha is one (s, *grid.shape) complex array; hat_Ha[p] = F(H_p^a) is
-    used by every convolution-based operator (the reflected spectrum is the
-    parity-signed hat_Ha[p]; see the module docstring).  weighted_monomials
-    regenerates the real-space fields.
+    hat_Ha is one real (s, *grid.shape) array with F(H_p^a) = c_p hat_Ha[p],
+    c_p = 1 for even |alpha_p| and i for odd (see the module docstring);
+    parity_split lists the entries of each kind.  Every convolution-based
+    operator reads it, and the reflected spectrum is the parity-signed one.
+    weighted_monomials regenerates the real-space fields.
     """
 
     grid: PeriodicGrid
@@ -166,6 +181,15 @@ class BasisTable:
     def size(self) -> int:
         return self.basis.size
 
+    @cached_property
+    def parity_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(even, odd): the entries p with c_p = 1, then those with c_p = i."""
+        parity = [sum(alpha) % 2 for alpha in self.basis.exponents]
+        return (
+            tuple(p for p, odd in enumerate(parity) if not odd),
+            tuple(p for p, odd in enumerate(parity) if odd),
+        )
+
     def persistent_nbytes(self) -> int:
         return self.hat_Ha.nbytes
 
@@ -176,11 +200,14 @@ def build_basis_table(
     kernel: KernelSpec,
     provider: FFTProvider | None = None,
 ) -> BasisTable:
-    """Evaluate the weighted basis entries on the lattice; keep their spectra.
+    """Evaluate the weighted basis entries on the lattice; keep the parity
+    component of their spectra (one transform per entry).
 
     Raises:
         ValueError: if any kernel support reaches half the box period (a
-            shape function would wrap across the periodic seam).
+            shape function would wrap across the periodic seam), or if the
+            component a spectrum drops exceeds IMAG_TOL times the largest
+            one it keeps (the weighted field is not even or odd).
     """
     if basis.dim != grid.dim or kernel.dim != grid.dim:
         raise ValueError("grid, basis, and kernel dimensions must agree")
@@ -190,7 +217,19 @@ def build_basis_table(
                 f"kernel support {a} along axis {k} reaches half the box "
                 f"period {L}; convolutions would wrap"
             )
-    hat_Ha = np.empty((basis.size,) + grid.shape, dtype=complex)
+    table = BasisTable(grid, basis, kernel, np.empty((basis.size,) + grid.shape))
+    odd = table.parity_split[1]
     for p, ha in enumerate(weighted_monomials(grid, kernel, basis.exponents)):
-        hat_Ha[p] = forward(ha, provider)
-    return BasisTable(grid=grid, basis=basis, kernel=kernel, hat_Ha=hat_Ha)
+        spectrum = forward(ha, provider)
+        kept, dropped = spectrum.real, spectrum.imag
+        if p in odd:
+            kept, dropped = dropped, kept
+        dropped_max = np.abs(dropped).max()
+        if dropped_max > IMAG_TOL * np.abs(kept).max():
+            raise ValueError(
+                f"spectrum of basis entry {basis.exponents[p]} keeps a "
+                f"component of {dropped_max:.3e} of the wrong parity; "
+                "H_p^a must be even or odd with |alpha_p|"
+            )
+        table.hat_Ha[p] = kept
+    return table

@@ -2,26 +2,35 @@
 
 Every neighbor-loop summation of the Galerkin system is a circular
 convolution on the extended periodic box, evaluated through the cached
-spectra F_a,p = F(H_p^a) of the kernel-weighted monomial fields.  No
-stiffness or mass matrix is ever materialized.  Every operator is a
-composition of two primitives over one or more row sets (b0, or the d
-implicit-gradient rows bgrad):
+spectra F_a,p = c_p hat_Ha[p] of the kernel-weighted monomial fields,
+where hat_Ha is real and c_p is 1 for even |alpha_p| and i for odd
+(basis.py).  No stiffness or mass matrix is ever materialized.  Every
+operator is a composition of two primitives over one or more row sets (b0,
+or the d implicit-gradient rows bgrad):
 
-    gather   G_row   = sum_p row_p o F^-1[F(chi o d) o F_a,p]
+    gather   G_row   = sum_p row_p o F^-1[c_p F(chi o d) o hat_Ha[p]]
                        (1 forward + s inverse transforms)
-    scatter  S(f, row) = chi o F^-1{ sum_p (-1)^|alpha_p| F_a,p
-                                    o F(sum_k row_k,p o f_k) }
+    scatter  S(f, row) = chi o F^-1{ sum_even hat_Ha[p] o F(m_p)
+                                     - i sum_odd hat_Ha[p] o F(m_p) },
+                       m_p = sum_k row_k,p o f_k
                        (s forward + 1 inverse transforms)
+
+The gather runs the even entries first and then multiplies F(chi o d) by
+i once, in place, for the odd ones.  The scatter sums the odd terms first
+and multiplies that sum by -i once before it adds the even ones.  So c_p
+costs one complex scaling per call, never a per-p copy; the split comes
+from table.parity_split, computed once per table.
 
 Both take their k row sets stacked, as one (k, s, *grid) slice of
 precomp.rows, and the scatter takes its k fields as one (k, *grid) array.
 Per basis entry p they read the single view rows[:, p] and do one
-broadcast multiply-add over all k row sets; the scatter's mixed field is
-one .sum(axis=0).  The transform counts above do not depend on k.
+broadcast multiply-add over all k row sets; the scatter's mixed field m_p
+is one .sum(axis=0).  The transform counts above do not depend on k.
 
 The scatter is the correlation with the reflected fields H_p^a(-xi); since
-the kernel is even, their spectrum is the parity-signed F_a,p (exact, see
-basis.py), so no reflected array is stored.  With the masked quadrature
+the kernel is even, their spectrum is (-1)^|alpha_p| F_a,p (exact, see
+basis.py), so no reflected array is stored.  For odd entries that sign
+and c_p = i make the factor -i above.  With the masked quadrature
 weights V (V = 0 off the domain):
 
     internal force   f_int = S(V o G_bgrad, bgrad)
@@ -61,24 +70,30 @@ __all__ = [
 
 
 def _gather(d, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
-    """sum_p rows[:, p] o F^-1[F(chi o d) o F_a,p], one field per row set."""
+    """sum_p rows[:, p] o F^-1[c_p F(chi o d) o hat_Ha[p]], one field per row set."""
+    hat_Ha = precomp.table.hat_Ha
+    even, odd = precomp.table.parity_split
     d_hat = forward(precomp.chi * d, provider)
     out = np.zeros((len(rows),) + precomp.grid.shape)
-    for p, spectrum in enumerate(precomp.table.hat_Ha):
-        out += rows[:, p] * inverse(d_hat * spectrum, provider)
+    for p in even:
+        out += rows[:, p] * inverse(d_hat * hat_Ha[p], provider)
+    d_hat *= 1j
+    for p in odd:
+        out += rows[:, p] * inverse(d_hat * hat_Ha[p], provider)
     return out
 
 
 def _scatter(fields, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
-    """chi o F^-1{sum_p (-1)^|alpha_p| F(sum_k rows[k, p] o fields[k]) o F_a,p}."""
-    table = precomp.table
+    """chi o F^-1{sum_p (-1)^|alpha_p| c_p hat_Ha[p] o F(m_p)},
+    m_p = sum_k rows[k, p] o fields[k]."""
+    hat_Ha = precomp.table.hat_Ha
+    even, odd = precomp.table.parity_split
     B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p, (alpha, spectrum) in enumerate(zip(table.basis.exponents, table.hat_Ha)):
-        term = forward((rows[:, p] * fields).sum(axis=0), provider) * spectrum
-        if sum(alpha) % 2:
-            B_hat -= term
-        else:
-            B_hat += term
+    for p in odd:
+        B_hat += forward((rows[:, p] * fields).sum(axis=0), provider) * hat_Ha[p]
+    B_hat *= -1j
+    for p in even:
+        B_hat += forward((rows[:, p] * fields).sum(axis=0), provider) * hat_Ha[p]
     return precomp.chi * inverse(B_hat, provider)
 
 

@@ -135,11 +135,13 @@ def _circulant_preconditioner(apply_op, mask, provider):
     The interior stencil is the operator's response to a unit delta at the
     active node farthest from the mask boundary, rolled back to the origin.
     The real part of its DFT is the symbol of the symmetric part of that
-    stencil: real and even, so dividing a real field's spectrum by it keeps
-    the spectrum Hermitian.  Floored at SYMBOL_FLOOR times its maximum, it
-    is positive, and z = mask * F^-1[F(r) / lambda] is symmetric positive
-    definite on the masked subspace.  Building it costs one operator
-    application and one transform; applying it costs two transforms.
+    stencil: real and even, so scaling a real field's spectrum by its
+    reciprocal keeps the spectrum Hermitian.  Floored at SYMBOL_FLOOR times
+    its maximum, it is positive, and z = mask * F^-1[F(r) / lambda] is
+    symmetric positive definite on the masked subspace.  The reciprocal is
+    kept, so each application multiplies instead of dividing.  Building it
+    costs one operator application and one transform; applying it costs two
+    transforms.
     """
     depth = ndimage.distance_transform_edt(mask > 0.5)
     center = np.unravel_index(int(np.argmax(depth)), mask.shape)
@@ -149,10 +151,10 @@ def _circulant_preconditioner(apply_op, mask, provider):
         apply_op(delta), [-c for c in center], axis=tuple(range(mask.ndim))
     )
     lam = np.real(forward(col, provider))
-    lam = np.maximum(lam, SYMBOL_FLOOR * lam.max())
+    inv_lam = 1.0 / np.maximum(lam, SYMBOL_FLOOR * lam.max())
 
     def precondition(v):
-        return mask * inverse(forward(v, provider) / lam, provider)
+        return mask * inverse(forward(v, provider) * inv_lam, provider)
 
     return precondition
 

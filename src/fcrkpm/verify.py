@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import operators as ops
+from .basis import weighted_monomials
 from .grid import boundary_face_weights
 from .moment import assemble_moment_fields
 from .problems import discretize, poisson_case
@@ -24,7 +25,6 @@ from .spectral import (
     circular_convolve,
     direct_circular_convolve,
     forward,
-    inverse,
 )
 
 __all__ = ["run_verification"]
@@ -63,16 +63,20 @@ def _convolution_checks(rng):
 def _cross_method_checks(dim, counts, n, a_tilde, rng, inject_fault=False):
     disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts)
     if inject_fault:
-        # corrupt one kernel-table entry: by linearity, adding the spectrum
-        # of a single-node bump gives the spectrum of the bumped H_p^a; the
-        # direct-summation side stays clean, so equivalence must fail
+        # corrupt one kernel-table entry: by linearity, adding the parity
+        # component of a single-node bump's spectrum gives the spectrum of
+        # H_p^a plus the bump's even or odd part, which keeps every spectrum
+        # Hermitian; the direct-summation side stays clean, so equivalence
+        # must fail by its measured error
         table = disc.table
         p = min(1, table.size - 1)
+        exponents = table.basis.exponents[p : p + 1]
+        ha = next(weighted_monomials(disc.grid, table.kernel, exponents))
         bump = np.zeros(disc.grid.shape)
-        bump.flat[bump.size // 3] = 1e-3 * (
-            1.0 + np.max(np.abs(inverse(table.hat_Ha[p])))
-        )
-        table.hat_Ha[p] += forward(bump)
+        bump.flat[bump.size // 3] = 1e-3 * (1.0 + np.max(np.abs(ha)))
+        spectrum = forward(bump)
+        odd = p in table.parity_split[1]
+        table.hat_Ha[p] += spectrum.imag if odd else spectrum.real
     ref = disc.reference()
     label = f"{dim}d-n{n}-a{a_tilde}"
     checks = []

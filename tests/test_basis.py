@@ -17,6 +17,7 @@ from fcrkpm import (
     poisson_case,
     weighted_monomials,
 )
+from fcrkpm import basis as basis_module
 from fcrkpm.basis import monomial
 from fcrkpm.grid import build_grid, plan_extension
 from fcrkpm.spectral import forward
@@ -291,7 +292,42 @@ class TestBasisTable:
             )
 
     def test_spectra_transform_weighted_fields(self):
+        # hat_Ha[p] is the real part of F(H_p^a) for even |alpha_p| and the
+        # imaginary part for odd, bit for bit, in one real array; the part
+        # it drops is rounding noise
         _, table = _table_1d(degree=2)
-        for hat, ha in zip(table.hat_Ha, _Ha(table), strict=True):
-            assert np.array_equal(hat, forward(ha))
+        assert table.hat_Ha.dtype == np.float64
+        assert table.parity_split == ((0, 2), (1,))
+        odd = table.parity_split[1]
+        for p, (hat, ha) in enumerate(zip(table.hat_Ha, _Ha(table), strict=True)):
+            spectrum = forward(ha)
+            kept, dropped = spectrum.real, spectrum.imag
+            if p in odd:
+                kept, dropped = dropped, kept
+            assert np.array_equal(hat, kept)
+            assert np.abs(dropped).max() <= 1e-14 * np.abs(kept).max()
         assert table.persistent_nbytes() == sum(h.nbytes for h in table.hat_Ha)
+
+    def test_parity_split_3d_quadratic(self):
+        # 1 | x y z | x^2 xy xz y^2 yz z^2: odd exactly at degree 1
+        basis = enumerate_basis(2, 3)
+        plan = plan_extension((2.0, 2.0, 2.0), 1.5, counts=8)
+        grid = build_grid(plan, (-1.0, -1.0, -1.0))
+        table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
+        assert table.parity_split == ((0, 4, 5, 6, 7, 8, 9), (1, 2, 3))
+
+    def test_non_even_weighted_field_raises(self, monkeypatch):
+        # a field shifted off the origin is neither even nor odd, so its
+        # spectrum has both components and the table must refuse it
+        plan = plan_extension(2.0, 1.5, counts=16)
+        grid = build_grid(plan, -1.0)
+        kernel = KernelSpec(support=plan.kernel_support)
+        clean = basis_module.weighted_monomials
+
+        def shifted(*args):
+            for field in clean(*args):
+                yield np.roll(field, 1)
+
+        monkeypatch.setattr(basis_module, "weighted_monomials", shifted)
+        with pytest.raises(ValueError, match="wrong parity"):
+            build_basis_table(grid, enumerate_basis(1, 1), kernel)

@@ -123,7 +123,18 @@ class TestExitCodes:
         assert main(["verify", "--config", path, "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert not report["passed"]
-        assert any(not c["passed"] for c in report["checks"])
+        # the corrupted table must fail the oracle comparison by its
+        # measured error, not crash the 2D cross-method cell
+        assert all("exception" not in c for c in report["checks"])
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        f_int = failed["f_int-2d-n1-a1.5"]
+        assert f_int["tolerance"] < f_int["error"] < float("inf")
+
+    def test_committed_fault_config_keeps_default_sizes(self):
+        path = pathlib.Path(__file__).parent.parent / "configs" / "verify_fault.json"
+        cfg = load_config(json.loads(path.read_text()))
+        assert cfg["fault_injection"] is True
+        assert cfg["verify_counts"] is None
 
 
 def _read_csv(path):

@@ -408,8 +408,8 @@ class TestMemoryStory:
         nbytes = disc2d.precomp.persistent_nbytes()
         n_total = disc2d.grid.total_nodes
         s, d = disc2d.table.size, disc2d.grid.dim
-        # chi + V + (1 + d)s b-row fields + 2s real-equivalents of spectra
-        expected_fields = 2 + (1 + d) * s + 2 * s
+        # chi + V + (1 + d)s b-row fields + s real spectra
+        expected_fields = 2 + (1 + d) * s + s
         assert nbytes == expected_fields * n_total * 8
 
     def test_inversion_transient_below_moment_stack(self):
