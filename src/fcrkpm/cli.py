@@ -15,7 +15,8 @@ err_vs_static_linf measures the gap to a static solution that CG solved
 only to the config's tol, so it is meaningful down to about tol; below
 that it is rounding noise, so the column is floored at tol.  The
 converge column warnings lists the categories of the warnings that fired
-while each cell ran, ;-joined (empty when none); they are still shown.
+while each cell ran, ;-joined (empty when none), and the verify report's
+"warnings" field those of the whole run; they are still shown.
 """
 
 from __future__ import annotations
@@ -86,15 +87,6 @@ _COMMON_SCHEMA = {
 _EXPERIMENT_SCHEMA = {
     "verify": {
         "fault_injection": (lambda v: isinstance(v, bool), False),
-        "verify_counts": (
-            lambda v: v is None
-            or (
-                isinstance(v, dict)
-                and all(k in ("1", "2", "3") for k in v)
-                and all(isinstance(x, int) and x >= 8 for x in v.values())
-            ),
-            None,
-        ),
     },
     "converge": {
         "powers": (
@@ -199,12 +191,12 @@ def _reissue(fired) -> str:
 
 
 def cmd_verify(cfg, provider) -> int:
-    counts = None
-    if cfg.get("verify_counts"):
-        counts = {int(k): v for k, v in cfg["verify_counts"].items()}
-    report = run_verification(
-        counts=counts, seed=cfg["seed"], inject_fault=cfg["fault_injection"]
-    )
+    with warnings.catch_warnings(record=True) as fired:
+        warnings.simplefilter("always")
+        report = run_verification(
+            seed=cfg["seed"], inject_fault=cfg["fault_injection"]
+        )
+    report["warnings"] = _reissue(fired)
     text = json.dumps(report, indent=2)
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:

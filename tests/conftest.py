@@ -31,6 +31,6 @@ def ref2d(disc2d):
     return disc2d.reference()
 
 
-def rel_err(a, b):
-    scale = np.max(np.abs(b))
-    return np.max(np.abs(a - b)) / (scale if scale > 0 else 1.0)
+def failed(checks):
+    """The check records of fcrkpm.verify that did not pass."""
+    return [c for c in checks if not c["passed"]]

@@ -3,11 +3,14 @@
 import csv
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from fcrkpm.bench import CSV_HEADER
 from fcrkpm.cli import CONVERGE_HEADER, ConfigError, load_config, main
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def _write(tmp_path, name, doc):
@@ -24,8 +27,9 @@ class TestConfigValidation:
         assert cfg["tol"] == 1e-12
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            load_config({"version": 1, "experiment": "verify", "typo": 1})
+        for key, value in (("typo", 1), ("verify_counts", {"2": 12})):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                load_config({"version": 1, "experiment": "verify", key: value})
 
     def test_cross_experiment_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -45,9 +49,7 @@ class TestConfigValidation:
                 load_config(doc)
 
     def test_committed_configs_valid(self):
-        configs = sorted(
-            (pathlib.Path(__file__).parent.parent / "configs").glob("*.json")
-        )
+        configs = sorted(CONFIGS.glob("*.json"))
         assert configs
         for path in configs:
             load_config(json.loads(path.read_text()))
@@ -94,32 +96,28 @@ class TestExitCodes:
 
     def test_verify_ok_is_0(self, tmp_path):
         out = tmp_path / "report.json"
-        path = _write(
-            tmp_path,
-            "v.json",
-            {
-                "version": 1,
-                "experiment": "verify",
-                "verify_counts": {"1": 32, "2": 12, "3": 8},
-            },
-        )
-        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert any(c["name"].startswith("f_int-3d") for c in report["checks"])
+        assert report["warnings"] == ""
+
+    def test_verify_records_warnings(self, tmp_path, monkeypatch):
+        from fcrkpm import verify
+
+        check = verify.lumped_mass_total_check
+        monkeypatch.setattr(
+            verify, "lumped_mass_total_check",
+            lambda pc: warnings.warn("probe", RuntimeWarning) or check(pc),
+        )
+        out = tmp_path / "report.json"
+        with pytest.warns(RuntimeWarning, match="probe"):
+            assert main(["verify", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["warnings"] == "RuntimeWarning"
 
     def test_fault_injection_fails(self, tmp_path):
         out = tmp_path / "report.json"
-        path = _write(
-            tmp_path,
-            "v.json",
-            {
-                "version": 1,
-                "experiment": "verify",
-                "fault_injection": True,
-                "verify_counts": {"1": 32, "2": 12, "3": 8},
-            },
-        )
+        path = str(CONFIGS / "verify_fault.json")
         assert main(["verify", "--config", path, "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert not report["passed"]
@@ -129,12 +127,6 @@ class TestExitCodes:
         failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
         f_int = failed["f_int-2d-n1-a1.5"]
         assert f_int["tolerance"] < f_int["error"] < float("inf")
-
-    def test_committed_fault_config_keeps_default_sizes(self):
-        path = pathlib.Path(__file__).parent.parent / "configs" / "verify_fault.json"
-        cfg = load_config(json.loads(path.read_text()))
-        assert cfg["fault_injection"] is True
-        assert cfg["verify_counts"] is None
 
 
 def _read_csv(path):
@@ -198,8 +190,7 @@ class TestConvergeCSV:
 
     def test_committed_1d_config_warns_nothing(self, tmp_path):
         out = tmp_path / "c.csv"
-        configs = pathlib.Path(__file__).parent.parent / "configs"
-        cfg = str(configs / "convergence_1d.json")
+        cfg = str(CONFIGS / "convergence_1d.json")
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
         col = CONVERGE_HEADER.index("warnings")
         rows = _read_csv(str(out))[1:]

@@ -20,8 +20,9 @@ from fcrkpm.grid import (
 )
 from fcrkpm.moment import build_moment_precomp
 from fcrkpm.reference import ReferenceModel
+from fcrkpm.verify import oracle_checks, reproduction_checks
 
-from conftest import rel_err
+from conftest import failed
 
 
 def _pipeline(plan, x_min, inside, on_gamma=None, n=1):
@@ -59,11 +60,8 @@ class TestAnisotropicShiftedBox:
         assert np.sum(chi * V) == pytest.approx(3.0, rel=1e-12)
 
     def test_cross_method(self, aniso_setup, rng):
-        grid, chi, _, _, _, precomp, ref = aniso_setup
-        d = chi * rng.standard_normal(grid.shape)
-        assert rel_err(ops.internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
-        assert rel_err(ops.evaluate_field(d, precomp), ref.u_h_direct(d)) < 1e-10
-        assert rel_err(ops.mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
+        *_, precomp, ref = aniso_setup
+        assert not failed(oracle_checks(precomp, ref, rng, "aniso"))
 
     def test_linear_reproduction(self, aniso_setup):
         grid, chi, _, _, _, precomp, _ = aniso_setup
@@ -92,22 +90,12 @@ class TestDiskDomain:
         assert abs(np.sum(chi * V) - np.pi * 0.64) < 0.25
 
     def test_cross_method(self, disk_setup, rng):
-        grid, chi, _, _, _, precomp, ref = disk_setup
-        d = chi * rng.standard_normal(grid.shape)
-        assert rel_err(ops.internal_force(d, precomp), ref.f_int_direct(d)) < 1e-10
-        assert rel_err(ops.mass_force(d, precomp), ref.mass_apply_direct(d)) < 1e-10
-        assert rel_err(
-            ops.lumped_mass(precomp), ref.lumped_mass_direct()
-        ) < 1e-10
+        *_, precomp, ref = disk_setup
+        assert not failed(oracle_checks(precomp, ref, rng, "disk"))
 
     def test_reproducing_conditions(self, disk_setup):
-        grid, chi, _, _, _, precomp, _ = disk_setup
-        active = chi > 0.5
-        u1 = ops.evaluate_field(np.ones(grid.shape), precomp)
-        assert np.max(np.abs(u1[active] - 1.0)) < 1e-10
-        X, _ = grid.coordinates()
-        ux = ops.evaluate_field(X, precomp)
-        assert np.max(np.abs(ux[active] - X[active])) < 1e-9
+        *_, precomp, _ = disk_setup
+        assert not failed(reproduction_checks(precomp))
 
 
 class TestMixedBoundaryConditions:

@@ -31,8 +31,7 @@ from fcrkpm.errors import IllConditionedMomentWarning, SingularMomentError
 from fcrkpm import moment
 from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _b_rows, _invert_symmetric
 from fcrkpm.reference import ReferenceModel
-
-from conftest import rel_err
+from fcrkpm.verify import rel_err
 
 
 def _setup_1d(n_nodes=16):

@@ -29,8 +29,7 @@ from fcrkpm import (
     step_transient_diffusion,
 )
 from fcrkpm.solvers import TransientState, _circulant_preconditioner
-
-from conftest import rel_err
+from fcrkpm.verify import rel_err
 
 
 def _solve_poisson(disc, **kwargs):
@@ -155,6 +154,15 @@ class TestPeriodicControl:
             hs.append(grid.spacing[0])
             errs.append(nodal_errors(u_h, u, chi).e_l2)
         assert 1.8 <= convergence_slope(hs, errs) <= 2.2
+
+    def test_whole_periodic_box_reproduces_constants(self, disc2d):
+        # chi = 1 on the whole 2D box: no boundary truncates a support, so
+        # the partition of unity holds at every node
+        chi = np.ones(disc2d.grid.shape)
+        V = quadrature_weights(disc2d.grid, chi)
+        precomp = build_moment_precomp(chi, V, disc2d.table)
+        u1 = evaluate_field(np.ones(disc2d.grid.shape), precomp)
+        assert np.max(np.abs(u1 - 1.0)) <= 1e-10
 
 
 class TestPreconditioner:
