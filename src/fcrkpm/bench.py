@@ -19,9 +19,9 @@ built by the last timed traditional setup, so a cell assembles it R + 1
 times.
 
 Memory columns are analytic: the byte totals of the arrays each side
-actually keeps between force evaluations (spectra, b/C fields, masks and
-weights on one side; node table, neighbor lists, and sparse operator on
-the other), not process RSS.
+actually keeps between force evaluations (spectra, b-row fields, masks
+and weights on one side; node table, neighbor lists, and sparse operator
+on the other), not process RSS.
 
 The physical box keeps the same nodes in every cell of a sweep, so the
 spacing is fixed and the extension follows the support size, padded to an
@@ -46,7 +46,7 @@ TIMER_FLOOR = 1e-6
 
 CSV_HEADER = [
     "term", "method", "dim", "n", "a_tilde", "M", "N_omega", "N_total",
-    "reps", "median_s", "persistent_bytes", "speedup",
+    "reps", "median_s", "persistent_bytes", "speedup", "warnings",
 ]
 
 
@@ -80,7 +80,8 @@ def bench_cell(
 
     The physical box [-1, 1]^dim carries `nodes_per_axis` nodes per axis;
     the extension adapts to the support size with an FFT-friendly pad.
-    Returns one row per (term, method), laid out as CSV_HEADER.
+    Returns one row per (term, method), laid out as CSV_HEADER up to its
+    last column, warnings, which the caller appends.
     """
     rng = np.random.default_rng(seed)
     case = poisson_case(dim)

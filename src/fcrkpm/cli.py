@@ -14,9 +14,9 @@ floats are written at full precision.  The diffuse column
 err_vs_static_linf measures the gap to a static solution that CG solved
 only to the config's tol, so it is meaningful down to about tol; below
 that it is rounding noise, so the column is floored at tol.  The
-converge column warnings lists the categories of the warnings that fired
-while each cell ran, ;-joined (empty when none), and the verify report's
-"warnings" field those of the whole run; they are still shown.
+converge and bench columns warnings list the categories of the warnings
+that fired while each cell ran, ;-joined (empty when none), and the verify
+report's "warnings" field those of the whole run; they are still shown.
 """
 
 from __future__ import annotations
@@ -257,8 +257,9 @@ def cmd_bench(cfg, provider) -> int:
     rows = []
     for nodes in cfg["nodes_per_axis"]:
         for a_tilde in cfg["a_tilde_values"]:
-            rows.extend(
-                bench_cell(
+            with warnings.catch_warnings(record=True) as fired:
+                warnings.simplefilter("always")
+                cell = bench_cell(
                     dim=cfg["dim"],
                     n=cfg["n"],
                     a_tilde=a_tilde,
@@ -267,7 +268,8 @@ def cmd_bench(cfg, provider) -> int:
                     seed=cfg["seed"],
                     provider=provider,
                 )
-            )
+            categories = _reissue(fired)
+            rows.extend(row + [categories] for row in cell)
     _write_csv(cfg["out"], CSV_HEADER, rows)
     return 0
 

@@ -10,22 +10,18 @@ or the d implicit-gradient rows bgrad):
 
     gather   G_row   = sum_p row_p o F^-1[c_p F(chi o d) o hat_Ha[p]]
                        (1 forward + s inverse transforms)
-    scatter  S(f, row) = chi o F^-1{ sum_even hat_Ha[p] o F(m_p)
-                                     - i sum_odd hat_Ha[p] o F(m_p) },
-                       m_p = sum_k row_k,p o f_k
+    scatter  S(f, w, row) = chi o F^-1{ sum_even hat_Ha[p] o F(m_p)
+                                        - i sum_odd hat_Ha[p] o F(m_p) },
+                       m_p = sum_k row_k,p o f_k o w
                        (s forward + 1 inverse transforms)
 
-The gather runs the even entries first and then multiplies F(chi o d) by
-i once, in place, for the odd ones.  The scatter sums the odd terms first
-and multiplies that sum by -i once before it adds the even ones.  So c_p
-costs one complex scaling per call, never a per-p copy; the split comes
-from table.parity_split, computed once per table.
-
-Both take their k row sets stacked, as one (k, s, *grid) slice of
-precomp.rows, and the scatter takes its k fields as one (k, *grid) array.
-Per basis entry p they read the single view rows[:, p] and do one
-broadcast multiply-add over all k row sets; the scatter's mixed field m_p
-is one .sum(axis=0).  The transform counts above do not depend on k.
+Both take their k row sets as one (k, s, *grid) slice of precomp.rows.
+The gather stacks its s inverse transforms, even entries first, then
+F(chi o d) times i once, in place, for the odd ones, and contracts the
+rows with the stack in one einsum over p.  The scatter forms all s
+weighted mixed fields in one einsum over k, sums the odd terms first and
+multiplies that sum by -i once.  Spectrum products are taken in place on
+fresh transforms, and each inverse transform consumes its input.
 
 The scatter is the correlation with the reflected fields H_p^a(-xi); since
 the kernel is even, their spectrum is (-1)^|alpha_p| F_a,p (exact, see
@@ -33,14 +29,14 @@ basis.py), so no reflected array is stored.  For odd entries that sign
 and c_p = i make the factor -i above.  With the masked quadrature
 weights V (V = 0 off the domain):
 
-    internal force   f_int = S(V o G_bgrad, bgrad)
-    external force   f_r   = S(V o r, b0)
+    internal force   f_int = S(G_bgrad, V, bgrad)
+    external force   f_r   = S(r, V, b0)
     field evaluation u_h   = chi o G_b0
     gradient         g     = chi o G_bgrad
-    boundary force   f_q   = S(chi o A o q, b0)
-    gradient force   f_N   = S(V o N, bgrad)
-    mass term        f_m   = S(V o G_b0, b0)
-    lumped mass      M_l   = S(V, b0)
+    boundary force   f_q   = S(A o q, chi, b0)
+    gradient force   f_N   = S(N, V, bgrad)
+    mass term        f_m   = S(G_b0, V, b0)
+    lumped mass      M_l   = S(chi, V, b0)
 
 Transform counts are exact and fixed: 2(s+1) for the internal force and
 the mass term, s+1 for everything else.  Inputs are masked by chi inside
@@ -74,26 +70,28 @@ def _gather(d, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
     hat_Ha = precomp.table.hat_Ha
     even, odd = precomp.table.parity_split
     d_hat = forward(precomp.chi * d, provider)
-    out = np.zeros((len(rows),) + precomp.grid.shape)
+    G = np.empty(hat_Ha.shape)
     for p in even:
-        out += rows[:, p] * inverse(d_hat * hat_Ha[p], provider)
+        G[p] = inverse(d_hat * hat_Ha[p], provider)
     d_hat *= 1j
     for p in odd:
-        out += rows[:, p] * inverse(d_hat * hat_Ha[p], provider)
-    return out
+        G[p] = inverse(d_hat * hat_Ha[p], provider)
+    return np.einsum("kp...,p...->k...", rows, G)
 
 
-def _scatter(fields, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
+def _scatter(fields, w, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
     """chi o F^-1{sum_p (-1)^|alpha_p| c_p hat_Ha[p] o F(m_p)},
-    m_p = sum_k rows[k, p] o fields[k]."""
+    m_p = sum_k rows[k, p] o fields[k] o w."""
     hat_Ha = precomp.table.hat_Ha
     even, odd = precomp.table.parity_split
-    B_hat = np.zeros(precomp.grid.shape, dtype=complex)
-    for p in odd:
-        B_hat += forward((rows[:, p] * fields).sum(axis=0), provider) * hat_Ha[p]
-    B_hat *= -1j
-    for p in even:
-        B_hat += forward((rows[:, p] * fields).sum(axis=0), provider) * hat_Ha[p]
+    m = np.einsum("kp...,k...,...->p...", rows, fields, w)
+    B_hat = None
+    for p in odd + even:  # odd is never empty: the degree is at least 1
+        F = forward(m[p], provider)
+        F *= hat_Ha[p]
+        if p == even[0]:
+            B_hat *= -1j
+        B_hat = F if B_hat is None else np.add(B_hat, F, out=B_hat)
     return precomp.chi * inverse(B_hat, provider)
 
 
@@ -104,8 +102,8 @@ def internal_force(
 ) -> np.ndarray:
     """Stiffness action K d (2(s+1) transforms)."""
     precomp.grid.check_field(d, "d")
-    fields = precomp.V * _gather(d, precomp.bgrad, precomp, provider)
-    return _scatter(fields, precomp.bgrad, precomp, provider)
+    G = _gather(d, precomp.bgrad, precomp, provider)
+    return _scatter(G, precomp.V, precomp.bgrad, precomp, provider)
 
 
 def external_force(
@@ -115,7 +113,7 @@ def external_force(
 ) -> np.ndarray:
     """Load vector of a body source r (s+1 transforms)."""
     precomp.grid.check_field(r, "r")
-    return _scatter((precomp.V * r)[None], precomp.rows[:1], precomp, provider)
+    return _scatter(r[None], precomp.V, precomp.rows[:1], precomp, provider)
 
 
 def evaluate_field(
@@ -151,7 +149,7 @@ def boundary_force(
     precomp.grid.check_field(q, "q")
     precomp.grid.check_field(area, "area")
     return _scatter(
-        (precomp.chi * area * q)[None], precomp.rows[:1], precomp, provider
+        (area * q)[None], precomp.chi, precomp.rows[:1], precomp, provider
     )
 
 
@@ -169,7 +167,7 @@ def nonlinear_force_gradient(
     for g in N_u_axes:
         precomp.grid.check_field(g, "N_u")
     return _scatter(
-        precomp.V * np.stack(N_u_axes), precomp.bgrad, precomp, provider
+        np.stack(N_u_axes), precomp.V, precomp.bgrad, precomp, provider
     )
 
 
@@ -180,8 +178,8 @@ def mass_force(
 ) -> np.ndarray:
     """Consistent-mass action M d_dot (2(s+1) transforms)."""
     precomp.grid.check_field(d_dot, "d_dot")
-    fields = precomp.V * _gather(d_dot, precomp.rows[:1], precomp, provider)
-    return _scatter(fields, precomp.rows[:1], precomp, provider)
+    G = _gather(d_dot, precomp.rows[:1], precomp, provider)
+    return _scatter(G, precomp.V, precomp.rows[:1], precomp, provider)
 
 
 def lumped_mass(
@@ -193,7 +191,9 @@ def lumped_mass(
     Warns when the result is non-positive at an active node, which signals
     a boundary-truncation pathology for explicit stepping.
     """
-    Ml = _scatter(precomp.V[None], precomp.rows[:1], precomp, provider)
+    Ml = _scatter(
+        precomp.chi[None], precomp.V, precomp.rows[:1], precomp, provider
+    )
     active = precomp.chi > 0.5
     if np.any(Ml[active] <= 0.0):
         idx = np.argwhere(active & (Ml <= 0.0))[0]

@@ -154,7 +154,9 @@ def _circulant_preconditioner(apply_op, mask, provider):
     inv_lam = 1.0 / np.maximum(lam, SYMBOL_FLOOR * lam.max())
 
     def precondition(v):
-        return mask * inverse(forward(v, provider) * inv_lam, provider)
+        v_hat = forward(v, provider)
+        v_hat *= inv_lam
+        return mask * inverse(v_hat, provider)
 
     return precondition
 
@@ -187,8 +189,7 @@ def _masked_cg(
         return d, False, [float("nan")]
     if precondition is None:
         precondition = _circulant_preconditioner(apply_op, mask, provider)
-    z = precondition(r)
-    p = z
+    p = z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
     history = [1.0]
     for _ in range(max_iter):
@@ -197,14 +198,15 @@ def _masked_cg(
         if not pAp > 0.0:
             return d, False, history
         alpha = rz / pAp
-        d = d + alpha * p
-        r = r - alpha * Ap
+        d += alpha * p
+        r -= alpha * Ap
         history.append(float(np.linalg.norm(r)) / r0)
         if history[-1] <= tol:
             return d, True, history
         z = precondition(r)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return d, False, history
 
@@ -456,9 +458,7 @@ def run_transient(
     if config.dt is None:
         raise ValueError("transient stepping needs config.dt")
     d0 = (
-        np.zeros(precomp.grid.shape)
-        if dirichlet is None
-        else dirichlet.copy()
+        np.zeros(precomp.grid.shape) if dirichlet is None else dirichlet.copy()
     )
     # dt, nu and the mask are fixed for the march, so is the step operator
     lumped = precondition = None

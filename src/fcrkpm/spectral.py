@@ -48,9 +48,13 @@ class FFTProvider:
     on the forward, full 1/N on the inverse)."""
 
     def fftn(self, a: np.ndarray) -> np.ndarray:
+        """Forward transform into a new array, which callers may scale in
+        place; the input is left as it is."""
         raise NotImplementedError
 
     def ifftn(self, a: np.ndarray) -> np.ndarray:
+        """Inverse transform of a complex array, which it may overwrite
+        (and return): callers pass a temporary they do not read again."""
         raise NotImplementedError
 
 
@@ -64,7 +68,7 @@ class ScipyFFTProvider(FFTProvider):
         return scipy.fft.fftn(a, workers=self.workers)
 
     def ifftn(self, a):
-        return scipy.fft.ifftn(a, workers=self.workers)
+        return scipy.fft.ifftn(a, workers=self.workers, overwrite_x=True)
 
 
 class CountingFFTProvider(FFTProvider):
@@ -103,6 +107,10 @@ def forward(a: np.ndarray, provider: FFTProvider | None = None) -> np.ndarray:
 
 def inverse(a_hat: np.ndarray, provider: FFTProvider | None = None) -> np.ndarray:
     """Normalized inverse DFT, returning the real part.
+
+    The transform may run in place, so a complex a_hat may be overwritten
+    (the result can be a view of it): pass a spectrum that is not read
+    again.
 
     The residue test max|imag| > IMAG_TOL * (1 + max|real|) scans the real
     part only when max|imag| > IMAG_TOL.  That short circuit cannot change

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .basis import weighted_monomials
+from .grid import box_predicates
 from .moment import MomentPrecomp, assemble_moment_fields
 from .problems import discretize, poisson_case
 from .reference import ReferenceModel
@@ -43,6 +44,7 @@ __all__ = [
     "convolution_checks",
     "corrupt_table",
     "lumped_mass_total_check",
+    "mask_check",
     "oracle_checks",
     "rel_err",
     "reproduction_checks",
@@ -239,6 +241,20 @@ def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
     return _check("lumped-mass-total", abs(total - volume) / volume, 1e-12)
 
 
+def mask_check(disc) -> dict:
+    """The masks of a box discretization, exactly: chi is 0/1, equals the
+    domain predicate box_predicates(case.bounds) at the grid nodes, and
+    splits into chi_omega + chi_gamma_g."""
+    chi = disc.chi
+    inside, _ = box_predicates(disc.case.bounds)
+    err = max(
+        np.max(np.abs(chi * chi - chi)),
+        np.max(np.abs(chi - inside(*disc.grid.coordinates()))),
+        np.max(np.abs(disc.chi_omega + disc.chi_gamma_g - chi)),
+    )
+    return _check("mask-algebra", err, 0.0)
+
+
 def corrupt_table(precomp: MomentPrecomp) -> None:
     """Corrupt one kernel-table entry in place, the fault of
     run_verification(inject_fault=True).
@@ -290,13 +306,7 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
             crash = _check(f"cross-method-{label}", float("inf"), 1e-10)
             checks.append(crash | {"exception": f"{type(exc).__name__}: {exc}"})
     if disc2 is not None:
-        chi = disc2.chi
-        mask_err = max(
-            np.max(np.abs(chi * chi - chi)),
-            np.max(np.abs((1 - chi) * chi)),
-            np.max(np.abs(disc2.chi_omega + disc2.chi_gamma_g - chi)),
-        )
-        checks.append(_check("mask-algebra", mask_err, 0.0))
+        checks.append(mask_check(disc2))
         checks.extend(reproduction_checks(disc2.precomp))
         checks.extend(structure_checks(disc2.precomp, rng, samples=4))
         checks.append(lumped_mass_total_check(disc2.precomp))

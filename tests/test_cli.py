@@ -237,6 +237,32 @@ class TestBenchCSV:
         }
         assert fc["f_int"] < trad["f_int"]
 
+    def test_warnings_recorded_per_cell(self, tmp_path, monkeypatch):
+        from fcrkpm import cli
+
+        cell = cli.bench_cell
+
+        def probed(**kwargs):
+            if kwargs["a_tilde"] == 1.5:
+                warnings.warn("probe", RuntimeWarning)
+            return cell(**kwargs)
+
+        monkeypatch.setattr(cli, "bench_cell", probed)
+        out = tmp_path / "b.csv"
+        cfg = _write(
+            tmp_path, "b.json",
+            {"version": 1, "experiment": "bench", "dim": 1,
+             "nodes_per_axis": [8], "a_tilde_values": [1.5, 2.5], "reps": 3},
+        )
+        with pytest.warns(RuntimeWarning, match="probe"):
+            assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        rows = _read_csv(str(out))
+        assert rows[0] == CSV_HEADER
+        a_col = CSV_HEADER.index("a_tilde")
+        w_col = CSV_HEADER.index("warnings")
+        fired = {r[a_col]: r[w_col] for r in rows[1:]}
+        assert fired == {"1.5": "RuntimeWarning", "2.5": ""}
+
 
 class TestDiffuseCSV:
     def test_schema_and_steady_state(self, tmp_path):

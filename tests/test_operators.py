@@ -1,5 +1,7 @@
 """Convolution-form operators: oracle equivalence, structure, audit counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,10 @@ from fcrkpm.moment import build_moment_precomp
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import (
     CHECK_NAMES,
+    _calls,
     corrupt_table,
     lumped_mass_total_check,
+    mask_check,
     oracle_checks,
     rel_err,
     reproduction_checks,
@@ -116,23 +120,27 @@ class TestStackedRows:
         pc = d.precomp
         coeff = rng.standard_normal(d.grid.shape)
         # the loop applies c_p (1 or i) and the reflection sign entry by
-        # entry; multiplying by i is exact, so visiting the entries in the
-        # primitives' parity order makes the two agree bit for bit
+        # entry; multiplying by i is exact, so it agrees with the primitives
+        # bit for bit when it sums the gather over p and each mixed field
+        # m_p = sum_k (row_k[p] g_k) V over k in index order, and the
+        # scatter's spectra in the primitives' parity order
         even, odd = pc.table.parity_split
         c = {p: 1j if p in odd else 1.0 for p in even + odd}
         d_hat = forward(pc.chi * coeff)
-        grads = [np.zeros(d.grid.shape) for _ in pc.bgrad]
-        for p in even + odd:
-            Dp = inverse(d_hat * (c[p] * pc.table.hat_Ha[p]))
-            for acc, row in zip(grads, pc.bgrad):
-                acc += row[p] * Dp
-        fields = [pc.V * g for g in grads]
+        hat_Ha = pc.table.hat_Ha
+        Ds = [inverse(d_hat * (c[p] * h)) for p, h in enumerate(hat_Ha)]
+        grads = []
+        for row in pc.bgrad:
+            acc = row[0] * Ds[0]
+            for p in range(1, len(Ds)):
+                acc += row[p] * Ds[p]
+            grads.append(acc)
         B_hat = np.zeros(d.grid.shape, dtype=complex)
         for p in odd + even:
-            mixed = pc.bgrad[0][p] * fields[0]
-            for row, f in zip(pc.bgrad[1:], fields[1:]):
-                mixed += row[p] * f
-            term = forward(mixed) * (c[p] * pc.table.hat_Ha[p])
+            mixed = (pc.bgrad[0][p] * grads[0]) * pc.V
+            for row, g in zip(pc.bgrad[1:], grads[1:]):
+                mixed += (row[p] * g) * pc.V
+            term = forward(mixed) * (c[p] * hat_Ha[p])
             if p in odd:
                 B_hat -= term
             else:
@@ -144,6 +152,31 @@ class TestStackedRows:
             np.stack(evaluate_gradient(coeff, pc)),
             pc.chi * np.stack(grads),
         )
+
+
+class TestInputsUntouched:
+    """The operators scale and transform temporaries in place, never their
+    inputs or the precomputed arrays."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inputs_bit_identical(self, dim, discs, rng):
+        pc = discs[dim].precomp
+        shape = pc.grid.shape
+        # unmasked, so that masking an input in place would show
+        inputs = (
+            rng.standard_normal(shape),
+            rng.standard_normal(shape),
+            rng.standard_normal((dim, *shape)),
+            rng.standard_normal(shape),
+            rng.uniform(0.5, 1.5, shape),
+        )
+        kept = [*inputs, pc.table.hat_Ha, pc.rows, pc.V, pc.chi]
+        before = [a.tobytes() for a in kept]
+        calls = _calls(pc, inputs)
+        assert set(calls) == set(operators.__all__)
+        for name, call in calls.items():
+            call(None)
+            assert [a.tobytes() for a in kept] == before, name
 
 
 class TestExternalForce:
@@ -301,6 +334,18 @@ class TestCheckLibrary:
             short = CHECK_NAMES[name]
             assert f"{short}-1d" in checks[1]
             assert f"{short}-transforms" in checks[1]
+
+    def test_flipped_mask_node_fails_mask_check(self, discs):
+        d = discs[2]
+        assert mask_check(d)["passed"]
+        # flip one interior node out of chi and chi_omega together, so the
+        # masks stay 0/1 and still split: only the domain predicate sees it
+        chi, chi_omega = d.chi.copy(), d.chi_omega.copy()
+        node = np.unravel_index(np.argmax(chi_omega), chi.shape)
+        chi[node] = chi_omega[node] = 0.0
+        flipped = dataclasses.replace(d, chi=chi, chi_omega=chi_omega)
+        record = mask_check(flipped)
+        assert not record["passed"] and record["error"] == 1.0
 
     def test_corrupted_table_fails_oracle(self):
         d = discretize(poisson_case(2), counts=32)

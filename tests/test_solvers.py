@@ -28,7 +28,11 @@ from fcrkpm import (
     solve_static_nonlinear,
     step_transient_diffusion,
 )
-from fcrkpm.solvers import TransientState, _circulant_preconditioner
+from fcrkpm.solvers import (
+    TransientState,
+    _circulant_preconditioner,
+    _masked_cg,
+)
 from fcrkpm.verify import rel_err
 
 
@@ -178,6 +182,20 @@ class TestPreconditioner:
             a, b = np.vdot(r1, P2), np.vdot(r2, P1)
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
             assert np.vdot(r1, P1) > 0.0 and np.vdot(r2, P2) > 0.0
+
+    def test_masked_cg_leaves_rhs_and_start_untouched(self, disc2d, rng):
+        # CG updates its own iterate, residual and direction in place
+        rhs = external_force(disc2d.r, disc2d.precomp)
+        d0 = disc2d.dirichlet + disc2d.chi_omega * rng.standard_normal(
+            disc2d.grid.shape
+        )
+        before = rhs.tobytes(), d0.tobytes()
+        d, converged, _ = _masked_cg(
+            lambda x: internal_force(x, disc2d.precomp), rhs, d0,
+            disc2d.chi_omega, 1e-12, 500, None,
+        )
+        assert converged and d is not d0
+        assert (rhs.tobytes(), d0.tobytes()) == before
 
     def test_2d_64_iteration_count(self):
         # plain CG took 107 iterations on this case

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrkpm import (
     CountingFFTProvider,
+    ScipyFFTProvider,
     circular_convolve,
     direct_circular_convolve,
     forward,
@@ -102,6 +104,13 @@ class TestTransformConvention:
         circular_convolve(a, a, prov)
         assert prov.forward_count == 2
         assert prov.inverse_count == 1
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 10)])
+    def test_inplace_inverse_matches_scipy(self, shape, rng):
+        # the provider may consume its input; its output is unchanged
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = ScipyFFTProvider().ifftn(a.copy())
+        assert out.tobytes() == scipy.fft.ifftn(a).tobytes()
 
     def test_determinism(self, rng):
         a = rng.standard_normal((16, 16))
