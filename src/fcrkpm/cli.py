@@ -15,8 +15,10 @@ err_vs_static_linf measures the gap to a static solution that CG solved
 only to the config's tol, so it is meaningful down to about tol; below
 that it is rounding noise, so the column is floored at tol.  The
 converge and bench columns warnings list the categories of the warnings
-that fired while each cell ran, ;-joined (empty when none), and the verify
-report's "warnings" field those of the whole run; they are still shown.
+that fired while each cell ran, ;-joined (empty when none), the diffuse
+one those that fired since the previous row (the first row also covers the
+setup and the static solve), and the verify report's "warnings" field
+those of the whole run; they are still shown.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ CONVERGE_HEADER = [
     "e_l2", "e_linf", "cg_iters", "wall_s", "warnings",
 ]
 
-DIFFUSE_HEADER = ["t", "u_linf", "err_vs_static_linf"]
+DIFFUSE_HEADER = ["t", "u_linf", "err_vs_static_linf", "warnings"]
 
 DEFAULT_POWERS = {1: [3, 4, 5, 6, 7, 8, 9], 2: [3, 4, 5, 6, 7], 3: [3, 4, 5]}
 
@@ -275,51 +277,59 @@ def cmd_bench(cfg, provider) -> int:
 
 
 def cmd_diffuse(cfg, provider) -> int:
-    dim = cfg["dim"]
-    case = poisson_case(dim)
-    disc = discretize(
-        case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=cfg["counts"],
-        provider=provider,
-    )
-    rhs = ops.external_force(disc.r, disc.precomp, provider)
-    # steady state of the nu-scaled diffusion: nu K d = rhs, i.e. K d = rhs/nu
-    _, u_static, static_report = solve_static_linear(
-        disc.precomp, disc.chi_omega, rhs / cfg["nu"],
-        config=SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"]),
-        provider=provider,
-    )
-    active = disc.chi > 0.5
-    static_scale = float(np.max(np.abs(u_static[active])))
-    dt = cfg["dt"]
-    if dt is None:
-        Ml = ops.lumped_mass(disc.precomp, provider)
-        dt = 0.5 * explicit_stable_dt(
-            disc.precomp, disc.chi_omega, Ml, nu=cfg["nu"], provider=provider
+    case = poisson_case(cfg["dim"])
+    # row i's warnings are fired[marks[i]:marks[i + 1]]
+    rows, marks = [], [0]
+    with warnings.catch_warnings(record=True) as fired:
+        warnings.simplefilter("always")
+        disc = discretize(
+            case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=cfg["counts"],
+            provider=provider,
         )
-        if cfg["scheme"] == "implicit-euler":
-            dt *= 50.0
-    n_steps = int(np.ceil(cfg["t_end"] / dt))
-    solver_cfg = SolverConfig(
-        tol=cfg["tol"], max_iter=cfg["max_iter"], dt=dt, n_steps=n_steps,
-        scheme=cfg["scheme"], nu=cfg["nu"],
-    )
-    rows = []
-
-    def sample(state):
-        if state.step % cfg["sample_stride"] and state.step != n_steps:
-            return
-        u_t = ops.evaluate_field(state.d, disc.precomp, provider)
-        gap = float(np.max(np.abs(u_t[active] - u_static[active])))
-        # below the static solve's tol the gap is rounding noise
-        rows.append(
-            [state.t, float(np.max(np.abs(u_t[active]))),
-             max(gap / static_scale, cfg["tol"])]
+        rhs = ops.external_force(disc.r, disc.precomp, provider)
+        # steady state of the nu-scaled diffusion: nu K d = rhs, i.e.
+        # K d = rhs/nu
+        _, u_static, static_report = solve_static_linear(
+            disc.precomp, disc.chi_omega, rhs / cfg["nu"],
+            config=SolverConfig(tol=cfg["tol"], max_iter=cfg["max_iter"]),
+            provider=provider,
+        )
+        active = disc.chi > 0.5
+        static_scale = float(np.max(np.abs(u_static[active])))
+        dt = cfg["dt"]
+        if dt is None:
+            Ml = ops.lumped_mass(disc.precomp, provider)
+            dt = 0.5 * explicit_stable_dt(
+                disc.precomp, disc.chi_omega, Ml, nu=cfg["nu"],
+                provider=provider,
+            )
+            if cfg["scheme"] == "implicit-euler":
+                dt *= 50.0
+        n_steps = int(np.ceil(cfg["t_end"] / dt))
+        solver_cfg = SolverConfig(
+            tol=cfg["tol"], max_iter=cfg["max_iter"], dt=dt, n_steps=n_steps,
+            scheme=cfg["scheme"], nu=cfg["nu"],
         )
 
-    final = run_transient(
-        disc.precomp, disc.chi_omega, rhs, solver_cfg,
-        dirichlet=disc.dirichlet, provider=provider, callback=sample,
-    )
+        def sample(state):
+            if state.step % cfg["sample_stride"] and state.step != n_steps:
+                return
+            u_t = ops.evaluate_field(state.d, disc.precomp, provider)
+            gap = float(np.max(np.abs(u_t[active] - u_static[active])))
+            # below the static solve's tol the gap is rounding noise
+            rows.append(
+                [state.t, float(np.max(np.abs(u_t[active]))),
+                 max(gap / static_scale, cfg["tol"])]
+            )
+            marks.append(len(fired))
+
+        final = run_transient(
+            disc.precomp, disc.chi_omega, rhs, solver_cfg,
+            dirichlet=disc.dirichlet, provider=provider, callback=sample,
+        )
+    # the last row is sampled at the last step, so this shows every warning
+    for row, first, last in zip(rows, marks, marks[1:]):
+        row.append(_reissue(fired[first:last]))
     _write_csv(cfg["out"], DIFFUSE_HEADER, rows)
     return 0 if static_report.converged and final.converged else 1
 

@@ -1,4 +1,4 @@
-"""Matrix-free solvers: static CG, nonlinear CG, transient stepping.
+"""Matrix-free solvers: static CG, Newton over it, transient stepping.
 
 Dirichlet data is enforced strongly by coefficient freezing: the Dirichlet
 nodes' coefficients are set to the boundary data once, and every solver
@@ -6,24 +6,23 @@ update is masked by chi_omega (active minus Dirichlet), so the frozen
 values carry their stiffness contribution into every residual without a
 separate right-hand-side lift.
 
-The static solver is preconditioned conjugate gradient on the masked
-subspace.  The preconditioner is the floored FFT symbol of the operator's
-own interior stencil: one application of the operator to a unit delta at
-the deepest active node gives the stencil, its DFT is a circulant
+`_masked_cg` is the one Krylov solver: preconditioned conjugate gradient on
+the masked subspace.  The preconditioner is the floored FFT symbol of the
+operator's own interior stencil: one application of the operator to a unit
+delta at the deepest active node gives the stencil, its DFT is a circulant
 approximation of the operator, and dividing by it costs two transforms per
 iteration on top of the one operator application.  The stopping rule is on
 the true masked residual, ||r|| / ||r_0|| <= tol, not on the preconditioned
-one.  The nonlinear solver is Polak-Ribiere nonlinear CG with a
-backtracking line search on the residual norm.  Transient diffusion offers
-forward Euler with the lumped mass and backward Euler with the consistent
-mass (inner masked preconditioned CG on the shifted operator).
+one.  It solves the linear system, each Newton step of the nonlinear one
+(which needs N' >= 0) and each backward-Euler step (consistent mass);
+forward Euler divides by the lumped mass.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -103,7 +102,6 @@ class SolveReport:
     residual: float
     wall_time: float
     converged: bool
-    warnings: list[str] = field(default_factory=list)
     residual_history: list[float] | None = None
 
 
@@ -246,10 +244,10 @@ def solve_static_linear(
         iters, resid, wall, converged, residual_history=history
     )
     if not converged:
-        report.warnings.append(
-            f"CG stopped at relative residual {resid:.3e} after {iters} iterations"
+        warnings.warn(
+            f"CG stopped at relative residual {resid:.3e} "
+            f"after {iters} iterations", stacklevel=2,
         )
-        warnings.warn(report.warnings[-1], stacklevel=2)
     u_h = evaluate_field(d, precomp, provider)
     return d, u_h, report
 
@@ -259,31 +257,28 @@ def solve_static_nonlinear(
     chi_omega: np.ndarray,
     rhs: np.ndarray,
     nonlinearity,
-    nonlinearity_prime=None,
+    nonlinearity_prime,
     dirichlet: np.ndarray | None = None,
     config: SolverConfig | None = None,
     provider=None,
 ):
-    """Polak-Ribiere nonlinear CG for f_int(d) + f_N(d) = rhs.
+    """Newton's method over the masked PCG for f_int(d) + f_N(d) = rhs.
 
-    Minimizes half the squared masked-residual norm; the descent directions
-    are Polak-Ribiere updates of its gradient J(d) R(d) and the trial step
-    is the Gauss-Newton length along the direction, safeguarded by a
-    backtracking line search (Armijo factor 1e-4, halving, at most 40
-    halvings) on the residual norm itself, so accepted steps decrease it
-    monotonically.  Convergence is ||masked R|| / ||masked R_0|| <= tol.
-
-    `nonlinearity` maps the evaluated field u_h to the pointwise term
-    N(u_h) projected against the shape functions; `nonlinearity_prime` is
-    its derivative, used for exact Jacobian products (without it a
-    finite-difference product is used, whose rounding floor limits the
-    reachable residual to about sqrt(machine eps)).
+    `nonlinearity` maps u_h to the pointwise term N(u_h) projected against
+    the shape functions; `nonlinearity_prime` is N'.  Each step solves
+    J s = -R, J v = f_int(v) + f_ext(N'(u_h) v_h), by `_masked_cg` on
+    chi_omega (config.tol, config.iter_cap), preconditioned by the circulant
+    symbol of f_int built once per solve, and is halved until ||R||^2 meets
+    the Armijo condition (factor 1e-4, at most 40 halvings).  Convergence is
+    ||masked R|| / ||masked R_0|| <= tol, one history entry per step.
+    N' >= 0 is required: only then is J positive definite on the masked
+    subspace.  Otherwise the inner CG can stop on non-positive curvature,
+    and a step that never reduces the residual raises LineSearchError.
 
     Returns:
         (d, u_h, SolveReport)
     """
     config = config or SolverConfig()
-    grid = precomp.grid
 
     def residual(dd):
         """Masked residual and the evaluated field it was built from."""
@@ -292,92 +287,57 @@ def solve_static_nonlinear(
         R = chi_omega * (internal_force(dd, precomp, provider) + fN - rhs)
         return R, u
 
-    d = np.zeros(grid.shape) if dirichlet is None else dirichlet.copy()
+    def jacobian(v):  # at the current iterate, through n_prime
+        dv = n_prime * evaluate_field(v, precomp, provider)
+        fN = external_force(dv, precomp, provider)
+        return internal_force(v, precomp, provider) + fN
 
-    # the products read the current iterate (d, u, R) from this scope
-    if nonlinearity_prime is not None:
-
-        def jacobian_product(v):
-            dv = evaluate_field(v, precomp, provider)
-            fNp = external_force(nonlinearity_prime(u) * dv, precomp, provider)
-            return chi_omega * (internal_force(v, precomp, provider) + fNp)
-
-    else:
-
-        def jacobian_product(v):
-            eps = np.sqrt(np.finfo(float).eps) * (
-                1.0 + float(np.linalg.norm(d))
-            ) / float(np.linalg.norm(v))
-            return (residual(d + eps * v)[0] - R) / eps
-
-    n_active = int(np.count_nonzero(chi_omega))
-    max_iter = config.iter_cap(n_active)
+    d = np.zeros(precomp.grid.shape) if dirichlet is None else dirichlet.copy()
+    max_iter = config.iter_cap(int(np.count_nonzero(chi_omega)))
     start = time.perf_counter()
     R, u = residual(d)
     R_norm0 = float(np.linalg.norm(R))
     if R_norm0 == 0.0:
-        u_h = evaluate_field(d, precomp, provider)
-        return d, u_h, SolveReport(
+        return d, u, SolveReport(
             0, 0.0, time.perf_counter() - start, True, residual_history=[0.0]
         )
-    R_norm = R_norm0
+    precondition = _circulant_preconditioner(
+        lambda v: internal_force(v, precomp, provider), chi_omega, provider
+    )
     history = [1.0]
-
-    g = jacobian_product(R)  # merit gradient J R (J is symmetric)
-    p = -g
-    g_dot = float(np.vdot(g, g))
-    iters = 0
-    converged = False
     for iters in range(1, max_iter + 1):
-        slope = float(np.vdot(g, p))  # directional derivative of the merit
-        if slope >= 0.0:  # lost descent: restart on the gradient
-            p = -g
-            slope = -g_dot
-        Jp = jacobian_product(p)
-        Jp_sq = float(np.vdot(Jp, Jp))
-        if Jp_sq == 0.0:
-            break
-        # Gauss-Newton length: minimizes ||R + alpha J p|| exactly
-        alpha = -float(np.vdot(R, Jp)) / Jp_sq
-        if alpha <= 0.0:
-            alpha = g_dot / Jp_sq
-        merit = 0.5 * R_norm * R_norm
-        accepted = False
-        for _ in range(41):
-            d_try = d + alpha * p
+        n_prime = nonlinearity_prime(u)
+        step, _, _ = _masked_cg(
+            jacobian, -R, np.zeros_like(d), chi_omega, config.tol, max_iter,
+            provider, precondition=precondition,
+        )
+        # J s = -R, so ||R||^2 falls at rate 2 ||R||^2 along s
+        for alpha in 0.5 ** np.arange(41):
+            d_try = d + alpha * step
             R_try, u_try = residual(d_try)
-            R_try_norm = float(np.linalg.norm(R_try))
-            merit_try = 0.5 * R_try_norm * R_try_norm
-            if merit_try <= merit + 1e-4 * alpha * slope:
-                accepted = True
+            rel = float(np.linalg.norm(R_try)) / R_norm0
+            if rel * rel <= (1.0 - 2e-4 * alpha) * history[-1] ** 2:
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             raise LineSearchError(
-                f"line search failed at iteration {iters} "
-                f"(residual {R_norm / R_norm0:.3e})"
+                f"line search failed at Newton iteration {iters} "
+                f"(residual {history[-1]:.3e})"
             )
-        d, R, u, R_norm = d_try, R_try, u_try, R_try_norm
-        history.append(R_norm / R_norm0)
+        d, R, u = d_try, R_try, u_try
+        history.append(rel)
         if history[-1] <= config.tol:
-            converged = True
             break
-        g_new = jacobian_product(R)
-        beta = max(0.0, float(np.vdot(g_new, g_new - g)) / g_dot)
-        p = -g_new + beta * p
-        g = g_new
-        g_dot = float(np.vdot(g, g))
-    wall = time.perf_counter() - start
+    converged = history[-1] <= config.tol
     report = SolveReport(
-        len(history) - 1, history[-1], wall, converged, residual_history=history
+        len(history) - 1, history[-1], time.perf_counter() - start,
+        converged, residual_history=history,
     )
     if not converged:
-        report.warnings.append(
-            f"nonlinear CG stopped at relative residual {report.residual:.3e}"
+        warnings.warn(
+            f"Newton stopped at relative residual {report.residual:.3e} "
+            f"after {report.iterations} iterations", stacklevel=2,
         )
-        warnings.warn(report.warnings[-1], stacklevel=2)
-    u_h = evaluate_field(d, precomp, provider)
-    return d, u_h, report
+    return d, u, report
 
 
 def step_transient_diffusion(

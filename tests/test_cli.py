@@ -274,7 +274,7 @@ class TestDiffuseCSV:
         )
         assert main(["diffuse", "--config", cfg, "--out", str(out)]) == 0
         rows = _read_csv(str(out))
-        assert rows[0] == ["t", "u_linf", "err_vs_static_linf"]
+        assert rows[0] == ["t", "u_linf", "err_vs_static_linf", "warnings"]
         assert float(rows[-1][2]) < 1e-4
 
     def test_not_converged_exits_1(self, tmp_path):
@@ -286,6 +286,8 @@ class TestDiffuseCSV:
         )
         with pytest.warns(UserWarning):
             assert main(["diffuse", "--config", cfg, "--out", str(out)]) == 1
+        rows = _read_csv(str(out))[1:]
+        assert all("UserWarning" in r[3].split(";") for r in rows)
 
     def test_nu_scaling_halves_time_to_steady(self, tmp_path):
         times = {}

@@ -1,4 +1,4 @@
-"""Static CG, nonlinear CG, Dirichlet freezing, and transient stepping."""
+"""Static CG, Newton over it, Dirichlet freezing, and transient stepping."""
 
 import warnings
 
@@ -28,6 +28,7 @@ from fcrkpm import (
     solve_static_nonlinear,
     step_transient_diffusion,
 )
+from fcrkpm.errors import LineSearchError
 from fcrkpm.solvers import (
     TransientState,
     _circulant_preconditioner,
@@ -291,18 +292,32 @@ class TestStaticNonlinear:
         assert len(hist) == report.iterations + 1
         assert hist[0] == 1.0 and hist[-1] == report.residual
 
-    def test_fd_jacobian_fallback(self):
-        disc = discretize(poisson_case(1), counts=16)
-        _, u_h, report = solve_static_nonlinear(
-            disc.precomp,
-            disc.chi_omega,
-            _cubic_rhs(disc),
-            nonlinearity=lambda u: u**3,
-            config=SolverConfig(tol=1e-6, max_iter=2000),
-        )
-        assert report.converged
-        err = nodal_errors(u_h, disc.exact_field, disc.chi)
-        assert err.e_linf < 2e-2
+    def test_reaches_default_tol_in_few_newton_steps(self):
+        # the default tol 1e-12, at 1D 128 and 2D 64^2
+        for dim, N in ((1, 128), (2, 64)):
+            disc = discretize(poisson_case(dim), counts=N)
+            _, _, report = solve_static_nonlinear(
+                disc.precomp,
+                disc.chi_omega,
+                _cubic_rhs(disc),
+                nonlinearity=lambda u: u**3,
+                nonlinearity_prime=lambda u: 3 * u**2,
+            )
+            assert report.converged and report.iterations <= 8
+            assert report.residual <= 1e-12
+
+    def test_decreasing_nonlinearity_raises(self):
+        # N' < 0 makes the Jacobian indefinite: the inner CG stops on
+        # non-positive curvature and no step length reduces the residual
+        disc = discretize(poisson_case(1), counts=32)
+        with pytest.raises(LineSearchError, match="Newton iteration 1"):
+            solve_static_nonlinear(
+                disc.precomp,
+                disc.chi_omega,
+                external_force(disc.r, disc.precomp),
+                nonlinearity=lambda u: -50.0 * u,
+                nonlinearity_prime=lambda u: np.full_like(u, -50.0),
+            )
 
 
 @pytest.fixture(scope="module")
