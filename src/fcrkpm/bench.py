@@ -19,9 +19,11 @@ built by the last timed traditional setup, so a cell assembles it R + 1
 times.
 
 Memory columns are analytic: the byte totals of the arrays each side
-actually keeps between force evaluations (spectra, b-row fields, masks
-and weights on one side; node table, neighbor lists, and sparse operator
-on the other), not process RSS.
+actually keeps between force evaluations (spectra, the interior b-row
+constant and the boundary band's rows and index, masks and weights on one
+side; node table, neighbor lists, and sparse operator on the other), not
+process RSS.  The fc rows also report band_nodes, the size of the
+boundary band (moment.py), which grows with the support size.
 
 The physical box keeps the same nodes in every cell of a sweep, so the
 spacing is fixed and the extension follows the support size, padded to an
@@ -46,7 +48,8 @@ TIMER_FLOOR = 1e-6
 
 CSV_HEADER = [
     "term", "method", "dim", "n", "a_tilde", "M", "N_omega", "N_total",
-    "reps", "median_s", "persistent_bytes", "speedup", "warnings",
+    "reps", "median_s", "persistent_bytes", "band_nodes", "speedup",
+    "warnings",
 ]
 
 
@@ -116,6 +119,7 @@ def bench_cell(
         lambda: ops.evaluate_field(d, disc.precomp, provider), reps
     )
     fc_bytes = disc.precomp.persistent_nbytes() + disc.chi_gamma_g.nbytes
+    band_nodes = disc.precomp.band.size
 
     trad_times = {"setup": measure(trad_setup, reps)}
     trad_times["moment"] = measure(
@@ -133,6 +137,8 @@ def bench_cell(
     rows = []
     for term, fc_s in fc_times.items():
         trad_s = trad_times[term]
-        rows.append([term, "fc", *cell, fc_s, fc_bytes, trad_s / fc_s])
-        rows.append([term, "traditional", *cell, trad_s, trad_bytes, ""])
+        rows.append(
+            [term, "fc", *cell, fc_s, fc_bytes, band_nodes, trad_s / fc_s]
+        )
+        rows.append([term, "traditional", *cell, trad_s, trad_bytes, "", ""])
     return rows

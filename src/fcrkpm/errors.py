@@ -29,6 +29,28 @@ class SingularMomentError(RuntimeError):
         )
 
 
+class InteriorMomentError(RuntimeError):
+    """An active node off the boundary band has a moment matrix that is not
+    the interior one.
+
+    Off the band every kernel footprint lies inside the domain, so every
+    such node must carry the same moment matrix up to rounding; the b-rows
+    are stored once for all of them.  A larger deviation means the band was
+    derived wrongly or the moment stack is not a masked convolution.
+    """
+
+    def __init__(self, node_index, coordinate, deviation):
+        self.node_index = tuple(node_index)
+        self.coordinate = tuple(coordinate)
+        self.deviation = float(deviation)
+        super().__init__(
+            f"moment matrix at node {self.node_index} "
+            f"(x = {self.coordinate}) deviates from the interior one by "
+            f"{self.deviation:.3e} relative; it lies off the boundary band, "
+            "so it must match to rounding"
+        )
+
+
 class LineSearchError(RuntimeError):
     """Backtracking line search exhausted its halving budget."""
 

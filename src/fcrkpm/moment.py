@@ -5,8 +5,8 @@ The moment matrix at node I is
     M_pq(x_I) = (1 - chi_I) delta_pq + chi_I [chi (*) H_p H_q^a]_I,
 
 i.e. a circular convolution of the domain mask with the monomial-pair
-kernels; the (1 - chi) identity block outside the domain exists only so the
-inverse is defined everywhere (its rows are masked away downstream).  The
+kernels; the (1 - chi) identity block outside the domain keeps every
+matrix of the stack invertible, although only active nodes are inverted.  The
 integrand H_p H_q^a is the kernel-weighted monomial of the exponent sum
 alpha_p + alpha_q, so it is generated from grid, basis and kernel
 (basis.weighted_monomials) rather than stored, and pairs with equal sums
@@ -35,16 +35,32 @@ generic dense rank-deficient matrix can keep its last pivot above the
 threshold by rounding (a few percent of random rank-(s-1) Gram matrices);
 every such case tried had a condition estimate above 1e16, so it is
 reported by the warning, which stays a warning (tests/test_moment.py pins
-that no such matrix passes silently).  Only the row extracts survive, as
-one (1 + d, s, *nodes) array:
+that no such matrix passes silently).  The b-rows are the row extracts
 
     rows[0, p]      =  [M^-1]_{1p}         (shape function row b0)
     rows[1 + ax, p] = -[M^-1]_{2+ax, p}    (implicit-gradient rows bgrad)
 
-Only these (1 + d) s row fields persist, next to chi and the quadrature
-weights, which are stored masked (V = chi o V) so that no operator has to
-multiply by chi o V again.  Products such as chi o V o b0_p are formed
-inside the operators, on the fly.
+Off a boundary band they are one constant.  An active node whose kernel
+footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
+node sees the full lattice stencil, so its moment matrix is the interior
+one, M_c: the interior of the method is a pure convolution.  The band is
+derived from the geometry alone (boundary_band, a wrap-mode maximum filter
+of the inactive mask), and invert_moments checks loudly that every active
+node off it carries M_c to INTERIOR_RTOL relative (off_band_deviation,
+which `fcrkpm verify` also records per cell).  Only the band nodes and one
+interior representative are inverted.  What persists is
+
+    c          (1 + d, s)            the rows of every off-band node
+    band_rows  (1 + d, s, n_band)    the rows of the band nodes
+    band       (n_band,)             their flat C-order node indices
+
+next to chi and the quadrature weights, which are stored masked
+(V = chi o V) so that no operator has to multiply by chi o V again.  The
+operators read the rows only where chi or V is nonzero, so inactive nodes
+carry c like the interior; dense_rows() spreads the layout over the grid
+for tests and oracle comparisons.  The band grows with the surface and
+with a_tilde (about 11.5 % of a 48^3 box at a_tilde = 1.5, 21 % at 2.5):
+this part of the memory is not independent of the support size.
 """
 
 from __future__ import annotations
@@ -53,21 +69,31 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
-from .basis import BasisTable, weighted_monomials
-from .errors import IllConditionedMomentWarning, SingularMomentError
+from .basis import BasisTable, eval_kernel_1d, weighted_monomials
+from .errors import (
+    IllConditionedMomentWarning,
+    InteriorMomentError,
+    SingularMomentError,
+)
 from .grid import PeriodicGrid
 from .spectral import FFTProvider, forward, inverse
 
 __all__ = [
     "MomentPrecomp",
     "assemble_moment_fields",
+    "boundary_band",
+    "off_band_deviation",
     "invert_moments",
     "build_moment_precomp",
 ]
 
 SINGULAR_PIVOT_RTOL = 1e-14
 CONDITION_WARN = 1e12
+# off-band moment matrices against the interior one, relative to max|M_c|;
+# FFT rounding leaves them below 1e-15
+INTERIOR_RTOL = 1e-12
 
 # nodes per slab of the inversion in _b_rows; bounds its transient memory
 _SLAB_NODES = 4096
@@ -77,17 +103,19 @@ _SLAB_NODES = 4096
 class MomentPrecomp:
     """Persistent per-node arrays extracted from the inverse moment matrices.
 
-    rows is the (1 + d, s, *grid.shape) array of b-row fields; b0 (the
-    shape-function row, indexed [p]) and bgrad (the implicit-gradient rows,
-    indexed [axis][p]) are views of it.  V is the masked quadrature weight
-    field (zero off the domain).
+    The b-rows are c, shaped (1 + d, s), at every node off the band, and
+    band_rows, shaped (1 + d, s, n_band), at the flat C-order node indices
+    band; row set 0 is b0, row sets 1..d are bgrad (module docstring).  V
+    is the masked quadrature weight field (zero off the domain).
     """
 
     grid: PeriodicGrid
     table: BasisTable
     chi: np.ndarray
     V: np.ndarray
-    rows: np.ndarray
+    c: np.ndarray
+    band_rows: np.ndarray
+    band: np.ndarray
 
     @property
     def size(self) -> int:
@@ -97,18 +125,20 @@ class MomentPrecomp:
     def dim(self) -> int:
         return self.grid.dim
 
-    @property
-    def b0(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def bgrad(self) -> np.ndarray:
-        return self.rows[1:]
+    def dense_rows(self) -> np.ndarray:
+        """The (1 + d, s, *grid.shape) b-row fields: c everywhere, band_rows
+        on the band.  Built on every call and never kept; the operators do
+        not use it."""
+        rows = np.empty(self.c.shape + (self.grid.total_nodes,))
+        rows[...] = self.c[..., None]
+        rows[..., self.band] = self.band_rows
+        return rows.reshape(self.c.shape + self.grid.shape)
 
     def persistent_nbytes(self) -> int:
         """Bytes held by the precomputed arrays (masks and weights included)."""
         return (
-            self.chi.nbytes + self.V.nbytes + self.rows.nbytes
+            self.chi.nbytes + self.V.nbytes + self.c.nbytes
+            + self.band_rows.nbytes + self.band.nbytes
             + self.table.persistent_nbytes()
         )
 
@@ -243,17 +273,77 @@ def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
     return rows.reshape(rows.shape[:2] + nodes)
 
 
+def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
+    """Flat C-order indices of the active nodes whose kernel footprint
+    holds an inactive node, the only nodes whose moment matrix can differ
+    from the interior one.
+
+    The footprint reaches r_k nodes along axis k, the offsets i dx_k with
+    phi_a(i dx_k) > 0 (r_k = floor(a_tilde) unless a_tilde is a whole
+    number); a wrap-mode maximum filter of the inactive mask over that box
+    marks every node that some inactive node's footprint reaches.
+    """
+    grid = table.grid
+    reach = [
+        np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
+        for n, dx, a in zip(grid.counts, grid.spacing, table.kernel.support)
+    ]
+    active = chi > 0.5
+    near = ndimage.maximum_filter(
+        ~active, size=[2 * r + 1 for r in reach], mode="wrap"
+    )
+    return np.flatnonzero(active & near)
+
+
+def off_band_deviation(M: np.ndarray, chi: np.ndarray, band: np.ndarray):
+    """How far the moment matrices of the active nodes off the band stray
+    from the interior one.
+
+    The interior matrix M_c is that of the first active node off the band
+    in C order, the representative.  Every entry of every matrix is
+    compared.
+
+    Returns:
+        (deviation, worst, rep): max over those nodes I and entries (p, q)
+        of |M_pq(x_I) - M_c,pq| / max|M_c|, the flat index of the node
+        that attains it, and the representative's flat index; (0.0, -1,
+        -1) when every active node lies on the band.
+    """
+    s = M.shape[0]
+    flat = M.reshape(s, s, -1)
+    off = chi.reshape(-1) > 0.5
+    off[band] = False
+    rep = int(np.argmax(off))
+    if not off[rep]:
+        return 0.0, -1, -1
+    Mc = flat[..., rep]
+    worst = np.zeros(off.shape)
+    for p in range(s):
+        for q in range(s):
+            np.maximum(worst, np.abs(flat[p, q] - Mc[p, q]), out=worst)
+    worst[~off] = 0.0
+    i = int(np.argmax(worst))
+    return float(worst[i] / np.max(np.abs(Mc))), i, rep
+
+
 def invert_moments(
     M: np.ndarray,
     chi: np.ndarray,
     V: np.ndarray,
     table: BasisTable,
 ) -> MomentPrecomp:
-    """Invert the moment stack M (s, s, *grid.shape) at every node and keep
-    the b-row fields.
+    """Invert the moment stack M (s, s, *grid.shape) on the boundary band
+    and at one interior node, and keep the b-rows in the band layout.
+
+    The band and the interior representative are inverted together in C
+    order, so the first singular active node is the one reported: off the
+    band every matrix is the representative's, which is the first of them.
 
     Raises:
         ValueError: basis degree 0 (no implicit-gradient rows).
+        InteriorMomentError: an active node off the band whose moment
+            matrix differs from the interior one by more than
+            INTERIOR_RTOL * max|M_c|.
         SingularMomentError: a node with chi = 1 has a pivot below
             1e-14 * max|M|, i.e. too few effective neighbors.
 
@@ -266,11 +356,32 @@ def invert_moments(
         raise ValueError(
             "the implicit-gradient rows need basis degree >= 1"
         )
+
+    def node(flat_index):
+        multi = tuple(
+            int(k) for k in np.unravel_index(int(flat_index), grid.shape)
+        )
+        return multi, grid.node_coordinate(multi)
+
+    band = boundary_band(chi, table)
+    deviation, worst, rep = off_band_deviation(M, chi, band)
+    if deviation > INTERIOR_RTOL:
+        raise InteriorMomentError(*node(worst), deviation)
+    cols = band if rep < 0 else np.union1d(band, [rep])
+    s = table.size
     rows = _b_rows(
-        M, grid.dim, chi > 0.5,
-        lambda multi: (multi, grid.node_coordinate(multi)),
+        M.reshape(s, s, -1)[..., cols], grid.dim,
+        np.ones(cols.size, dtype=bool), lambda first: node(cols[first[0]]),
     )
-    return MomentPrecomp(grid=grid, table=table, chi=chi, V=chi * V, rows=rows)
+    if rep < 0:  # no interior node: c only ever meets chi = V = 0
+        c, band_rows = np.zeros(rows.shape[:2]), rows
+    else:
+        at = int(np.searchsorted(cols, rep))
+        c, band_rows = rows[..., at].copy(), np.delete(rows, at, axis=2)
+    return MomentPrecomp(
+        grid=grid, table=table, chi=chi, V=chi * V,
+        c=c, band_rows=band_rows, band=band,
+    )
 
 
 def build_moment_precomp(
@@ -279,11 +390,13 @@ def build_moment_precomp(
     table: BasisTable,
     provider: FFTProvider | None = None,
 ) -> MomentPrecomp:
-    """Assemble and invert the moment matrices.
+    """Assemble the moment matrices, derive the boundary band, check the
+    interior, and invert the band (invert_moments).
 
     The s x s moment stack is only needed here; afterwards the operators
-    run on the spectra and the b-row fields alone, which is what keeps the
-    persistent memory at O(N*s).
+    run on the spectra, one interior row constant and the band rows, which
+    keeps the persistent memory at O(N s) for the spectra plus
+    O(n_band (1 + d) s) for the rows.
     """
     M = assemble_moment_fields(chi, table, provider)
     return invert_moments(M, chi, V, table)

@@ -15,13 +15,18 @@ or the d implicit-gradient rows bgrad):
                        m_p = sum_k row_k,p o f_k o w
                        (s forward + 1 inverse transforms)
 
-Both take their k row sets as one (k, s, *grid) slice of precomp.rows.
-The gather stacks its s inverse transforms, even entries first, then
-F(chi o d) times i once, in place, for the odd ones, and contracts the
-rows with the stack in one einsum over p.  The scatter forms all s
-weighted mixed fields in one einsum over k, sums the odd terms first and
-multiplies that sum by -i once.  Spectrum products are taken in place on
-fresh transforms, and each inverse transform consumes its input.
+Both take their k row sets as a slice of the 1 + d row sets of the
+precomp's band layout (moment.py): the whole box is contracted with the
+interior constant c as one (k x s)(s x N) matrix product, and the band
+nodes are then overwritten from their own rows, gathered and written by
+flat index.  Inactive nodes carry c, which is harmless: every gather
+result reaches the output through chi or V and every mixed field carries
+V or chi, all zero there.  The gather stacks its s inverse transforms,
+even entries first, then F(chi o d) times i once, in place, for the odd
+ones.  The scatter weights its s mixed fields by w in place, sums the odd
+terms first and multiplies that sum by -i once.  Spectrum products are
+taken in place on fresh transforms, and each inverse transform consumes
+its input.
 
 The scatter is the correlation with the reflected fields H_p^a(-xi); since
 the kernel is even, their spectrum is (-1)^|alpha_p| F_a,p (exact, see
@@ -64,9 +69,14 @@ __all__ = [
     "lumped_mass",
 ]
 
+# the row sets of the band layout: b0, and the d implicit-gradient rows
+B0 = slice(0, 1)
+BGRAD = slice(1, None)
 
-def _gather(d, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
-    """sum_p rows[:, p] o F^-1[c_p F(chi o d) o hat_Ha[p]], one field per row set."""
+
+def _gather(d, rows: slice, precomp: MomentPrecomp, provider) -> np.ndarray:
+    """sum_p row_k,p o F^-1[c_p F(chi o d) o hat_Ha[p]] for the row sets
+    k in `rows`, one field per row set."""
     hat_Ha = precomp.table.hat_Ha
     even, odd = precomp.table.parity_split
     d_hat = forward(precomp.chi * d, provider)
@@ -76,15 +86,33 @@ def _gather(d, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
     d_hat *= 1j
     for p in odd:
         G[p] = inverse(d_hat * hat_Ha[p], provider)
-    return np.einsum("kp...,p...->k...", rows, G)
+    G = G.reshape(len(G), -1)
+    band = precomp.band
+    out = precomp.c[rows] @ G
+    on_band = np.einsum(
+        "kpb,pb->kb", precomp.band_rows[rows], G.take(band, axis=1)
+    )
+    for o, b in zip(out, on_band):
+        o[band] = b
+    return out.reshape((-1,) + hat_Ha.shape[1:])
 
 
-def _scatter(fields, w, rows, precomp: MomentPrecomp, provider) -> np.ndarray:
+def _scatter(fields, w, rows: slice, precomp: MomentPrecomp, provider):
     """chi o F^-1{sum_p (-1)^|alpha_p| c_p hat_Ha[p] o F(m_p)},
-    m_p = sum_k rows[k, p] o fields[k] o w."""
+    m_p = w o sum_k row_k,p o fields[k] over the row sets k in `rows`."""
     hat_Ha = precomp.table.hat_Ha
     even, odd = precomp.table.parity_split
-    m = np.einsum("kp...,k...,...->p...", rows, fields, w)
+    f = fields.reshape(len(fields), -1)
+    c, band = precomp.c[rows], precomp.band
+    # (s x k)(k x N); matmul runs the k = 1 outer product slowly
+    m = np.multiply.outer(c[0], f[0]) if len(f) == 1 else c.T @ f
+    on_band = np.einsum(
+        "kpb,kb->pb", precomp.band_rows[rows], f.take(band, axis=1)
+    )
+    for mp, b in zip(m, on_band):
+        mp[band] = b
+    m *= w.reshape(-1)
+    m = m.reshape(hat_Ha.shape)
     B_hat = None
     for p in odd + even:  # odd is never empty: the degree is at least 1
         F = forward(m[p], provider)
@@ -102,8 +130,8 @@ def internal_force(
 ) -> np.ndarray:
     """Stiffness action K d (2(s+1) transforms)."""
     precomp.grid.check_field(d, "d")
-    G = _gather(d, precomp.bgrad, precomp, provider)
-    return _scatter(G, precomp.V, precomp.bgrad, precomp, provider)
+    G = _gather(d, BGRAD, precomp, provider)
+    return _scatter(G, precomp.V, BGRAD, precomp, provider)
 
 
 def external_force(
@@ -113,7 +141,7 @@ def external_force(
 ) -> np.ndarray:
     """Load vector of a body source r (s+1 transforms)."""
     precomp.grid.check_field(r, "r")
-    return _scatter(r[None], precomp.V, precomp.rows[:1], precomp, provider)
+    return _scatter(r[None], precomp.V, B0, precomp, provider)
 
 
 def evaluate_field(
@@ -124,7 +152,7 @@ def evaluate_field(
     """Nodal values of the approximated field u_h from the coefficients
     (s+1 transforms).  Off-node evaluation is not supported on this path."""
     precomp.grid.check_field(d, "d")
-    return precomp.chi * _gather(d, precomp.rows[:1], precomp, provider)[0]
+    return precomp.chi * _gather(d, B0, precomp, provider)[0]
 
 
 def evaluate_gradient(
@@ -134,7 +162,7 @@ def evaluate_gradient(
 ) -> list[np.ndarray]:
     """Nodal implicit-gradient values of u_h, one field per axis."""
     precomp.grid.check_field(d, "d")
-    return list(precomp.chi * _gather(d, precomp.bgrad, precomp, provider))
+    return list(precomp.chi * _gather(d, BGRAD, precomp, provider))
 
 
 def boundary_force(
@@ -149,7 +177,7 @@ def boundary_force(
     precomp.grid.check_field(q, "q")
     precomp.grid.check_field(area, "area")
     return _scatter(
-        (area * q)[None], precomp.chi, precomp.rows[:1], precomp, provider
+        (area * q)[None], precomp.chi, B0, precomp, provider
     )
 
 
@@ -167,7 +195,7 @@ def nonlinear_force_gradient(
     for g in N_u_axes:
         precomp.grid.check_field(g, "N_u")
     return _scatter(
-        np.stack(N_u_axes), precomp.V, precomp.bgrad, precomp, provider
+        np.stack(N_u_axes), precomp.V, BGRAD, precomp, provider
     )
 
 
@@ -178,8 +206,8 @@ def mass_force(
 ) -> np.ndarray:
     """Consistent-mass action M d_dot (2(s+1) transforms)."""
     precomp.grid.check_field(d_dot, "d_dot")
-    G = _gather(d_dot, precomp.rows[:1], precomp, provider)
-    return _scatter(G, precomp.V, precomp.rows[:1], precomp, provider)
+    G = _gather(d_dot, B0, precomp, provider)
+    return _scatter(G, precomp.V, B0, precomp, provider)
 
 
 def lumped_mass(
@@ -192,7 +220,7 @@ def lumped_mass(
     a boundary-truncation pathology for explicit stepping.
     """
     Ml = _scatter(
-        precomp.chi[None], precomp.V, precomp.rows[:1], precomp, provider
+        precomp.chi[None], precomp.V, B0, precomp, provider
     )
     active = precomp.chi > 0.5
     if np.any(Ml[active] <= 0.0):

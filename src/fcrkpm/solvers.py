@@ -127,11 +127,40 @@ def _implicit_operator(precomp, dt, nu, provider):
     return apply_op
 
 
+def _periodic_depth(inside: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every node to the nearest node outside
+    `inside`, across the periodic seam too.
+
+    A Euclidean distance transform of the wrap-padded mask.  Along an axis
+    with an all-outside slice, that slice is rolled to the front and
+    repeated once at the back: a nearest outside node across the seam then
+    has a no farther stand-in on one of the two copies, so one extra slice
+    suffices.  An axis without such a slice is padded by half its period
+    on each side, which holds every minimal image.
+    """
+    axes = tuple(range(inside.ndim))
+    shifts, pads = [], []
+    for ax, n in enumerate(inside.shape):
+        empty = np.flatnonzero(~inside.any(axis=axes[:ax] + axes[ax + 1:]))
+        if empty.size:
+            shifts.append(-int(empty[0]))
+            pads.append((0, 1))
+        else:
+            shifts.append(0)
+            pads.append((n // 2, n // 2))
+    padded = np.pad(np.roll(inside, shifts, axes), pads, mode="wrap")
+    depth = ndimage.distance_transform_edt(padded)[
+        tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, inside.shape))
+    ]
+    return np.roll(depth, [-k for k in shifts], axes)
+
+
 def _circulant_preconditioner(apply_op, mask, provider):
     """Inverse of the operator's floored FFT symbol, masked.
 
     The interior stencil is the operator's response to a unit delta at the
-    active node farthest from the mask boundary, rolled back to the origin.
+    active node farthest from the mask boundary on the periodic box
+    (_periodic_depth), rolled back to the origin.
     The real part of its DFT is the symbol of the symmetric part of that
     stencil: real and even, so scaling a real field's spectrum by its
     reciprocal keeps the spectrum Hermitian.  Floored at SYMBOL_FLOOR times
@@ -141,7 +170,7 @@ def _circulant_preconditioner(apply_op, mask, provider):
     costs one operator application and one transform; applying it costs two
     transforms.
     """
-    depth = ndimage.distance_transform_edt(mask > 0.5)
+    depth = _periodic_depth(mask > 0.5)
     center = np.unravel_index(int(np.argmax(depth)), mask.shape)
     delta = np.zeros(mask.shape)
     delta[center] = 1.0
@@ -179,7 +208,8 @@ def _masked_cg(
         [nan] when the initial residual is not finite.
     """
     d = d0.copy()
-    r = mask * (rhs - apply_op(d))
+    # a zero start leaves r = mask * rhs exactly: no operator application
+    r = mask * (rhs - apply_op(d)) if d.any() else mask * rhs
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
         return d, True, [0.0]

@@ -4,7 +4,8 @@ Every function returns check records {name, passed, error, tolerance}; a
 check passes when its error is at most its tolerance.
 
     1  convolution_checks       FFT convolution against direct sums
-    2  oracle_checks            moments and every operator against reference.py
+    2  oracle_checks            moments and every operator against reference.py,
+                                and the off-band moments against the interior
     4  reproduction_checks      constant, linear and gradient reproduction
     5  structure_checks         f_int symmetry, semi-definiteness, constants
     6  transform_count_checks   exact transforms per operator call
@@ -29,7 +30,12 @@ import numpy as np
 from . import operators as ops
 from .basis import weighted_monomials
 from .grid import box_predicates
-from .moment import MomentPrecomp, assemble_moment_fields
+from .moment import (
+    INTERIOR_RTOL,
+    MomentPrecomp,
+    assemble_moment_fields,
+    off_band_deviation,
+)
 from .problems import discretize, poisson_case
 from .reference import ReferenceModel
 from .spectral import (
@@ -136,6 +142,9 @@ def oracle_checks(
     The moments are compared entry by entry and the gradient component by
     component, so each keeps its own scale.  The gradient force is judged
     against sum_ax B_ax^T V f_ax, f_q on the boundary nodes of _inputs.
+    One more record, interior-moments, is the check that invert_moments
+    raises on: the moment matrices off the precomp's boundary band against
+    the interior one, at INTERIOR_RTOL, so its margin is on record.
     """
     inputs = _inputs(precomp, rng)
     d, r, fields, q, area = inputs
@@ -158,7 +167,11 @@ def oracle_checks(
         rel_err(ref.restrict(M[pq]), M_direct[pq])
         for pq in combinations_with_replacement(range(precomp.size), 2)
     )
-    checks = [_check(f"moment-{label}", err, 1e-10)]
+    deviation, _, _ = off_band_deviation(M, precomp.chi, precomp.band)
+    checks = [
+        _check(f"moment-{label}", err, 1e-10),
+        _check(f"interior-moments-{label}", deviation, INTERIOR_RTOL),
+    ]
     for name, call in _calls(precomp, inputs).items():
         fast, slow = call(None), direct[name]
         if isinstance(fast, list):

@@ -1,5 +1,7 @@
 """Shared fixtures: small discretizations reused across test modules."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,15 @@ def ref2d(disc2d):
 def failed(checks):
     """The check records of fcrkpm.verify that did not pass."""
     return [c for c in checks if not c["passed"]]
+
+
+def footprint_band(chi, grid, support):
+    """Flat indices of the active nodes with an inactive node within
+    floor(a_k / dx_k) nodes along every axis k (wrapped), by one roll of
+    the inactive mask per offset of that box."""
+    reach = [int(a / dx) for a, dx in zip(support, grid.spacing)]
+    inactive = chi < 0.5
+    near = np.zeros(chi.shape, dtype=bool)
+    for offset in itertools.product(*(range(-r, r + 1) for r in reach)):
+        near |= np.roll(inactive, offset, axis=tuple(range(chi.ndim)))
+    return np.flatnonzero((chi > 0.5) & near)

@@ -237,6 +237,28 @@ class TestBenchCSV:
         }
         assert fc["f_int"] < trad["f_int"]
 
+    def test_band_nodes_reported(self, bench_rows, tmp_path):
+        # a positive count on every fc row of a cell, empty on the
+        # traditional ones, and growing with the support (1D: r nodes at
+        # each end of the domain)
+        col = CSV_HEADER.index("band_nodes")
+        n_omega = CSV_HEADER.index("N_omega")
+        fc = [r for r in bench_rows[1:] if r[1] == "fc"]
+        assert {r[col] for r in fc} == {fc[0][col]}
+        assert 0 < int(fc[0][col]) <= int(fc[0][n_omega])
+        assert all(r[col] == "" for r in bench_rows[1:] if r[1] != "fc")
+        out = tmp_path / "b.csv"
+        cfg = _write(
+            tmp_path, "b.json",
+            {"version": 1, "experiment": "bench", "dim": 1,
+             "nodes_per_axis": [8], "a_tilde_values": [1.5, 2.5], "reps": 3},
+        )
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        a_col = CSV_HEADER.index("a_tilde")
+        band = {r[a_col]: int(r[col]) for r in _read_csv(str(out))[1:]
+                if r[1] == "fc"}
+        assert band == {"1.5": 2, "2.5": 4}
+
     def test_warnings_recorded_per_cell(self, tmp_path, monkeypatch):
         from fcrkpm import cli
 

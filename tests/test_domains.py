@@ -22,7 +22,7 @@ from fcrkpm.moment import build_moment_precomp
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import oracle_checks, reproduction_checks
 
-from conftest import failed
+from conftest import failed, footprint_band
 
 
 def _pipeline(plan, x_min, inside, on_gamma=None, n=1):
@@ -50,6 +50,15 @@ def disk_setup():
     plan = plan_extension((2.0, 2.0), 1.5, counts=(32, 32))
     inside = lambda x, y: x**2 + y**2 <= 0.8**2
     return _pipeline(plan, (-1.0, -1.0), inside)
+
+
+@pytest.mark.parametrize("setup", ["aniso_setup", "disk_setup"])
+def test_band_is_the_footprint_boundary(setup, request):
+    # per-axis reach (1 and 2 nodes on the anisotropic box) and a curved
+    # boundary: the band is exactly the nodes whose box footprint leaves chi
+    grid, chi, _, _, _, precomp, _ = request.getfixturevalue(setup)
+    support = precomp.table.kernel.support
+    assert np.array_equal(precomp.band, footprint_band(chi, grid, support))
 
 
 class TestAnisotropicShiftedBox:

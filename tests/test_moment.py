@@ -27,11 +27,23 @@ from fcrkpm import (
     weighted_monomials,
 )
 from fcrkpm.basis import monomial
-from fcrkpm.errors import IllConditionedMomentWarning, SingularMomentError
+from fcrkpm.errors import (
+    IllConditionedMomentWarning,
+    InteriorMomentError,
+    SingularMomentError,
+)
 from fcrkpm import moment
-from fcrkpm.moment import SINGULAR_PIVOT_RTOL, _b_rows, _invert_symmetric
+from fcrkpm.moment import (
+    INTERIOR_RTOL,
+    SINGULAR_PIVOT_RTOL,
+    _b_rows,
+    _invert_symmetric,
+    off_band_deviation,
+)
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import rel_err
+
+from conftest import footprint_band
 
 
 def _setup_1d(n_nodes=16):
@@ -74,19 +86,20 @@ def _upper_pairs(s):
 
 
 def _assert_rows_match_numpy(disc):
+    # at the active nodes, the only ones the operators read the rows at
     M = assemble_moment_fields(disc.chi, disc.table)
     grid = disc.grid
     s = disc.table.size
-    mats = M.reshape(s, s, -1).transpose(2, 0, 1)
-    inv_np = np.linalg.inv(mats)
-    precomp = invert_moments(M, disc.chi, disc.V, disc.table)
+    active = disc.chi > 0.5
+    inv_np = np.linalg.inv(M[..., active].transpose(2, 0, 1))
+    rows = invert_moments(M, disc.chi, disc.V, disc.table).dense_rows()
+    b0, bgrad = rows[0][:, active], rows[1:][..., active]
     for p in range(s):
-        mine = precomp.b0[p].ravel()
-        assert np.max(np.abs(mine - inv_np[:, 0, p])) < 1e-12 * np.max(
+        assert np.max(np.abs(b0[p] - inv_np[:, 0, p])) < 1e-12 * np.max(
             np.abs(inv_np[:, 0, :])
         )
         for ax in range(grid.dim):
-            mine = precomp.bgrad[ax][p].ravel()
+            mine = bgrad[ax][p]
             assert np.max(np.abs(mine + inv_np[:, 1 + ax, p])) < 1e-12 * np.max(
                 np.abs(inv_np[:, 1 + ax, :])
             )
@@ -172,14 +185,16 @@ class TestAssembly:
 
 
 class TestInversion:
-    def test_identity_rows_outside(self):
+    def test_inactive_nodes_carry_interior_rows(self):
+        # only active nodes are inverted: off the domain the layout holds
+        # the interior constant, which chi and V = 0 mask away
         grid, chi, V, table = _setup_1d()
         precomp = build_moment_precomp(chi, V, table)
         outside = chi < 0.5
-        assert np.allclose(precomp.b0[0][outside], 1.0)
-        assert np.allclose(precomp.b0[1][outside], 0.0)
-        assert np.allclose(precomp.bgrad[0][0][outside], 0.0)
-        assert np.allclose(precomp.bgrad[0][1][outside], -1.0)
+        assert np.any(outside)
+        rows = precomp.dense_rows()
+        assert np.all(rows[..., outside] == precomp.c[..., None])
+        assert not np.any(outside.ravel()[precomp.band])
         assert np.all(precomp.V[outside] == 0.0)
 
     def test_interior_b0_1d(self):
@@ -187,12 +202,13 @@ class TestInversion:
         grid, chi, V, table = _setup_1d()
         precomp = build_moment_precomp(chi, V, table)
         mid = 5
-        assert precomp.b0[0][mid] == pytest.approx(81.0 / 62.0, rel=1e-12)
-        assert precomp.b0[1][mid] == pytest.approx(0.0, abs=1e-12)
+        b0 = precomp.dense_rows()[0]
+        assert b0[0][mid] == pytest.approx(81.0 / 62.0, rel=1e-12)
+        assert b0[1][mid] == pytest.approx(0.0, abs=1e-12)
 
     def test_3d_quadratic_inverts(self, disc3d):
         # 27 neighbors suffice for s = 4; also check s = 10 with wider support
-        assert disc3d.precomp.b0[0].shape == disc3d.grid.shape
+        assert disc3d.precomp.dense_rows()[0, 0].shape == disc3d.grid.shape
 
     def test_matches_numpy_inverse(self, disc2d):
         _assert_rows_match_numpy(disc2d)
@@ -238,7 +254,7 @@ class TestInversion:
         # each row set relative to its own maximum; entries that vanish
         # analytically are rounding noise on both paths
         rows = ref2d.moment_rows()
-        fc = disc2d.precomp.rows[..., ref2d.active]
+        fc = disc2d.precomp.dense_rows()[..., ref2d.active]
         assert fc.shape == rows.shape
         assert rel_err(fc[0], rows[0]) < 1e-10
         assert rel_err(fc[1:], rows[1:]) < 1e-10
@@ -328,13 +344,15 @@ class TestSlabs:
     def test_rows_bit_identical(self, fixture, request, monkeypatch):
         disc = request.getfixturevalue(fixture)
         M = assemble_moment_fields(disc.chi, disc.table)
-        # 37 divides no node count here: a short last slab on both paths
-        assert M[0, 0].size > 37
-        one, slabbed = self._one_and_slabbed(
-            monkeypatch,
-            lambda: invert_moments(M, disc.chi, disc.V, disc.table).rows,
-            37,
-        )
+
+        def band_layout():
+            pc = invert_moments(M, disc.chi, disc.V, disc.table)
+            return np.concatenate([pc.c[..., None], pc.band_rows], axis=2)
+
+        # 37 divides no inverted node count here (the band and one
+        # interior node): a short last slab on both paths
+        one, slabbed = self._one_and_slabbed(monkeypatch, band_layout, 37)
+        assert one.shape[2] > 37
         assert np.array_equal(one, slabbed)
         one, slabbed = self._one_and_slabbed(
             monkeypatch, lambda: disc.reference().moment_rows(), 37
@@ -375,6 +393,70 @@ class TestSlabs:
         assert "1.00e+13" in str(caught[0].message)
 
 
+class TestBand:
+    """The boundary band, its edge cases, and the interior check."""
+
+    @pytest.mark.parametrize("dim,counts,n,a_tilde",
+                             [(2, 64, 2, 2.5), (3, 32, 2, 2.5)])
+    def test_band_is_the_footprint_boundary(self, dim, counts, n, a_tilde):
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
+                          counts=counts)
+        band = disc.precomp.band
+        support = disc.table.kernel.support
+        assert np.array_equal(band, footprint_band(disc.chi, disc.grid,
+                                                   support))
+        M = assemble_moment_fields(disc.chi, disc.table)
+        deviation, _, rep = off_band_deviation(M, disc.chi, band)
+        assert rep >= 0 and deviation <= INTERIOR_RTOL
+
+    def test_empty_band_on_the_whole_periodic_box(self, disc2d):
+        grid, table = disc2d.grid, disc2d.table
+        chi = np.ones(grid.shape)
+        M = assemble_moment_fields(chi, table)
+        pc = invert_moments(M, chi, quadrature_weights(grid, chi), table)
+        d, s = grid.dim, table.size
+        assert pc.band.size == 0 and pc.band_rows.shape == (1 + d, s, 0)
+        inv = np.linalg.inv(M[:, :, 0, 0])
+        assert rel_err(pc.c[0], inv[0]) < 1e-12
+        assert rel_err(pc.c[1:], -inv[1 : 1 + d]) < 1e-12
+        u1 = evaluate_field(np.ones(grid.shape), pc)
+        assert np.max(np.abs(u1 - 1.0)) <= 1e-10
+
+    def test_no_interior_node(self):
+        # a strip two nodes wide: every footprint reaches off it, so every
+        # active node is on the band and the constant stays unused
+        plan = plan_extension((2.0, 2.0), 1.5, counts=16)
+        grid = build_grid(plan, (-1.0, -1.0))
+        chi = np.zeros(grid.shape)
+        chi[5:7, 3:13] = 1.0
+        table = build_basis_table(grid, enumerate_basis(1, 2),
+                                  KernelSpec(plan.kernel_support))
+        M = assemble_moment_fields(chi, table)
+        pc = invert_moments(M, chi, quadrature_weights(grid, chi), table)
+        active = chi > 0.5
+        assert np.array_equal(pc.band, np.flatnonzero(active))
+        assert np.all(pc.c == 0.0)
+        inv = np.linalg.inv(M[..., active].transpose(2, 0, 1))
+        assert rel_err(pc.band_rows[0], inv[:, 0, :].T) < 1e-12
+        u1 = evaluate_field(np.ones(grid.shape), pc)
+        assert np.max(np.abs(u1[active] - 1.0)) <= 1e-10
+
+    def test_perturbed_off_band_node_named(self, disc2d):
+        # one relative 1e-8 change at an active node off the band, not the
+        # representative: the check raises and names that node
+        M = assemble_moment_fields(disc2d.chi, disc2d.table)
+        off = (disc2d.chi > 0.5).ravel()
+        off[disc2d.precomp.band] = False
+        node = tuple(int(k) for k in np.unravel_index(
+            np.flatnonzero(off)[-1], disc2d.grid.shape))
+        M[(0, 0) + node] *= 1.0 + 1e-8
+        with pytest.raises(InteriorMomentError) as err:
+            invert_moments(M, disc2d.chi, disc2d.V, disc2d.table)
+        assert err.value.node_index == node
+        assert err.value.coordinate == disc2d.grid.node_coordinate(node)
+        assert 1e-9 < err.value.deviation < 1e-7
+
+
 class TestReproducingConditions:
     def test_partition_of_unity(self, disc2d):
         # sum_I Psi_I(x_J) = 1 at active nodes <=> u_h of d = 1 equals 1
@@ -404,23 +486,28 @@ class TestReproducingConditions:
 
 class TestMemoryStory:
     def test_persistent_inventory_scales_with_s_and_d(self, disc2d):
-        nbytes = disc2d.precomp.persistent_nbytes()
+        pc = disc2d.precomp
         n_total = disc2d.grid.total_nodes
         s, d = disc2d.table.size, disc2d.grid.dim
-        # chi + V + (1 + d)s b-row fields + s real spectra
-        expected_fields = 2 + (1 + d) * s + s
-        assert nbytes == expected_fields * n_total * 8
+        n_band = pc.band.size
+        assert 0 < n_band < np.count_nonzero(disc2d.chi)
+        # chi + V + s real spectra as whole fields; the (1 + d)s b-rows as
+        # one constant plus one value per band node, and the band index
+        fields = (2 + s) * n_total * 8
+        rows = (1 + d) * s * (1 + n_band) * 8
+        assert pc.persistent_nbytes() == fields + rows + n_band * 8
 
     def test_inversion_transient_below_moment_stack(self):
-        # the slabbed inversion holds the rows plus O(slab s^2) scratch,
+        # the inversion copies out the matrices of the band (28.8 % of the
+        # box here) and holds O(slab s^2) scratch next to the band rows,
         # never a second whole-stack array: at 32^3, s = 10, M is 26.2 MB
         disc = discretize(poisson_case(3), n=2, a_tilde=2.5, counts=32)
         assert disc.grid.shape == (32, 32, 32)
         M = assemble_moment_fields(disc.chi, disc.table)
         tracemalloc.start()
         try:
-            rows = invert_moments(M, disc.chi, disc.V, disc.table).rows
+            pc = invert_moments(M, disc.chi, disc.V, disc.table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - rows.nbytes < M.nbytes
+        assert peak - pc.band_rows.nbytes < M.nbytes

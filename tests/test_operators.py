@@ -30,11 +30,12 @@ from fcrkpm.grid import (
     plan_extension,
     quadrature_weights,
 )
-from fcrkpm.moment import build_moment_precomp
+from fcrkpm.moment import INTERIOR_RTOL, build_moment_precomp
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import (
     CHECK_NAMES,
     _calls,
+    _inputs,
     corrupt_table,
     lumped_mass_total_check,
     mask_check,
@@ -118,40 +119,94 @@ class TestStackedRows:
     def test_internal_force_equals_per_row_loop(self, dim, discs, rng):
         d = discs[dim]
         pc = d.precomp
+        bgrad = pc.dense_rows()[1:]
         coeff = rng.standard_normal(d.grid.shape)
         # the loop applies c_p (1 or i) and the reflection sign entry by
-        # entry; multiplying by i is exact, so it agrees with the primitives
-        # bit for bit when it sums the gather over p and each mixed field
+        # entry, sums the gather over p and each mixed field
         # m_p = sum_k (row_k[p] g_k) V over k in index order, and the
-        # scatter's spectra in the primitives' parity order
+        # scatter's spectra in the primitives' parity order; the band
+        # layout sums the rows in another order, so the two agree to
+        # rounding (1e-14 relative, about 45 ulps)
         even, odd = pc.table.parity_split
         c = {p: 1j if p in odd else 1.0 for p in even + odd}
         d_hat = forward(pc.chi * coeff)
         hat_Ha = pc.table.hat_Ha
         Ds = [inverse(d_hat * (c[p] * h)) for p, h in enumerate(hat_Ha)]
         grads = []
-        for row in pc.bgrad:
+        for row in bgrad:
             acc = row[0] * Ds[0]
             for p in range(1, len(Ds)):
                 acc += row[p] * Ds[p]
             grads.append(acc)
         B_hat = np.zeros(d.grid.shape, dtype=complex)
         for p in odd + even:
-            mixed = (pc.bgrad[0][p] * grads[0]) * pc.V
-            for row, g in zip(pc.bgrad[1:], grads[1:]):
+            mixed = (bgrad[0][p] * grads[0]) * pc.V
+            for row, g in zip(bgrad[1:], grads[1:]):
                 mixed += (row[p] * g) * pc.V
             term = forward(mixed) * (c[p] * hat_Ha[p])
             if p in odd:
                 B_hat -= term
             else:
                 B_hat += term
-        assert np.array_equal(
-            internal_force(coeff, pc), pc.chi * inverse(B_hat)
-        )
-        assert np.array_equal(
-            np.stack(evaluate_gradient(coeff, pc)),
-            pc.chi * np.stack(grads),
-        )
+        f_int = internal_force(coeff, pc)
+        assert rel_err(f_int, pc.chi * inverse(B_hat)) <= 1e-14
+        assert rel_err(
+            np.stack(evaluate_gradient(coeff, pc)), pc.chi * np.stack(grads)
+        ) <= 1e-14
+
+
+def _dense_gather(d, rows, precomp, provider):
+    """operators._gather contracted with the dense row fields."""
+    hat_Ha = precomp.table.hat_Ha
+    even, odd = precomp.table.parity_split
+    d_hat = forward(precomp.chi * d, provider)
+    G = np.empty(hat_Ha.shape)
+    for p in even:
+        G[p] = inverse(d_hat * hat_Ha[p], provider)
+    d_hat *= 1j
+    for p in odd:
+        G[p] = inverse(d_hat * hat_Ha[p], provider)
+    return np.einsum("kp...,p...->k...", precomp.dense_rows()[rows], G)
+
+
+def _dense_scatter(fields, w, rows, precomp, provider):
+    """operators._scatter mixing its fields with the dense row fields."""
+    hat_Ha = precomp.table.hat_Ha
+    even, odd = precomp.table.parity_split
+    m = np.einsum(
+        "kp...,k...,...->p...", precomp.dense_rows()[rows], fields, w
+    )
+    B_hat = np.zeros(hat_Ha.shape[1:], dtype=complex)
+    for p in even:
+        B_hat += forward(m[p], provider) * hat_Ha[p]
+    for p in odd:
+        B_hat -= 1j * forward(m[p], provider) * hat_Ha[p]
+    return precomp.chi * inverse(B_hat, provider)
+
+
+class TestBandLayout:
+    """The interior constant plus the band rows against the dense rows."""
+
+    @pytest.mark.parametrize("dim,counts,n,a_tilde", [
+        (1, 128, 1, 1.5), (2, 64, 1, 1.5), (2, 64, 2, 2.5),
+        (3, 48, 1, 1.5), (3, 32, 2, 2.5),
+    ])
+    def test_operators_match_dense_rows(self, dim, counts, n, a_tilde,
+                                        monkeypatch):
+        # every operator, at the active nodes, against the contraction of
+        # the (1 + d, s, *grid) row fields the layout stands for
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
+                          counts=counts)
+        pc = disc.precomp
+        assert 0 < pc.band.size < np.count_nonzero(disc.chi)
+        calls = _calls(pc, _inputs(pc, np.random.default_rng(5)))
+        band = {name: np.asarray(call(None)) for name, call in calls.items()}
+        monkeypatch.setattr(operators, "_gather", _dense_gather)
+        monkeypatch.setattr(operators, "_scatter", _dense_scatter)
+        active = disc.chi > 0.5
+        for name, call in calls.items():
+            dense = np.asarray(call(None))[..., active]
+            assert rel_err(band[name][..., active], dense) <= 1e-14, name
 
 
 class TestInputsUntouched:
@@ -170,7 +225,8 @@ class TestInputsUntouched:
             rng.standard_normal(shape),
             rng.uniform(0.5, 1.5, shape),
         )
-        kept = [*inputs, pc.table.hat_Ha, pc.rows, pc.V, pc.chi]
+        kept = [*inputs, pc.table.hat_Ha, pc.c, pc.band_rows, pc.band,
+                pc.V, pc.chi]
         before = [a.tobytes() for a in kept]
         calls = _calls(pc, inputs)
         assert set(calls) == set(operators.__all__)
@@ -334,6 +390,12 @@ class TestCheckLibrary:
             short = CHECK_NAMES[name]
             assert f"{short}-1d" in checks[1]
             assert f"{short}-transforms" in checks[1]
+
+    def test_interior_check_recorded(self, checks):
+        # the check invert_moments raises on, with its measured margin
+        for dim in (1, 2, 3):
+            record = checks[dim][f"interior-moments-{dim}d"]
+            assert record["passed"] and record["tolerance"] == INTERIOR_RTOL
 
     def test_flipped_mask_node_fails_mask_check(self, discs):
         d = discs[2]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fcrkpm import (
     CountingFFTProvider,
@@ -28,11 +29,13 @@ from fcrkpm import (
     solve_static_nonlinear,
     step_transient_diffusion,
 )
+from fcrkpm import solvers
 from fcrkpm.errors import LineSearchError
 from fcrkpm.solvers import (
     TransientState,
     _circulant_preconditioner,
     _masked_cg,
+    _periodic_depth,
 )
 from fcrkpm.verify import rel_err
 
@@ -184,6 +187,50 @@ class TestPreconditioner:
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
             assert np.vdot(r1, P1) > 0.0 and np.vdot(r2, P2) > 0.0
 
+    def test_center_is_deepest_across_the_seam(self):
+        # the Dirichlet mask rolled across the periodic seam: the stencil
+        # probe lands as deep as on the unrolled mask, whose nodes all see
+        # their nearest frozen node without crossing the seam
+        disc = discretize(poisson_case(2), counts=64)
+        mask = disc.chi_omega
+        depth = ndimage.distance_transform_edt(mask > 0.5)
+        shift = (35, 40)
+        rolled = np.roll(mask, shift, axis=(0, 1))
+        probed = []
+
+        def apply_op(x):
+            probed.append(np.unravel_index(np.argmax(x), x.shape))
+            return internal_force(x, disc.precomp)
+
+        _circulant_preconditioner(apply_op, rolled, None)
+        back = tuple((c - k) % n for c, k, n in zip(probed[0], shift,
+                                                   mask.shape))
+        assert depth[back] == depth.max() == 31.0
+        # the plain transform of the rolled mask ignores the seam
+        plain = np.unravel_index(
+            np.argmax(ndimage.distance_transform_edt(rolled > 0.5)),
+            mask.shape,
+        )
+        back = tuple((c - k) % n for c, k, n in zip(plain, shift, mask.shape))
+        assert depth[back] < depth.max()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_periodic_depth_matches_brute_force(self, seed):
+        # random masks in 1D-3D, half of them with all-outside slices
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(5, 11, size=1 + seed % 3))
+        inside = rng.random(shape) > 0.3
+        if seed % 2:
+            for ax in range(inside.ndim):
+                index = [slice(None)] * inside.ndim
+                index[ax] = int(rng.integers(shape[ax]))
+                inside[tuple(index)] = False
+        nodes = np.indices(shape).reshape(len(shape), -1).T
+        gap = np.abs(nodes[:, None, :] - np.argwhere(~inside)[None])
+        gap = np.minimum(gap, np.array(shape) - gap)
+        brute = np.sqrt((gap**2).sum(axis=-1)).min(axis=1).reshape(shape)
+        assert np.allclose(_periodic_depth(inside), brute, rtol=0, atol=1e-12)
+
     def test_masked_cg_leaves_rhs_and_start_untouched(self, disc2d, rng):
         # CG updates its own iterate, residual and direction in place
         rhs = external_force(disc2d.r, disc2d.precomp)
@@ -205,16 +252,25 @@ class TestPreconditioner:
         assert report.converged and report.iterations < 60
 
     def test_transform_count(self, disc2d):
-        # per solve: the initial residual, the stencil probe and each
-        # iteration apply the operator once; the symbol takes one forward
-        # transform; each preconditioning takes two, and the converged
-        # iteration skips it; evaluate_field closes with s + 1
-        prov = CountingFFTProvider()
-        _, _, report = _solve_poisson(disc2d, provider=prov)
+        # per solve: the stencil probe and each iteration apply the
+        # operator once, and so does the initial residual unless the start
+        # is zero; the symbol takes one forward transform; each
+        # preconditioning takes two, and the converged iteration skips it;
+        # evaluate_field closes with s + 1
         s = disc2d.precomp.size
-        k = report.iterations
-        assert report.converged and k > 0
-        assert prov.total == (k + 2) * 2 * (s + 1) + 1 + 2 * k + (s + 1)
+        rhs = external_force(disc2d.r, disc2d.precomp)
+        assert not disc2d.dirichlet.any()
+        for start, applies in ((disc2d.dirichlet, 1), (disc2d.chi_gamma_g, 2)):
+            prov = CountingFFTProvider()
+            _, _, report = solve_static_linear(
+                disc2d.precomp, disc2d.chi_omega, rhs, dirichlet=start,
+                provider=prov,
+            )
+            k = report.iterations
+            assert report.converged and k > 0
+            assert prov.total == (
+                (k + applies) * 2 * (s + 1) + 1 + 2 * k + (s + 1)
+            )
 
     def test_residual_history(self, disc2d):
         _, _, report = _solve_poisson(disc2d)
@@ -305,6 +361,55 @@ class TestStaticNonlinear:
             )
             assert report.converged and report.iterations <= 8
             assert report.residual <= 1e-12
+
+    def test_newton_transform_count(self, monkeypatch):
+        # 2D 64^2: the start residual, one residual per full Newton step and
+        # every Jacobian application cost 4(s+1) transforms each, the
+        # symbol 2(s+1) + 1 once, each preconditioning 2; the zero start of
+        # every inner CG costs none.  Feeding that skipped application
+        # through the right-hand side costs 4(s+1) per step and changes no
+        # bit of d.
+        disc = discretize(poisson_case(2), counts=64)
+        s = disc.precomp.size
+
+        def solve():
+            prov = CountingFFTProvider()
+            d, _, report = solve_static_nonlinear(
+                disc.precomp,
+                disc.chi_omega,
+                _cubic_rhs(disc),
+                nonlinearity=lambda u: u**3,
+                nonlinearity_prime=lambda u: 3 * u**2,
+                provider=prov,
+            )
+            return d, report, prov
+
+        masked_cg = solvers._masked_cg
+        inner = []
+
+        def counted(*args, **kwargs):
+            out = masked_cg(*args, **kwargs)
+            inner.append(len(out[2]) - 1)
+            return out
+
+        monkeypatch.setattr(solvers, "_masked_cg", counted)
+        d, report, prov = solve()
+        steps, k = report.iterations, sum(inner)
+        assert report.converged and steps == len(inner) == 4
+        assert prov.forward_count == prov.inverse_count + 1
+        assert prov.total == (
+            4 * (s + 1) * (1 + steps) + 2 * (s + 1) + 1
+            + (4 * (s + 1) + 2) * k
+        )
+        monkeypatch.setattr(
+            solvers, "_masked_cg",
+            lambda apply_op, rhs, d0, *args, **kwargs: masked_cg(
+                apply_op, rhs - apply_op(d0), d0, *args, **kwargs
+            ),
+        )
+        d_applied, _, prov_applied = solve()
+        assert prov_applied.total - prov.total == steps * 4 * (s + 1)
+        assert np.array_equal(d, d_applied)
 
     def test_decreasing_nonlinearity_raises(self):
         # N' < 0 makes the Jacobian indefinite: the inner CG stops on
