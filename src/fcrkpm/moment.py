@@ -43,12 +43,14 @@ that no such matrix passes silently).  The b-rows are the row extracts
 Off a boundary band they are one constant.  An active node whose kernel
 footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
 node sees the full lattice stencil, so its moment matrix is the interior
-one, M_c: the interior of the method is a pure convolution.  The band is
-derived from the geometry alone (boundary_band, a wrap-mode maximum filter
-of the inactive mask), and invert_moments checks loudly that every active
-node off it carries M_c to INTERIOR_RTOL relative (off_band_deviation,
-which `fcrkpm verify` also records per cell).  Only the band nodes and one
-interior representative are inverted.  What persists is
+one, M_c: the interior of the method is a pure convolution.  M_c is
+derived, not sampled: the integrands summed over the footprint offsets
+(interior_moments).  The band is derived from the geometry alone
+(boundary_band, a wrap-mode maximum filter of the inactive mask), and
+invert_moments checks loudly that every active node off it carries M_c to
+INTERIOR_RTOL relative (off_band_deviation, which `fcrkpm verify` also
+records per cell).  Only the band nodes and M_c are inverted.  What
+persists is
 
     c          (1 + d, s)            the rows of every off-band node
     band_rows  (1 + d, s, n_band)    the rows of the band nodes
@@ -71,7 +73,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .basis import BasisTable, eval_kernel_1d, weighted_monomials
+from .basis import (
+    BasisTable,
+    eval_kernel,
+    eval_kernel_1d,
+    monomial,
+    weighted_monomials,
+)
 from .errors import (
     IllConditionedMomentWarning,
     InteriorMomentError,
@@ -83,6 +91,7 @@ from .spectral import FFTProvider, forward, inverse
 __all__ = [
     "MomentPrecomp",
     "assemble_moment_fields",
+    "interior_moments",
     "boundary_band",
     "off_band_deviation",
     "invert_moments",
@@ -229,9 +238,9 @@ def _invert_symmetric(M: np.ndarray):
     return inv, np.min(np.abs(D), axis=0) / np.where(scale == 0.0, 1.0, scale)
 
 
-def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
-    """Invert the moment stack M (s, s, *nodes), check it at the active
-    nodes, and return the (1 + d, s, *nodes) b-rows (module docstring).
+def _b_rows(M: np.ndarray, dim: int, locate) -> np.ndarray:
+    """Invert the moment stack M (s, s, *nodes), check every matrix, and
+    return the (1 + d, s, *nodes) b-rows (module docstring).
 
     The flattened node axes are taken in slabs of _SLAB_NODES nodes, so
     the transient memory is O(_SLAB_NODES s^2) next to the rows: each
@@ -244,14 +253,13 @@ def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
     """
     s, nodes = M.shape[0], M.shape[2:]
     flat = M.reshape(s, s, -1)
-    on = active.reshape(-1)
     rows = np.empty((1 + dim, s, flat.shape[2]))
     worst = 0.0
     for start in range(0, flat.shape[2], _SLAB_NODES):
         slab = slice(start, start + _SLAB_NODES)
         Ms = flat[..., slab]
         inv, min_pivot = _invert_symmetric(Ms)
-        bad = on[slab] & (min_pivot < SINGULAR_PIVOT_RTOL)
+        bad = min_pivot < SINGULAR_PIVOT_RTOL
         if np.any(bad):
             i = int(np.argmax(bad))
             first = tuple(int(k) for k in np.unravel_index(start + i, nodes))
@@ -260,7 +268,7 @@ def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
         # ||M||_inf ||M^-1||_inf, the max row sum of |entries| per node
         cond = (np.abs(Ms).sum(axis=1).max(axis=0)
                 * np.abs(inv).sum(axis=1).max(axis=0))
-        worst = max(worst, float(np.max(cond[on[slab]], initial=0.0)))
+        worst = max(worst, float(cond.max()))
         rows[..., slab] = inv[: 1 + dim]
     if worst > CONDITION_WARN:
         warnings.warn(
@@ -273,57 +281,66 @@ def _b_rows(M: np.ndarray, dim: int, active: np.ndarray, locate) -> np.ndarray:
     return rows.reshape(rows.shape[:2] + nodes)
 
 
+def _footprint_reach(table: BasisTable) -> list[int]:
+    """Nodes the kernel footprint reaches along each axis: the offsets
+    i dx_k with phi_a(i dx_k) > 0, so r_k = floor(a_tilde) unless a_tilde
+    is a whole number."""
+    grid = table.grid
+    return [
+        np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
+        for n, dx, a in zip(grid.counts, grid.spacing, table.kernel.support)
+    ]
+
+
+def interior_moments(table: BasisTable) -> np.ndarray:
+    """M_c, the (s, s) moment matrix of a node whose footprint is all
+    active: each integrand H_p H_q^a of assemble_moment_fields summed over
+    the footprint offsets xi (the box of _footprint_reach)."""
+    exps = table.basis.exponents
+    offsets = [dx * np.arange(-r, r + 1)
+               for dx, r in zip(table.grid.spacing, _footprint_reach(table))]
+    xi = np.meshgrid(*offsets, indexing="ij")
+    phi = eval_kernel(xi, table.kernel)
+    return np.array([[np.sum(monomial(xi, np.add(a, b)) * phi) for b in exps]
+                     for a in exps])
+
+
 def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
     """Flat C-order indices of the active nodes whose kernel footprint
     holds an inactive node, the only nodes whose moment matrix can differ
     from the interior one.
 
-    The footprint reaches r_k nodes along axis k, the offsets i dx_k with
-    phi_a(i dx_k) > 0 (r_k = floor(a_tilde) unless a_tilde is a whole
-    number); a wrap-mode maximum filter of the inactive mask over that box
-    marks every node that some inactive node's footprint reaches.
+    A wrap-mode maximum filter of the inactive mask over the footprint box
+    (_footprint_reach) marks every node that some inactive node's footprint
+    reaches.
     """
-    grid = table.grid
-    reach = [
-        np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
-        for n, dx, a in zip(grid.counts, grid.spacing, table.kernel.support)
-    ]
     active = chi > 0.5
     near = ndimage.maximum_filter(
-        ~active, size=[2 * r + 1 for r in reach], mode="wrap"
+        ~active, size=[2 * r + 1 for r in _footprint_reach(table)],
+        mode="wrap",
     )
     return np.flatnonzero(active & near)
 
 
-def off_band_deviation(M: np.ndarray, chi: np.ndarray, band: np.ndarray):
+def off_band_deviation(
+    M: np.ndarray, chi: np.ndarray, band: np.ndarray, Mc: np.ndarray
+):
     """How far the moment matrices of the active nodes off the band stray
-    from the interior one.
-
-    The interior matrix M_c is that of the first active node off the band
-    in C order, the representative.  Every entry of every matrix is
-    compared.
-
-    Returns:
-        (deviation, worst, rep): max over those nodes I and entries (p, q)
-        of |M_pq(x_I) - M_c,pq| / max|M_c|, the flat index of the node
-        that attains it, and the representative's flat index; (0.0, -1,
-        -1) when every active node lies on the band.
-    """
+    from the interior one, Mc (interior_moments): (deviation, worst), the
+    max over those nodes I and all entries (p, q) of |M_pq(x_I) - Mc_pq| /
+    max|Mc| and the flat index of the node that attains it; (0.0, 0) when
+    every active node lies on the band."""
     s = M.shape[0]
     flat = M.reshape(s, s, -1)
-    off = chi.reshape(-1) > 0.5
-    off[band] = False
-    rep = int(np.argmax(off))
-    if not off[rep]:
-        return 0.0, -1, -1
-    Mc = flat[..., rep]
-    worst = np.zeros(off.shape)
+    worst = np.zeros(flat.shape[2])
     for p in range(s):
         for q in range(s):
             np.maximum(worst, np.abs(flat[p, q] - Mc[p, q]), out=worst)
+    off = chi.reshape(-1) > 0.5
+    off[band] = False
     worst[~off] = 0.0
     i = int(np.argmax(worst))
-    return float(worst[i] / np.max(np.abs(Mc))), i, rep
+    return float(worst[i] / np.max(np.abs(Mc))), i
 
 
 def invert_moments(
@@ -332,18 +349,19 @@ def invert_moments(
     V: np.ndarray,
     table: BasisTable,
 ) -> MomentPrecomp:
-    """Invert the moment stack M (s, s, *grid.shape) on the boundary band
-    and at one interior node, and keep the b-rows in the band layout.
+    """Invert the interior matrix M_c (interior_moments) and the moment
+    stack M (s, s, *grid.shape) on the boundary band, in that order, and
+    keep the b-rows in the band layout: c holds M_c's rows on every mask.
 
-    The band and the interior representative are inverted together in C
-    order, so the first singular active node is the one reported: off the
-    band every matrix is the representative's, which is the first of them.
+    The band is inverted in C order, so the first singular active node is
+    the one reported.  A singular M_c is reported at the first active node:
+    every active node's moment matrix sums a subset of M_c's positive
+    semidefinite terms, so it is singular too.
 
     Raises:
         ValueError: basis degree 0 (no implicit-gradient rows).
         InteriorMomentError: an active node off the band whose moment
-            matrix differs from the interior one by more than
-            INTERIOR_RTOL * max|M_c|.
+            matrix differs from M_c by more than INTERIOR_RTOL * max|M_c|.
         SingularMomentError: a node with chi = 1 has a pivot below
             1e-14 * max|M|, i.e. too few effective neighbors.
 
@@ -353,34 +371,24 @@ def invert_moments(
     """
     grid = table.grid
     if table.basis.degree < 1:
-        raise ValueError(
-            "the implicit-gradient rows need basis degree >= 1"
-        )
+        raise ValueError("the implicit-gradient rows need basis degree >= 1")
 
-    def node(flat_index):
-        multi = tuple(
-            int(k) for k in np.unravel_index(int(flat_index), grid.shape)
-        )
+    def node(i):
+        multi = tuple(int(k) for k in np.unravel_index(int(i), grid.shape))
         return multi, grid.node_coordinate(multi)
 
     band = boundary_band(chi, table)
-    deviation, worst, rep = off_band_deviation(M, chi, band)
+    Mc = interior_moments(table)
+    deviation, worst = off_band_deviation(M, chi, band, Mc)
     if deviation > INTERIOR_RTOL:
         raise InteriorMomentError(*node(worst), deviation)
-    cols = band if rep < 0 else np.union1d(band, [rep])
     s = table.size
-    rows = _b_rows(
-        M.reshape(s, s, -1)[..., cols], grid.dim,
-        np.ones(cols.size, dtype=bool), lambda first: node(cols[first[0]]),
-    )
-    if rep < 0:  # no interior node: c only ever meets chi = V = 0
-        c, band_rows = np.zeros(rows.shape[:2]), rows
-    else:
-        at = int(np.searchsorted(cols, rep))
-        c, band_rows = rows[..., at].copy(), np.delete(rows, at, axis=2)
+    stack = np.concatenate([Mc[..., None], M.reshape(s, s, -1)[..., band]], 2)
+    cols = np.concatenate([[np.argmax(chi > 0.5)], band])
+    rows = _b_rows(stack, grid.dim, lambda first: node(cols[first[0]]))
     return MomentPrecomp(
         grid=grid, table=table, chi=chi, V=chi * V,
-        c=c, band_rows=band_rows, band=band,
+        c=rows[..., 0].copy(), band_rows=rows[..., 1:], band=band,
     )
 
 

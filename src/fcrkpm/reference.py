@@ -213,10 +213,7 @@ class ReferenceModel:
                 multi = tuple(int(k) for k in np.argwhere(self.active)[i[0]])
                 return multi, self.grid.node_coordinate(multi)
 
-            self._rows = _b_rows(
-                self.moment_matrices(), self.grid.dim,
-                np.ones(self.n_nodes, dtype=bool), locate,
-            )
+            self._rows = _b_rows(self.moment_matrices(), self.grid.dim, locate)
         return self._rows
 
     def shape_matrices(self):
@@ -372,7 +369,7 @@ class ReferenceModel:
         ids = np.flatnonzero(inside)
         H, Hvec = self._weighted_basis(x[None, :] - self.coords[ids])  # x - x_J
         rows = _b_rows(
-            (H.T @ Hvec)[:, :, None], self.grid.dim, np.ones(1, dtype=bool),
+            (H.T @ Hvec)[:, :, None], self.grid.dim,
             lambda _: (("point",), tuple(x)),
         )[:, :, 0]
         return ids, Hvec @ rows[0], [Hvec @ b for b in rows[1:]]

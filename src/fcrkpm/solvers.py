@@ -7,15 +7,14 @@ values carry their stiffness contribution into every residual without a
 separate right-hand-side lift.
 
 `_masked_cg` is the one Krylov solver: preconditioned conjugate gradient on
-the masked subspace.  The preconditioner is the floored FFT symbol of the
-operator's own interior stencil: one application of the operator to a unit
-delta at the deepest active node gives the stencil, its DFT is a circulant
-approximation of the operator, and dividing by it costs two transforms per
-iteration on top of the one operator application.  The stopping rule is on
-the true masked residual, ||r|| / ||r_0|| <= tol, not on the preconditioned
-one.  It solves the linear system, each Newton step of the nonlinear one
-(which needs N' >= 0) and each backward-Euler step (consistent mass);
-forward Euler divides by the lumped mass.
+the masked subspace.  The preconditioner divides by the floored FFT symbol
+of the weak form off the boundary band, where it is a convolution, derived
+in closed form (interior_symbol): two transforms per iteration next to the
+one operator application.  The stopping rule is on the true masked
+residual, ||r|| / ||r_0|| <= tol, not on the preconditioned one.  It solves
+the linear system, each Newton step of the nonlinear one (which needs
+N' >= 0) and each backward-Euler step (consistent mass); forward Euler
+divides by the lumped mass.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import LineSearchError
 from .moment import MomentPrecomp
@@ -47,6 +45,7 @@ __all__ = [
     "step_transient_diffusion",
     "run_transient",
     "explicit_stable_dt",
+    "interior_symbol",
 ]
 
 # Floor of the preconditioner symbol, relative to its largest entry.  Direct
@@ -95,7 +94,8 @@ class SolveReport:
     iteration, and the last entry equals `residual`.  A linear solve whose
     initial residual is not finite (a NaN or inf in the load or the
     Dirichlet data) runs no iteration: history is [nan], `residual` is NaN
-    and `converged` is False.
+    and `converged` is False.  A nonlinear solve also records the inner
+    CG iterations of each Newton step in `inner_iterations`.
     """
 
     iterations: int
@@ -103,6 +103,7 @@ class SolveReport:
     wall_time: float
     converged: bool
     residual_history: list[float] | None = None
+    inner_iterations: list[int] | None = None
 
 
 @dataclass
@@ -116,68 +117,31 @@ class TransientState:
     converged: bool = True
 
 
-def _implicit_operator(precomp, dt, nu, provider):
-    """Backward-Euler operator x -> M x / dt + nu K x (consistent mass)."""
+def interior_symbol(precomp: MomentPrecomp, w0: float, w1: float):
+    """FFT symbol of the weak form w0 M + w1 K off the boundary band.
 
-    def apply_op(x):
-        return mass_force(x, precomp, provider) / dt + nu * (
-            internal_force(x, precomp, provider)
-        )
-
-    return apply_op
-
-
-def _periodic_depth(inside: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every node to the nearest node outside
-    `inside`, across the periodic seam too.
-
-    A Euclidean distance transform of the wrap-padded mask.  Along an axis
-    with an all-outside slice, that slice is rolled to the front and
-    repeated once at the back: a nearest outside node across the seam then
-    has a no farther stand-in on one of the two copies, so one extra slice
-    suffices.  An axis without such a slice is padded by half its period
-    on each side, which holds every minimal image.
+    There the rows are the constant c and the weight is the cell volume
+    V_c = prod(dx), so the form is a convolution: row set k's gather
+    multiplies the field's spectrum by g_k = sum_p c[k, p] c_p hat_Ha[p],
+    its scatter by the reflected conj(g_k) (basis.py), and the symbol
+    lambda = V_c sum_k w_k |g_k|^2, w = (w0, w1, ..., w1), is real, even
+    and nonnegative.  It is built without a transform.
     """
-    axes = tuple(range(inside.ndim))
-    shifts, pads = [], []
-    for ax, n in enumerate(inside.shape):
-        empty = np.flatnonzero(~inside.any(axis=axes[:ax] + axes[ax + 1:]))
-        if empty.size:
-            shifts.append(-int(empty[0]))
-            pads.append((0, 1))
-        else:
-            shifts.append(0)
-            pads.append((n // 2, n // 2))
-    padded = np.pad(np.roll(inside, shifts, axes), pads, mode="wrap")
-    depth = ndimage.distance_transform_edt(padded)[
-        tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, inside.shape))
-    ]
-    return np.roll(depth, [-k for k in shifts], axes)
+    table = precomp.table
+    odd = np.isin(np.arange(table.size), table.parity_split[1])
+    H = table.hat_Ha.reshape(table.size, -1)
+    re = np.where(odd, 0.0, precomp.c) @ H
+    im = np.where(odd, precomp.c, 0.0) @ H
+    w = np.array([w0] + [w1] * precomp.dim) * np.prod(precomp.grid.spacing)
+    return (w @ (re * re + im * im)).reshape(precomp.grid.shape)
 
 
-def _circulant_preconditioner(apply_op, mask, provider):
-    """Inverse of the operator's floored FFT symbol, masked.
-
-    The interior stencil is the operator's response to a unit delta at the
-    active node farthest from the mask boundary on the periodic box
-    (_periodic_depth), rolled back to the origin.
-    The real part of its DFT is the symbol of the symmetric part of that
-    stencil: real and even, so scaling a real field's spectrum by its
-    reciprocal keeps the spectrum Hermitian.  Floored at SYMBOL_FLOOR times
-    its maximum, it is positive, and z = mask * F^-1[F(r) / lambda] is
-    symmetric positive definite on the masked subspace.  The reciprocal is
-    kept, so each application multiplies instead of dividing.  Building it
-    costs one operator application and one transform; applying it costs two
-    transforms.
-    """
-    depth = _periodic_depth(mask > 0.5)
-    center = np.unravel_index(int(np.argmax(depth)), mask.shape)
-    delta = np.zeros(mask.shape)
-    delta[center] = 1.0
-    col = np.roll(
-        apply_op(delta), [-c for c in center], axis=tuple(range(mask.ndim))
-    )
-    lam = np.real(forward(col, provider))
+def _circulant_preconditioner(precomp, w0, w1, mask, provider):
+    """z = mask * F^-1[F(r) / lambda], lambda the interior symbol of
+    w0 M + w1 K floored at SYMBOL_FLOOR times its maximum: symmetric
+    positive definite on the masked subspace.  Its reciprocal is kept, so
+    an application (two transforms) multiplies; the build runs none."""
+    lam = interior_symbol(precomp, w0, w1)
     inv_lam = 1.0 / np.maximum(lam, SYMBOL_FLOOR * lam.max())
 
     def precondition(v):
@@ -188,17 +152,14 @@ def _circulant_preconditioner(apply_op, mask, provider):
     return precondition
 
 
-def _masked_cg(
-    apply_op, rhs, d0, mask, tol, max_iter, provider, precondition=None
-):
+def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, precondition):
     """Preconditioned conjugate gradient on the mask-projected operator.
 
     The residual and every search direction are multiplied by the 0/1 mask,
-    so frozen coefficients never move.  The preconditioner is
-    `_circulant_preconditioner` of the same operator and mask, built here
-    unless the caller passes one it already built.  Convergence is on the
-    true residual relative to the initial one.  A non-finite initial
-    residual (a NaN or inf in rhs or d0) stops it before the first
+    so frozen coefficients never move.  `precondition` is the caller's
+    `_circulant_preconditioner` of the same operator and mask.  Convergence
+    is on the true residual relative to the initial one.  A non-finite
+    initial residual (a NaN or inf in rhs or d0) stops it before the first
     iteration, and a curvature p.Ap that is not positive (NaN included)
     stops it at once, both as not converged.
 
@@ -215,8 +176,6 @@ def _masked_cg(
         return d, True, [0.0]
     if not np.isfinite(r0):
         return d, False, [float("nan")]
-    if precondition is None:
-        precondition = _circulant_preconditioner(apply_op, mask, provider)
     p = z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
     history = [1.0]
@@ -266,7 +225,8 @@ def solve_static_linear(
     start = time.perf_counter()
     d, converged, history = _masked_cg(
         lambda x: internal_force(x, precomp, provider), rhs, d0, chi_omega,
-        config.tol, config.iter_cap(n_active), provider,
+        config.tol, config.iter_cap(n_active),
+        _circulant_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
     )
     wall = time.perf_counter() - start
     iters, resid = len(history) - 1, history[-1]
@@ -298,9 +258,10 @@ def solve_static_nonlinear(
     the shape functions; `nonlinearity_prime` is N'.  Each step solves
     J s = -R, J v = f_int(v) + f_ext(N'(u_h) v_h), by `_masked_cg` on
     chi_omega (config.tol, config.iter_cap), preconditioned by the circulant
-    symbol of f_int built once per solve, and is halved until ||R||^2 meets
-    the Armijo condition (factor 1e-4, at most 40 halvings).  Convergence is
-    ||masked R|| / ||masked R_0|| <= tol, one history entry per step.
+    symbol of f_int, and is halved until ||R||^2 meets the Armijo
+    condition (factor 1e-4, at most 40 halvings).  Convergence is
+    ||masked R|| / ||masked R_0|| <= tol, one history entry per step; the
+    report's inner_iterations holds the CG iterations of each step.
     N' >= 0 is required: only then is J positive definite on the masked
     subspace.  Otherwise the inner CG can stop on non-positive curvature,
     and a step that never reduces the residual raises LineSearchError.
@@ -329,18 +290,17 @@ def solve_static_nonlinear(
     R_norm0 = float(np.linalg.norm(R))
     if R_norm0 == 0.0:
         return d, u, SolveReport(
-            0, 0.0, time.perf_counter() - start, True, residual_history=[0.0]
+            0, 0.0, time.perf_counter() - start, True, residual_history=[0.0],
+            inner_iterations=[],
         )
-    precondition = _circulant_preconditioner(
-        lambda v: internal_force(v, precomp, provider), chi_omega, provider
-    )
-    history = [1.0]
+    history, inner = [1.0], []
     for iters in range(1, max_iter + 1):
         n_prime = nonlinearity_prime(u)
-        step, _, _ = _masked_cg(
+        step, _, cg_history = _masked_cg(
             jacobian, -R, np.zeros_like(d), chi_omega, config.tol, max_iter,
-            provider, precondition=precondition,
+            _circulant_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
         )
+        inner.append(len(cg_history) - 1)
         # J s = -R, so ||R||^2 falls at rate 2 ||R||^2 along s
         for alpha in 0.5 ** np.arange(41):
             d_try = d + alpha * step
@@ -360,12 +320,13 @@ def solve_static_nonlinear(
     converged = history[-1] <= config.tol
     report = SolveReport(
         len(history) - 1, history[-1], time.perf_counter() - start,
-        converged, residual_history=history,
+        converged, residual_history=history, inner_iterations=inner,
     )
     if not converged:
         warnings.warn(
             f"Newton stopped at relative residual {report.residual:.3e} "
-            f"after {report.iterations} iterations", stacklevel=2,
+            f"after {report.iterations} iterations ({sum(inner)} inner CG "
+            f"iterations: {inner})", stacklevel=2,
         )
     return d, u, report
 
@@ -378,17 +339,13 @@ def step_transient_diffusion(
     config: SolverConfig,
     lumped: np.ndarray | None = None,
     provider=None,
-    *,
-    precondition=None,
 ) -> TransientState:
     """Advance the diffusion system one time step.
 
     Forward Euler divides by the (precomputed) lumped mass on the active
     nodes; backward Euler solves the consistent-mass system by masked CG,
-    preconditioned by `precondition` when given (it must be the
-    `_circulant_preconditioner` of the step's operator on chi_omega, which
-    `run_transient` builds once per march) and by a freshly built one
-    otherwise.  Dirichlet coefficients stay frozen either way.
+    preconditioned by the circulant symbol of M/dt + nu K, which costs no
+    transform to build.  Dirichlet coefficients stay frozen either way.
 
     Raises:
         ValueError: config.dt is not set.
@@ -410,9 +367,12 @@ def step_transient_diffusion(
         b = mass_force(d, precomp, provider) / dt + rhs
         n_active = int(np.count_nonzero(chi_omega))
         d_new, step_converged, history = _masked_cg(
-            _implicit_operator(precomp, dt, config.nu, provider), b, d,
-            chi_omega, config.tol, config.iter_cap(n_active), provider,
-            precondition=precondition,
+            lambda x: mass_force(x, precomp, provider) / dt
+            + config.nu * internal_force(x, precomp, provider), b, d,
+            chi_omega, config.tol, config.iter_cap(n_active),
+            _circulant_preconditioner(
+                precomp, 1.0 / dt, config.nu, chi_omega, provider
+            ),
         )
         if not step_converged:
             converged = False
@@ -450,22 +410,14 @@ def run_transient(
     d0 = (
         np.zeros(precomp.grid.shape) if dirichlet is None else dirichlet.copy()
     )
-    # dt, nu and the mask are fixed for the march, so is the step operator
-    lumped = precondition = None
-    if config.scheme == "explicit-euler":
-        lumped = lumped_mass(precomp, provider)
-    else:
-        precondition = _circulant_preconditioner(
-            _implicit_operator(precomp, config.dt, config.nu, provider),
-            chi_omega, provider,
-        )
+    explicit = config.scheme == "explicit-euler"
+    lumped = lumped_mass(precomp, provider) if explicit else None
     state = TransientState(t=0.0, d=d0)
     if callback is not None:
         callback(state)
     for _ in range(config.n_steps):
         state = step_transient_diffusion(
-            state, precomp, chi_omega, rhs, config, lumped, provider,
-            precondition=precondition,
+            state, precomp, chi_omega, rhs, config, lumped, provider
         )
         if callback is not None:
             callback(state)

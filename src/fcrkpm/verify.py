@@ -10,6 +10,7 @@ check passes when its error is at most its tolerance.
     5  structure_checks         f_int symmetry, semi-definiteness, constants
     6  transform_count_checks   exact transforms per operator call
     7  lumped_mass_total_check  lumped-mass total against the volume
+    9  symbol_checks            preconditioner symbol against the stencil
 
 `run_verification`, the report of `fcrkpm verify`, calls each at its
 default sizes.  tests/test_acceptance.py calls each on its own cells and
@@ -34,10 +35,14 @@ from .moment import (
     INTERIOR_RTOL,
     MomentPrecomp,
     assemble_moment_fields,
+    boundary_band,
+    build_moment_precomp,
+    interior_moments,
     off_band_deviation,
 )
 from .problems import discretize, poisson_case
 from .reference import ReferenceModel
+from .solvers import interior_symbol
 from .spectral import (
     CountingFFTProvider,
     circular_convolve,
@@ -56,6 +61,7 @@ __all__ = [
     "reproduction_checks",
     "run_verification",
     "structure_checks",
+    "symbol_checks",
     "transform_count_checks",
 ]
 
@@ -167,7 +173,9 @@ def oracle_checks(
         rel_err(ref.restrict(M[pq]), M_direct[pq])
         for pq in combinations_with_replacement(range(precomp.size), 2)
     )
-    deviation, _, _ = off_band_deviation(M, precomp.chi, precomp.band)
+    deviation, _ = off_band_deviation(
+        M, precomp.chi, precomp.band, interior_moments(precomp.table)
+    )
     checks = [
         _check(f"moment-{label}", err, 1e-10),
         _check(f"interior-moments-{label}", deviation, INTERIOR_RTOL),
@@ -254,6 +262,36 @@ def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
     return _check("lumped-mass-total", abs(total - volume) / volume, 1e-12)
 
 
+def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
+    """Criterion 9, the preconditioner: solvers.interior_symbol against the
+    DFT (real part) of the operator's response to a unit delta at a node
+    whose footprint's footprint is all active, rolled back to the origin,
+    at 1e-12; for internal_force and M/dt + nu K (dt = dx_0^2, nu = 1/2),
+    on the precomp and on its mask rolled by half the box across the seam.
+    A mask without such a node fails."""
+    grid, table, axes = precomp.grid, precomp.table, tuple(range(precomp.dim))
+    half = [n // 2 for n in grid.shape]
+    rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
+                                  np.roll(precomp.V, half, axes), table)
+    forms = {"f_int": (0.0, 1.0), "implicit": (grid.spacing[0] ** -2, 0.5)}
+    checks = []
+    for case, pc in ((label, precomp), (f"{label}-rolled", rolled)):
+        # the active nodes off the band whose footprint is off it too
+        deep = pc.chi.copy()
+        deep.flat[pc.band] = 0.0
+        deep.flat[boundary_band(deep, table)] = 0.0
+        center = np.unravel_index(int(np.argmax(deep)), grid.shape)
+        delta = np.zeros(grid.shape)
+        delta[center] = 1.0
+        M, K = ops.mass_force(delta, pc), ops.internal_force(delta, pc)
+        for name, (w0, w1) in forms.items():
+            col = np.roll(w0 * M + w1 * K, [-k for k in center], axes)
+            err = rel_err(interior_symbol(pc, w0, w1), forward(col).real)
+            err = err if deep.any() else np.inf
+            checks.append(_check(f"symbol-{name}-{case}", err, 1e-12))
+    return checks
+
+
 def mask_check(disc) -> dict:
     """The masks of a box discretization, exactly: chi is 0/1, equals the
     domain predicate box_predicates(case.bounds) at the grid nodes, and
@@ -292,28 +330,31 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
     """Run every check at the default sizes; returns {"passed": bool,
     "checks": [...], "seed", "fault_injection"}.
 
-    Criterion 2 runs on each default cell; a cell that raises is itself a
-    failed check.  The mask algebra and criteria 4-7 run on the 2D cell,
-    which carries the fault when inject_fault is set.
+    Criteria 2 and 9 run on each default cell; a cell that raises is
+    itself a failed check.  The mask algebra and criteria 4-7 run on the 2D
+    n = 1 cell, which carries the fault when inject_fault is set.
     """
     rng = np.random.default_rng(seed)
     shapes = [(8,), (12,), (16,), (8, 16), (8, 8, 8)]
     checks = convolution_checks(rng, shapes, pairs=25)
     disc2 = None
-    # criterion 2's cells: dim, nodes per axis, n, a_tilde
-    cells = [(1, 64, 1, 1.5), (2, 32, 1, 1.5), (3, 12, 1, 1.5), (3, 8, 2, 2.5)]
+    # dim, nodes per axis, n, a_tilde; criterion 9 needs a node whose
+    # footprint's footprint fits the domain
+    cells = [(1, 64, 1, 1.5), (1, 64, 2, 2.5), (2, 32, 1, 1.5),
+             (2, 32, 2, 2.5), (3, 12, 1, 1.5), (3, 16, 2, 2.5)]
     for dim, counts, n, a_tilde in cells:
         label = f"{dim}d-n{n}-a{a_tilde}"
         try:
             disc = discretize(
                 poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts
             )
-            if inject_fault and dim == 2:
+            if inject_fault and (dim, n) == (2, 1):
                 corrupt_table(disc.precomp)
             checks.extend(
                 oracle_checks(disc.precomp, disc.reference(), rng, label)
             )
-            if dim == 2:
+            checks.extend(symbol_checks(disc.precomp, label))
+            if (dim, n) == (2, 1):
                 disc2 = disc
         except Exception as exc:  # a crash is itself a failed check
             crash = _check(f"cross-method-{label}", float("inf"), 1e-10)

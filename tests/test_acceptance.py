@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
-Criteria 1, 2 and 4-7 call the check functions of fcrkpm.verify, which
+Criteria 1, 2, 4-7 and 9's symbol call the check functions of
+fcrkpm.verify, which
 `fcrkpm verify` runs at its own default sizes, on the cells and sample
 counts below.
 Criterion 8 times the heavy traditional assembly in single runs: the
@@ -209,6 +210,19 @@ def test_criterion_8_performance_trends(rng):
         f"31^3 assembly/fc ratio x{big_ratio:.0f} (>=100), "
         f"fc<traditional bytes: {mem_ok}",
     )
+
+
+def test_criterion_9_preconditioner_symbol():
+    checks = []
+    for dim, counts, n, a_tilde in [(1, 24, 1, 1.5), (1, 24, 2, 2.5),
+                                    (2, 16, 1, 1.5), (2, 20, 2, 2.5),
+                                    (3, 10, 1, 1.5), (3, 14, 2, 2.5)]:
+        disc = fc.discretize(
+            fc.poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts
+        )
+        label = f"{dim}d-n{n}-a{a_tilde}"
+        checks.extend(verify.symbol_checks(disc.precomp, label))
+    _report(9, "preconditioner symbol", *_summary(checks))
 
 
 def test_criterion_9_solvers(rng):

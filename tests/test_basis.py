@@ -13,13 +13,13 @@ from fcrkpm import (
     discretize,
     enumerate_basis,
     eval_kernel_1d,
-    invert_moments,
     poisson_case,
     weighted_monomials,
 )
 from fcrkpm import basis as basis_module
 from fcrkpm.basis import monomial
 from fcrkpm.grid import build_grid, plan_extension
+from fcrkpm.moment import _b_rows
 from fcrkpm.spectral import forward
 
 
@@ -122,31 +122,28 @@ class TestRowLayout:
 
 
 def _invert_constant(n, d):
-    """Run invert_moments on one well-conditioned SPD moment matrix M at
-    every node of an 8^d lattice; return inv(M) and the precomp."""
-    plan = plan_extension((2.0,) * d, 1.5, counts=(8,) * d)
-    grid = build_grid(plan, (-1.0,) * d)
-    basis = enumerate_basis(n, d)
-    table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
-    s = basis.size
+    """Run the row helper of invert_moments on one well-conditioned SPD
+    moment matrix M at every node of an 8^d lattice; return inv(M) and the
+    (1 + d, s, *lattice) rows."""
+    s = enumerate_basis(n, d).size
     A = np.random.default_rng(7).standard_normal((s, s))
     M = A @ A.T + s * np.eye(s)
-    stack = np.empty((s, s) + grid.shape)
+    stack = np.empty((s, s) + (8,) * d)
     stack[...] = M.reshape((s, s) + (1,) * d)
-    ones = np.ones(grid.shape)
-    return np.linalg.inv(M), invert_moments(stack, ones, ones, table)
+    rows = _b_rows(stack, d, lambda first: (first, first))
+    return np.linalg.inv(M), rows
 
 
 class TestSelectors:
-    """invert_moments applies the value selector e_1 and the gradient
-    selector -e_(1+ax) to the inverse moment matrix."""
+    """The b-rows apply the value selector e_1 and the gradient selector
+    -e_(1+ax) to the inverse moment matrix."""
 
     def test_gradient_selector_2d(self):
         basis = enumerate_basis(1, 2)
         assert basis.exponents[1] == (1, 0)
         assert basis.exponents[2] == (0, 1)
-        minv, precomp = _invert_constant(1, 2)
-        bgrad = precomp.dense_rows()[1:]
+        minv, rows = _invert_constant(1, 2)
+        bgrad = rows[1:]
         for ax, sel in enumerate(([0, -1, 0], [0, 0, -1])):
             row = minv @ np.array(sel, dtype=float)
             for p in range(basis.size):
@@ -157,9 +154,9 @@ class TestSelectors:
     def test_gradient_selector_3d_z(self):
         basis = enumerate_basis(1, 3)
         assert basis.exponents[3] == (0, 0, 1)
-        minv, precomp = _invert_constant(1, 3)
+        minv, rows = _invert_constant(1, 3)
         row = minv @ np.array([0, 0, 0, -1], dtype=float)
-        bgrad = precomp.dense_rows()[1:]
+        bgrad = rows[1:]
         for p in range(basis.size):
             np.testing.assert_allclose(
                 bgrad[2][p], row[p], rtol=1e-12, atol=1e-15
@@ -169,11 +166,11 @@ class TestSelectors:
         basis = enumerate_basis(2, 2)
         assert basis.exponents[0] == (0, 0)
         assert all(sum(a) > 0 for a in basis.exponents[1:])
-        minv, precomp = _invert_constant(2, 2)
+        minv, rows = _invert_constant(2, 2)
         e1 = np.zeros(basis.size)
         e1[0] = 1.0
         row = minv @ e1
-        b0 = precomp.dense_rows()[0]
+        b0 = rows[0]
         for p in range(basis.size):
             np.testing.assert_allclose(
                 b0[p], row[p], rtol=1e-12, atol=1e-15

@@ -38,6 +38,8 @@ from fcrkpm.moment import (
     SINGULAR_PIVOT_RTOL,
     _b_rows,
     _invert_symmetric,
+    boundary_band,
+    interior_moments,
     off_band_deviation,
 )
 from fcrkpm.reference import ReferenceModel
@@ -262,9 +264,12 @@ class TestInversion:
     def test_ill_conditioned_warns(self):
         grid, chi, V, table = _setup_1d()
         M = assemble_moment_fields(chi, table)
-        # squeeze the second diagonal towards singular (pivot still above
-        # the 1e-14 threshold, condition estimate beyond 1e12)
-        M[1, 1] = np.where(chi > 0.5, 1e-13, M[1, 1])
+        # squeeze the band's matrices towards singular, diag(M_00, 1e-13)
+        # (pivot still above the 1e-14 threshold, condition estimate beyond
+        # 1e12); off the band they must stay the interior one
+        band = boundary_band(chi, table)
+        M[0, 1].flat[band] = M[1, 0].flat[band] = 0.0
+        M[1, 1].flat[band] = 1e-13
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedMomentWarning):
@@ -282,8 +287,7 @@ class TestInversion:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    _b_rows(M, dim, np.ones(1, dtype=bool),
-                            lambda i: (i, (0.0,)))
+                    _b_rows(M, dim, lambda i: (i, (0.0,)))
                 except SingularMomentError:
                     continue
             assert any(
@@ -360,16 +364,14 @@ class TestSlabs:
         assert np.array_equal(one, slabbed)
 
     def test_singular_node_in_later_slab(self, monkeypatch):
-        # flat node 5 is singular but inactive; 7 and 10 are singular and
-        # active, in the third and fourth slab of three nodes each
+        # flat nodes 7 and 10 are singular, in the third and fourth slab of
+        # three nodes each
         nodes = (3, 4)
-        M = _stack_with(nodes, {5: _SINGULAR, 7: _SINGULAR, 10: _SINGULAR})
-        active = np.ones(nodes, dtype=bool)
-        active.flat[5] = False
+        M = _stack_with(nodes, {7: _SINGULAR, 10: _SINGULAR})
 
         def raised():
             with pytest.raises(SingularMomentError) as err:
-                _b_rows(M, 2, active, lambda multi: (multi, multi))
+                _b_rows(M, 2, lambda multi: (multi, multi))
             return err.value
 
         one, slabbed = self._one_and_slabbed(monkeypatch, raised, 3)
@@ -377,17 +379,15 @@ class TestSlabs:
         assert one.pivot == slabbed.pivot
 
     def test_ill_conditioned_node_in_later_slab(self, monkeypatch):
-        # condition estimate 1e13 at flat node 10 (slab 4 of 3 nodes) and
-        # 1e14 at the inactive node 4: one warning, naming the active one
+        # condition estimates 2e12 at flat node 4 and 1e13 at node 10
+        # (slabs 2 and 4 of 3 nodes): one warning, with the worst
         nodes = (3, 4)
-        M = _stack_with(nodes, {4: np.diag([1.0, 1.0, 1e-14]),
+        M = _stack_with(nodes, {4: np.diag([1.0, 1.0, 5e-13]),
                                 10: np.diag([1.0, 1.0, 1e-13])})
-        active = np.ones(nodes, dtype=bool)
-        active.flat[4] = False
         monkeypatch.setattr(moment, "_SLAB_NODES", 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _b_rows(M, 2, active, lambda multi: (multi, multi))
+            _b_rows(M, 2, lambda multi: (multi, multi))
         assert len(caught) == 1
         assert issubclass(caught[0].category, IllConditionedMomentWarning)
         assert "1.00e+13" in str(caught[0].message)
@@ -406,8 +406,9 @@ class TestBand:
         assert np.array_equal(band, footprint_band(disc.chi, disc.grid,
                                                    support))
         M = assemble_moment_fields(disc.chi, disc.table)
-        deviation, _, rep = off_band_deviation(M, disc.chi, band)
-        assert rep >= 0 and deviation <= INTERIOR_RTOL
+        Mc = interior_moments(disc.table)
+        deviation, _ = off_band_deviation(M, disc.chi, band, Mc)
+        assert deviation <= INTERIOR_RTOL
 
     def test_empty_band_on_the_whole_periodic_box(self, disc2d):
         grid, table = disc2d.grid, disc2d.table
@@ -424,7 +425,7 @@ class TestBand:
 
     def test_no_interior_node(self):
         # a strip two nodes wide: every footprint reaches off it, so every
-        # active node is on the band and the constant stays unused
+        # active node is on the band; the constant is still M_c's rows
         plan = plan_extension((2.0, 2.0), 1.5, counts=16)
         grid = build_grid(plan, (-1.0, -1.0))
         chi = np.zeros(grid.shape)
@@ -435,7 +436,9 @@ class TestBand:
         pc = invert_moments(M, chi, quadrature_weights(grid, chi), table)
         active = chi > 0.5
         assert np.array_equal(pc.band, np.flatnonzero(active))
-        assert np.all(pc.c == 0.0)
+        inv_c = np.linalg.inv(interior_moments(table))
+        assert rel_err(pc.c[0], inv_c[0]) < 1e-12
+        assert rel_err(pc.c[1:], -inv_c[1:3]) < 1e-12
         inv = np.linalg.inv(M[..., active].transpose(2, 0, 1))
         assert rel_err(pc.band_rows[0], inv[:, 0, :].T) < 1e-12
         u1 = evaluate_field(np.ones(grid.shape), pc)
@@ -455,6 +458,33 @@ class TestBand:
         assert err.value.node_index == node
         assert err.value.coordinate == disc2d.grid.node_coordinate(node)
         assert 1e-9 < err.value.deviation < 1e-7
+
+    def test_first_off_band_node_named(self):
+        # the first active node off the band in C order, which a sampled
+        # interior matrix would have been taken from, is named itself
+        disc = discretize(poisson_case(2), counts=32)
+        M = assemble_moment_fields(disc.chi, disc.table)
+        off = (disc.chi > 0.5).ravel()
+        off[disc.precomp.band] = False
+        node = tuple(int(k) for k in np.unravel_index(
+            np.flatnonzero(off)[0], disc.grid.shape))
+        M[(0, 0) + node] *= 1.0 + 1e-8
+        with pytest.raises(InteriorMomentError) as err:
+            invert_moments(M, disc.chi, disc.V, disc.table)
+        assert err.value.node_index == node
+
+    @pytest.mark.parametrize("dim,n,a_tilde",
+                             [(1, 1, 1.5), (2, 2, 2.5), (3, 1, 1.5),
+                              (3, 2, 2.5)])
+    def test_interior_moments_match_the_fft_stack(self, dim, n, a_tilde):
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
+                          counts=16)
+        M = assemble_moment_fields(disc.chi, disc.table)
+        off = (disc.chi > 0.5).ravel()
+        off[disc.precomp.band] = False
+        Mc = interior_moments(disc.table)
+        at = M.reshape(M.shape[:2] + (-1,))[..., off]
+        assert np.max(np.abs(at - Mc[..., None])) <= 1e-15 * np.abs(Mc).max()
 
 
 class TestReproducingConditions:
