@@ -7,14 +7,18 @@ values carry their stiffness contribution into every residual without a
 separate right-hand-side lift.
 
 `_masked_cg` is the one Krylov solver: preconditioned conjugate gradient on
-the masked subspace.  The preconditioner divides by the floored FFT symbol
-of the weak form off the boundary band, where it is a convolution, derived
-in closed form (interior_symbol): two transforms per iteration next to the
-one operator application.  The stopping rule is on the true masked
-residual, ||r|| / ||r_0|| <= tol, not on the preconditioned one.  It solves
-the linear system, each Newton step of the nonlinear one (which needs
-N' >= 0) and each backward-Euler step (consistent mass); forward Euler
-divides by the lumped mass.
+the masked subspace.  The preconditioner is a fast-transform inverse of
+the weak form off the boundary band, where it is a convolution: its symbol
+is derived in closed form (interior_symbol) and divided out in the sine
+transform (DST-I) of the free set's extent, the tau preconditioner of a
+Dirichlet block, or in the DFT where the free set covers the whole
+periodic box.  No floor is tuned: only rounding-level zeros of the symbol,
+the null modes of a periodic operator, are left out.  It costs two
+transforms per iteration next to the one operator application.  The
+stopping rule is on the true masked residual, ||r|| / ||r_0|| <= tol, not
+on the preconditioned one.  It solves the linear system, each Newton step
+of the nonlinear one (which needs N' >= 0) and each backward-Euler step
+(consistent mass); forward Euler divides by the lumped mass.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from .basis import eval_kernel_1d
 from .errors import LineSearchError
-from .moment import MomentPrecomp
+from .moment import MomentPrecomp, _footprint_reach
 from .operators import (
     evaluate_field,
     external_force,
@@ -34,7 +40,7 @@ from .operators import (
     lumped_mass,
     mass_force,
 )
-from .spectral import forward, inverse
+from .spectral import forward, inverse, sine_forward, sine_inverse
 
 __all__ = [
     "SolverConfig",
@@ -48,12 +54,12 @@ __all__ = [
     "interior_symbol",
 ]
 
-# Floor of the preconditioner symbol, relative to its largest entry.  Direct
-# nodal integration leaves zero-energy Nyquist modes, so the stiffness
-# symbol vanishes there (and at k = 0) and must not be inverted as is.
-# Measured on the 3D 48^3 Poisson case: floor 1e-3 -> 51 iterations,
-# 1e-2 -> 45, 3e-2 -> 49, 1e-1 -> 48, 2e-1 -> 58.
-SYMBOL_FLOOR = 1e-2
+# A symbol value at most NULL_RTOL times the largest is a rounding-level
+# zero.  Direct nodal integration leaves zero-energy Nyquist modes, so on a
+# periodic box the stiffness symbol vanishes there and at theta = 0; the
+# smallest physical value, at the lowest sine frequency of an n-node
+# block, is of order (pi / (n + 1))^2 of the largest.
+NULL_RTOL = 1e-12
 
 
 @dataclass
@@ -117,37 +123,121 @@ class TransientState:
     converged: bool = True
 
 
-def interior_symbol(precomp: MomentPrecomp, w0: float, w1: float):
-    """FFT symbol of the weak form w0 M + w1 K off the boundary band.
+def interior_symbol(precomp: MomentPrecomp, w0: float, w1: float,
+                    thetas=None):
+    """Symbol of the weak form w0 M + w1 K off the boundary band, at the
+    per-axis angular frequencies `thetas` (one array per axis; by default
+    the grid's DFT frequencies 2 pi m / N_ax in FFT order), on their
+    tensor grid.
 
     There the rows are the constant c and the weight is the cell volume
     V_c = prod(dx), so the form is a convolution: row set k's gather
-    multiplies the field's spectrum by g_k = sum_p c[k, p] c_p hat_Ha[p],
-    its scatter by the reflected conj(g_k) (basis.py), and the symbol
-    lambda = V_c sum_k w_k |g_k|^2, w = (w0, w1, ..., w1), is real, even
-    and nonnegative.  It is built without a transform.
+    multiplies a mode e^{i theta.o} by g_k(theta) = sum_p c[k, p] F_a,p,
+    its scatter by conj(g_k), and the symbol
+
+        lambda = V_c sum_k w_k |g_k|^2,    w = (w0, w1, ..., w1),
+
+    is real, even and nonnegative.  Kernel and monomials are tensor
+    products, so F_a,p(theta) = prod_ax h_{alpha_p[ax]}(theta_ax) with
+
+        h_m(theta) = sum_{|o| <= r} (o dx)^m phi_1(o dx) e^{-i theta o}
+
+    over the kernel footprint offsets o (moment._footprint_reach): at the
+    DFT frequencies this is the basis spectrum, c_p hat_Ha[p].  It is built
+    axis by axis, with no transform.
     """
-    table = precomp.table
-    odd = np.isin(np.arange(table.size), table.parity_split[1])
-    H = table.hat_Ha.reshape(table.size, -1)
-    re = np.where(odd, 0.0, precomp.c) @ H
-    im = np.where(odd, precomp.c, 0.0) @ H
-    w = np.array([w0] + [w1] * precomp.dim) * np.prod(precomp.grid.spacing)
-    return (w @ (re * re + im * im)).reshape(precomp.grid.shape)
+    table, grid = precomp.table, precomp.grid
+    if thetas is None:
+        thetas = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.counts]
+    degree = table.basis.degree
+    h = []  # per axis, h[ax][m] over that axis's frequencies
+    for theta, dx, a, r in zip(thetas, grid.spacing, table.kernel.support,
+                               _footprint_reach(table)):
+        o = np.arange(-r, r + 1)
+        x = o * dx
+        wave = np.exp(-1j * np.outer(o, theta))
+        h.append([(x**m * eval_kernel_1d(x, a)) @ wave
+                  for m in range(degree + 1)])
+    lam = np.zeros([len(theta) for theta in thetas])
+    for k, wk in enumerate([w0] + [w1] * precomp.dim):
+        g = np.zeros(lam.shape, complex)
+        for c_kp, alpha in zip(precomp.c[k], table.basis.exponents):
+            g += c_kp * reduce(np.multiply.outer,
+                               [hx[m] for hx, m in zip(h, alpha)])
+        lam += wk * (g.real**2 + g.imag**2)
+    return lam * np.prod(grid.spacing)
 
 
-def _circulant_preconditioner(precomp, w0, w1, mask, provider):
-    """z = mask * F^-1[F(r) / lambda], lambda the interior symbol of
-    w0 M + w1 K floored at SYMBOL_FLOOR times its maximum: symmetric
-    positive definite on the masked subspace.  Its reciprocal is kept, so
-    an application (two transforms) multiplies; the build runs none."""
-    lam = interior_symbol(precomp, w0, w1)
-    inv_lam = 1.0 / np.maximum(lam, SYMBOL_FLOOR * lam.max())
+def _cyclic_extent(free: np.ndarray, axis: int):
+    """(start, n): the shortest run of indices along `axis`, read
+    cyclically from start, that holds every free node; None when the free
+    nodes leave no index of the axis out (or there are none)."""
+    others = tuple(ax for ax in range(free.ndim) if ax != axis)
+    idx = np.flatnonzero(free.any(axis=others))
+    N = free.shape[axis]
+    if idx.size in (0, N):
+        return None
+    # the widest gap between cyclically consecutive occupied indices
+    step = np.diff(idx, append=idx[0] + N)
+    i = int(np.argmax(step))
+    return int(idx[(i + 1) % idx.size]), N - int(step[i]) + 1
+
+
+def _pseudo_reciprocal(lam: np.ndarray) -> np.ndarray:
+    """1 / lambda, and 0 where lambda is a rounding-level zero (at most
+    NULL_RTOL times its maximum): the exact null modes of a periodic
+    operator, which the preconditioner must not amplify."""
+    inv = np.zeros_like(lam)
+    np.divide(1.0, lam, out=inv, where=lam > NULL_RTOL * lam.max())
+    return inv
+
+
+def _fast_preconditioner(precomp, w0, w1, mask, provider):
+    """z = mask * T^-1[T(r) / lambda]: the interior symbol of w0 M + w1 K
+    (interior_symbol) inverted in the transform that diagonalizes the
+    operator's interior stencil on the free set (mask > 0.5).
+
+    Where the free set leaves a gap along some axis it is a Dirichlet
+    block, whose interior stencil is a multilevel Toeplitz matrix: T is
+    the DST-I over the free set's cyclic extent per axis (an axis it
+    covers whole takes its whole length), and lambda is taken at the sine
+    frequencies pi j / (n + 1), j = 1..n, the tau preconditioner of the
+    Toeplitz stencil.  Where it covers every axis the operator is a
+    circulant: T is the DFT over the grid and lambda is taken at the DFT
+    frequencies.  Either way the preconditioner is symmetric positive
+    semidefinite, definite on the masked subspace of a Dirichlet block.
+    Its reciprocal is kept, so an application (two transforms)
+    multiplies; the build runs none.
+    """
+    extent = [_cyclic_extent(mask > 0.5, ax) for ax in range(precomp.dim)]
+    if all(e is None for e in extent):
+        inv_lam = _pseudo_reciprocal(interior_symbol(precomp, w0, w1))
+
+        def precondition(v):
+            v_hat = forward(v, provider)
+            v_hat *= inv_lam
+            return mask * inverse(v_hat, provider)
+
+        return precondition
+    shape = precomp.grid.shape
+    extent = [e or (0, N) for e, N in zip(extent, shape)]
+    inv_lam = _pseudo_reciprocal(interior_symbol(
+        precomp, w0, w1, [np.pi * np.arange(1, n + 1) / (n + 1)
+                          for _, n in extent],
+    ))
+    if all(start + n <= N for (start, n), N in zip(extent, shape)):
+        box = tuple(slice(start, start + n) for start, n in extent)
+    else:  # the extent wraps across the seam
+        box = np.ix_(*[(start + np.arange(n)) % N
+                       for (start, n), N in zip(extent, shape)])
 
     def precondition(v):
-        v_hat = forward(v, provider)
+        v_hat = sine_forward(v[box], provider)
         v_hat *= inv_lam
-        return mask * inverse(v_hat, provider)
+        z = np.zeros(shape)
+        z[box] = sine_inverse(v_hat, provider)
+        z *= mask
+        return z
 
     return precondition
 
@@ -157,8 +247,11 @@ def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, precondition):
 
     The residual and every search direction are multiplied by the 0/1 mask,
     so frozen coefficients never move.  `precondition` is the caller's
-    `_circulant_preconditioner` of the same operator and mask.  Convergence
-    is on the true residual relative to the initial one.  A non-finite
+    `_fast_preconditioner` of the same operator and mask: on the free box
+    of a Dirichlet problem it inverts the interior stencil up to its
+    boundary rows, so the iteration count stays flat under mesh refinement
+    (4 at 2D 64^2 and 128^2 and at 3D 32^3-64^3, n = 1).  Convergence is on
+    the true residual relative to the initial one.  A non-finite
     initial residual (a NaN or inf in rhs or d0) stops it before the first
     iteration, and a curvature p.Ap that is not positive (NaN included)
     stops it at once, both as not converged.
@@ -226,7 +319,7 @@ def solve_static_linear(
     d, converged, history = _masked_cg(
         lambda x: internal_force(x, precomp, provider), rhs, d0, chi_omega,
         config.tol, config.iter_cap(n_active),
-        _circulant_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
+        _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
     )
     wall = time.perf_counter() - start
     iters, resid = len(history) - 1, history[-1]
@@ -257,11 +350,12 @@ def solve_static_nonlinear(
     `nonlinearity` maps u_h to the pointwise term N(u_h) projected against
     the shape functions; `nonlinearity_prime` is N'.  Each step solves
     J s = -R, J v = f_int(v) + f_ext(N'(u_h) v_h), by `_masked_cg` on
-    chi_omega (config.tol, config.iter_cap), preconditioned by the circulant
-    symbol of f_int, and is halved until ||R||^2 meets the Armijo
-    condition (factor 1e-4, at most 40 halvings).  Convergence is
-    ||masked R|| / ||masked R_0|| <= tol, one history entry per step; the
-    report's inner_iterations holds the CG iterations of each step.
+    chi_omega (config.tol, config.iter_cap), preconditioned by the symbol
+    of f_int (`_fast_preconditioner`, built once per solve), and is halved
+    until ||R||^2 meets the Armijo condition (factor 1e-4, at most 40
+    halvings).  Convergence is ||masked R|| / ||masked R_0|| <= tol, one
+    history entry per step; the report's inner_iterations holds the CG
+    iterations of each step.
     N' >= 0 is required: only then is J positive definite on the masked
     subspace.  Otherwise the inner CG can stop on non-positive curvature,
     and a step that never reduces the residual raises LineSearchError.
@@ -294,11 +388,12 @@ def solve_static_nonlinear(
             inner_iterations=[],
         )
     history, inner = [1.0], []
+    precondition = _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider)
     for iters in range(1, max_iter + 1):
         n_prime = nonlinearity_prime(u)
         step, _, cg_history = _masked_cg(
             jacobian, -R, np.zeros_like(d), chi_omega, config.tol, max_iter,
-            _circulant_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
+            precondition,
         )
         inner.append(len(cg_history) - 1)
         # J s = -R, so ||R||^2 falls at rate 2 ||R||^2 along s
@@ -344,8 +439,8 @@ def step_transient_diffusion(
 
     Forward Euler divides by the (precomputed) lumped mass on the active
     nodes; backward Euler solves the consistent-mass system by masked CG,
-    preconditioned by the circulant symbol of M/dt + nu K, which costs no
-    transform to build.  Dirichlet coefficients stay frozen either way.
+    preconditioned by the symbol of M/dt + nu K (`_fast_preconditioner`),
+    which costs no transform to build.  Dirichlet coefficients stay frozen either way.
 
     Raises:
         ValueError: config.dt is not set.
@@ -370,7 +465,7 @@ def step_transient_diffusion(
             lambda x: mass_force(x, precomp, provider) / dt
             + config.nu * internal_force(x, precomp, provider), b, d,
             chi_omega, config.tol, config.iter_cap(n_active),
-            _circulant_preconditioner(
+            _fast_preconditioner(
                 precomp, 1.0 / dt, config.nu, chi_omega, provider
             ),
         )

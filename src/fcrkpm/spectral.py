@@ -10,8 +10,15 @@ which is the convention the circular convolution theorem
 
     a (*) b = F^-1 { F(a) o F(b) }        (o = elementwise product)
 
-assumes here.  A direct O(N^2) summation of the circular convolution is
-kept alongside the FFT path as an independent oracle.
+assumes here.  The sine pair is the DST-I of an n-node field per axis,
+
+    a_hat_k = 2 sum_i a_i sin(pi (k + 1)(i + 1) / (n + 1)),
+
+with the full 1/(2(n + 1)) factor per axis on the inverse (scipy's type-1
+convention): it diagonalizes a symmetric Toeplitz stencil up to its
+boundary rows, as the DFT diagonalizes a circulant one.  A direct O(N^2)
+summation of the circular convolution is kept alongside the FFT path as an
+independent oracle.
 
 The FFT backend sits behind a small provider interface so it can be
 swapped (multithreaded, instrumented, ...) without touching the callers.
@@ -32,6 +39,8 @@ __all__ = [
     "CountingFFTProvider",
     "forward",
     "inverse",
+    "sine_forward",
+    "sine_inverse",
     "circular_convolve",
     "direct_circular_convolve",
 ]
@@ -45,7 +54,8 @@ DIRECT_SIZE_GUARD = 4096
 
 class FFTProvider:
     """Interface for the FFT backend (complex transforms, no normalization
-    on the forward, full 1/N on the inverse)."""
+    on the forward, full 1/N on the inverse; the DST-I pair of a real field
+    over every axis, normalized the same way)."""
 
     def fftn(self, a: np.ndarray) -> np.ndarray:
         """Forward transform into a new array, which callers may scale in
@@ -55,6 +65,14 @@ class FFTProvider:
     def ifftn(self, a: np.ndarray) -> np.ndarray:
         """Inverse transform of a complex array, which it may overwrite
         (and return): callers pass a temporary they do not read again."""
+        raise NotImplementedError
+
+    def dstn(self, a: np.ndarray) -> np.ndarray:
+        """Forward DST-I of a real array into a new array."""
+        raise NotImplementedError
+
+    def idstn(self, a: np.ndarray) -> np.ndarray:
+        """Inverse DST-I of a real array, which it may overwrite."""
         raise NotImplementedError
 
 
@@ -70,9 +88,17 @@ class ScipyFFTProvider(FFTProvider):
     def ifftn(self, a):
         return scipy.fft.ifftn(a, workers=self.workers, overwrite_x=True)
 
+    def dstn(self, a):
+        return scipy.fft.dstn(a, type=1, workers=self.workers)
+
+    def idstn(self, a):
+        return scipy.fft.idstn(a, type=1, workers=self.workers,
+                               overwrite_x=True)
+
 
 class CountingFFTProvider(FFTProvider):
-    """Wrapper that counts transforms; used by the operation-count audits."""
+    """Wrapper that counts transforms; used by the operation-count audits.
+    A sine transform counts as one forward or one inverse, like a DFT."""
 
     def __init__(self, inner: FFTProvider | None = None):
         self.inner = inner if inner is not None else ScipyFFTProvider()
@@ -94,6 +120,14 @@ class CountingFFTProvider(FFTProvider):
     def ifftn(self, a):
         self.inverse_count += 1
         return self.inner.ifftn(a)
+
+    def dstn(self, a):
+        self.forward_count += 1
+        return self.inner.dstn(a)
+
+    def idstn(self, a):
+        self.inverse_count += 1
+        return self.inner.idstn(a)
 
 
 _DEFAULT = ScipyFFTProvider()
@@ -132,6 +166,16 @@ def inverse(a_hat: np.ndarray, provider: FFTProvider | None = None) -> np.ndarra
             "the spectrum was not real-symmetric"
         )
     return re
+
+
+def sine_forward(a: np.ndarray, provider: FFTProvider | None = None) -> np.ndarray:
+    """Unnormalized forward DST-I of a real field over every axis."""
+    return (provider or _DEFAULT).dstn(a)
+
+
+def sine_inverse(a_hat: np.ndarray, provider: FFTProvider | None = None) -> np.ndarray:
+    """Normalized inverse DST-I over every axis; a_hat may be overwritten."""
+    return (provider or _DEFAULT).idstn(a_hat)
 
 
 def circular_convolve(a, b, provider: FFTProvider | None = None) -> np.ndarray:

@@ -10,7 +10,8 @@ check passes when its error is at most its tolerance.
     5  structure_checks         f_int symmetry, semi-definiteness, constants
     6  transform_count_checks   exact transforms per operator call
     7  lumped_mass_total_check  lumped-mass total against the volume
-    9  symbol_checks            preconditioner symbol against the stencil
+    9  symbol_checks            preconditioner symbol against the stencil,
+                                at the DFT and the sine frequencies
 
 `run_verification`, the report of `fcrkpm verify`, calls each at its
 default sizes.  tests/test_acceptance.py calls each on its own cells and
@@ -42,7 +43,7 @@ from .moment import (
 )
 from .problems import discretize, poisson_case
 from .reference import ReferenceModel
-from .solvers import interior_symbol
+from .solvers import _cyclic_extent, interior_symbol
 from .spectral import (
     CountingFFTProvider,
     circular_convolve,
@@ -263,17 +264,29 @@ def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
 
 
 def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
-    """Criterion 9, the preconditioner: solvers.interior_symbol against the
-    DFT (real part) of the operator's response to a unit delta at a node
-    whose footprint's footprint is all active, rolled back to the origin,
-    at 1e-12; for internal_force and M/dt + nu K (dt = dx_0^2, nu = 1/2),
-    on the precomp and on its mask rolled by half the box across the seam.
-    A mask without such a node fails."""
+    """Criterion 9, the preconditioner: solvers.interior_symbol against
+    the response K(o) of the operator to a unit delta at a node whose
+    footprint's footprint is all active, rolled back to the origin, at
+    1e-12; for internal_force and M/dt + nu K (dt = dx_0^2, nu = 1/2), on
+    the precomp and on its mask rolled by half the box across the seam.
+
+    Two frequency sets: the DFT ones, against the DFT (real part) of the
+    response (symbol-<form>-<case>), and the sine frequencies pi j / (n + 1)
+    of the active set's cyclic extent per axis, which the preconditioner
+    divides by on a Dirichlet block, against sum_o K(o) prod_ax
+    cos(theta_ax o_ax) (symbol-sine-<form>-<case>).  A mask without such a
+    node fails."""
     grid, table, axes = precomp.grid, precomp.table, tuple(range(precomp.dim))
     half = [n // 2 for n in grid.shape]
     rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
                                   np.roll(precomp.V, half, axes), table)
     forms = {"f_int": (0.0, 1.0), "implicit": (grid.spacing[0] ** -2, 0.5)}
+    # minimal-image node offsets, and the sine frequencies of the extent,
+    # which rolling the mask does not change
+    offsets = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.shape]
+    lengths = [(_cyclic_extent(precomp.chi > 0.5, ax) or (0, N))[1]
+               for ax, N in enumerate(grid.shape)]
+    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in lengths]
     checks = []
     for case, pc in ((label, precomp), (f"{label}-rolled", rolled)):
         # the active nodes off the band whose footprint is off it too
@@ -287,8 +300,16 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
         for name, (w0, w1) in forms.items():
             col = np.roll(w0 * M + w1 * K, [-k for k in center], axes)
             err = rel_err(interior_symbol(pc, w0, w1), forward(col).real)
-            err = err if deep.any() else np.inf
+            sine = col
+            for o, theta in zip(offsets, thetas):
+                # contract the leading offset axis; the frequency goes last
+                sine = np.tensordot(sine, np.cos(np.outer(o, theta)), (0, 0))
+            sine_err = rel_err(interior_symbol(pc, w0, w1, thetas), sine)
+            if not deep.any():
+                err = sine_err = np.inf
             checks.append(_check(f"symbol-{name}-{case}", err, 1e-12))
+            checks.append(_check(f"symbol-sine-{name}-{case}", sine_err,
+                                 1e-12))
     return checks
 
 

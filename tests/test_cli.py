@@ -176,10 +176,12 @@ class TestConvergeCSV:
 
 
     def test_not_converged_exits_1(self, tmp_path):
+        # 2D takes 4 CG iterations at every size (1D takes 1), so a cap of
+        # 2 stops each solve
         out = tmp_path / "c.csv"
         cfg = _write(
             tmp_path, "c.json",
-            {"version": 1, "experiment": "converge", "dim": 1,
+            {"version": 1, "experiment": "converge", "dim": 2,
              "powers": [3, 4, 5], "max_iter": 2},
         )
         with pytest.warns(UserWarning, match="CG stopped"):
