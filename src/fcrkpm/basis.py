@@ -16,12 +16,31 @@ minimal-image offset xi of the node index (grid.wrapped_offsets), which is
 pointwise equivalent to splitting the centered function into 2^d corner
 blocks and reordering them onto the box.  For each basis entry p the table
 keeps only the spectrum F_a,p = F(H_p^a) of H_p^a = H_p phi_a(xi), and
-keeps it as one real number per frequency (below); the real-space fields,
-and the moment integrands H_p H_q^a (the weighted monomials of the
-exponent sums alpha_p + alpha_q), are regenerated from grid, basis and
-kernel by weighted_monomials.  monomial and eval_kernel are the one
-evaluation of H and phi_a; the direct-summation oracle calls them at its
-neighbor offsets and query points too.
+keeps it as one real number per frequency (below).
+
+The spectra are not transformed: they are derived per axis.  Kernel and
+monomial are tensor products, and the kernel reaches r_k nodes along axis
+k (_footprint_reach), so the DFT of the weighted monomial of any exponent
+tuple alpha is a product of per-axis trig sums,
+
+    F(x^alpha phi_a)(theta) = prod_k h_{alpha_k}(theta_k),
+    h_m(theta) = sum_{|o| <= r} (o dx)^m phi_1(o dx) e^{-i theta o}
+               = (-i)^(m mod 2) r_m(theta),
+
+with r_m the cosine sum for even m and the sine sum for odd m (the other
+half cancels over o -> -o).  axis_sums evaluates r_m at any per-axis
+frequencies, the DFT ones by default: the basis spectra here, the moment
+integrands of moment.py (exponent sums alpha_p + alpha_q) and the
+preconditioner symbol of solvers.py all read it, and none runs a transform,
+so setup's only transforms are the moment stack's: the mask's and one
+inverse per distinct exponent sum (moment.py).
+
+weighted_monomials evaluates the real-space fields H_p^a and the
+integrands H_p H_q^a on the lattice.  Nothing on the solver path calls
+it: it is the oracle that `fcrkpm verify` transforms to check the closed
+form (spectra-<cell>).  monomial and eval_kernel are the one evaluation of
+H and phi_a; the direct-summation oracle calls them at its neighbor
+offsets and query points too.
 
 The kernel is evaluated through |x|, so phi_a(-xi) equals phi_a(xi) bit
 for bit, and (-xi)^alpha is (-1)^|alpha| xi^alpha exactly (negation is
@@ -35,9 +54,11 @@ array hat_Ha with
 
     F_a,p = c_p hat_Ha[p],   c_p = 1 for even |alpha_p|, i for odd,
 
-i.e. hat_Ha[p] is F(H_p^a).real or F(H_p^a).imag.  The part it drops is
-rounding noise, and build_basis_table checks that it is.  The operators
-apply c_p to the one transformed field they hold, not to the spectra.
+i.e. hat_Ha[p] is F(H_p^a).real or F(H_p^a).imag.  In the closed form that
+is (1, -1, -1, 1)[k mod 4] prod_k r_{alpha_k}, k the number of odd entries
+of alpha_p (kept_spectrum): the dropped component is zero by construction.
+The operators apply c_p to the one transformed field they hold, not to
+the spectra.
 
 No reflected array is stored either.  The correlations of the weak form
 need the reflection Hbar_p^a(xi) = H_p^a(-xi) = (-1)^|alpha_p| H_p^a(xi),
@@ -48,12 +69,11 @@ operators apply that sign too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .grid import PeriodicGrid
-from .spectral import IMAG_TOL, FFTProvider, forward
 
 __all__ = [
     "BasisIndex",
@@ -62,6 +82,8 @@ __all__ = [
     "eval_kernel_1d",
     "eval_kernel",
     "weighted_monomials",
+    "axis_sums",
+    "kept_spectrum",
     "BasisTable",
     "build_basis_table",
 ]
@@ -161,6 +183,55 @@ def weighted_monomials(grid: PeriodicGrid, kernel: KernelSpec, exponents):
         yield monomial(xi, alpha) * phi
 
 
+def _footprint_reach(grid: PeriodicGrid, kernel: KernelSpec) -> list[int]:
+    """Nodes the kernel footprint reaches along each axis: the offsets
+    i dx_k with phi_a(i dx_k) > 0, so r_k = floor(a_tilde) unless a_tilde
+    is a whole number."""
+    return [
+        np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
+        for n, dx, a in zip(grid.counts, grid.spacing, kernel.support)
+    ]
+
+
+def axis_sums(grid: PeriodicGrid, kernel: KernelSpec, degree: int,
+              thetas=None) -> list[np.ndarray]:
+    """Per axis, the (degree + 1, n_theta) trig sums
+
+        r_m(theta) = sum_{|o| <= r} (o dx)^m phi_1(o dx) cos(theta o)   m even
+                   = sum_{|o| <= r} (o dx)^m phi_1(o dx) sin(theta o)   m odd
+
+    over the footprint offsets o (_footprint_reach), at the angular
+    frequencies `thetas` (one array per axis; by default the DFT ones,
+    2 pi m / N_k in FFT order).  h_m = (-i)^(m mod 2) r_m is the axis
+    factor of every weighted-monomial spectrum (module docstring).
+    """
+    if thetas is None:
+        thetas = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.counts]
+    sums = []
+    for theta, dx, a, r in zip(thetas, grid.spacing, kernel.support,
+                               _footprint_reach(grid, kernel)):
+        o = np.arange(-r, r + 1)
+        x = o * dx
+        phi = eval_kernel_1d(x, a)
+        angle = np.outer(o, theta)
+        trig = (np.cos(angle), np.sin(angle))
+        sums.append(np.array([(x**m * phi) @ trig[m % 2]
+                              for m in range(degree + 1)]))
+    return sums
+
+
+def kept_spectrum(sums, alpha) -> np.ndarray:
+    """The kept parity component of F(x^alpha phi_a) on the tensor grid of
+    the frequencies of `sums` (axis_sums): its real part for even |alpha|,
+    its imaginary part for odd, (1, -1, -1, 1)[k mod 4] prod_k
+    r_{alpha_k} with k the number of odd entries of alpha.  The other
+    component is zero."""
+    sign = (1.0, -1.0, -1.0, 1.0)[sum(m % 2 for m in alpha) % 4]
+    factors = [r[m] for r, m in zip(sums, alpha)]
+    factors[0] = sign * factors[0]
+    return reduce(np.multiply.outer, factors)
+
+
 @dataclass
 class BasisTable:
     """Cached spectra of the seam-adjusted kernel-weighted basis entries.
@@ -169,7 +240,7 @@ class BasisTable:
     c_p = 1 for even |alpha_p| and i for odd (see the module docstring);
     parity_split lists the entries of each kind.  Every convolution-based
     operator reads it, and the reflected spectrum is the parity-signed one.
-    weighted_monomials regenerates the real-space fields.
+    weighted_monomials evaluates the real-space fields.
     """
 
     grid: PeriodicGrid
@@ -198,16 +269,14 @@ def build_basis_table(
     grid: PeriodicGrid,
     basis: BasisIndex,
     kernel: KernelSpec,
-    provider: FFTProvider | None = None,
 ) -> BasisTable:
-    """Evaluate the weighted basis entries on the lattice; keep the parity
-    component of their spectra (one transform per entry).
+    """Derive the kept parity component of every basis spectrum in closed
+    form (kept_spectrum of axis_sums at the DFT frequencies); no transform
+    runs.
 
     Raises:
         ValueError: if any kernel support reaches half the box period (a
-            shape function would wrap across the periodic seam), or if the
-            component a spectrum drops exceeds IMAG_TOL times the largest
-            one it keeps (the weighted field is not even or odd).
+            shape function would wrap across the periodic seam).
     """
     if basis.dim != grid.dim or kernel.dim != grid.dim:
         raise ValueError("grid, basis, and kernel dimensions must agree")
@@ -217,19 +286,8 @@ def build_basis_table(
                 f"kernel support {a} along axis {k} reaches half the box "
                 f"period {L}; convolutions would wrap"
             )
-    table = BasisTable(grid, basis, kernel, np.empty((basis.size,) + grid.shape))
-    odd = table.parity_split[1]
-    for p, ha in enumerate(weighted_monomials(grid, kernel, basis.exponents)):
-        spectrum = forward(ha, provider)
-        kept, dropped = spectrum.real, spectrum.imag
-        if p in odd:
-            kept, dropped = dropped, kept
-        dropped_max = np.abs(dropped).max()
-        if dropped_max > IMAG_TOL * np.abs(kept).max():
-            raise ValueError(
-                f"spectrum of basis entry {basis.exponents[p]} keeps a "
-                f"component of {dropped_max:.3e} of the wrong parity; "
-                "H_p^a must be even or odd with |alpha_p|"
-            )
-        table.hat_Ha[p] = kept
-    return table
+    sums = axis_sums(grid, kernel, basis.degree)
+    hat_Ha = np.empty((basis.size,) + grid.shape)
+    for p, alpha in enumerate(basis.exponents):
+        hat_Ha[p] = kept_spectrum(sums, alpha)
+    return BasisTable(grid, basis, kernel, hat_Ha)

@@ -8,10 +8,12 @@ i.e. a circular convolution of the domain mask with the monomial-pair
 kernels; the (1 - chi) identity block outside the domain keeps every
 matrix of the stack invertible, although only active nodes are inverted.  The
 integrand H_p H_q^a is the kernel-weighted monomial of the exponent sum
-alpha_p + alpha_q, so it is generated from grid, basis and kernel
-(basis.weighted_monomials) rather than stored, and pairs with equal sums
-share one convolution: one forward and one inverse transform per distinct
-sum, against a mask spectrum computed once.
+alpha_p + alpha_q, so its spectrum is a product of per-axis trig sums
+(basis.axis_sums, basis.kept_spectrum), derived rather than transformed,
+and pairs with equal sums share one convolution: the mask is transformed
+once, and each distinct sum costs one inverse transform, 1 + D transforms
+for D distinct sums.  No integrand is evaluated on the grid
+(basis.weighted_monomials, which does, is the oracle of `fcrkpm verify`).
 
 Both paths carry the moment matrices as one symmetric stack with the node
 axes last, (s, s, *nodes), so every entry M[p, q] is one contiguous field:
@@ -44,8 +46,9 @@ Off a boundary band they are one constant.  An active node whose kernel
 footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
 node sees the full lattice stencil, so its moment matrix is the interior
 one, M_c: the interior of the method is a pure convolution.  M_c is
-derived, not sampled: the integrands summed over the footprint offsets
-(interior_moments).  The band is derived from the geometry alone
+derived, not sampled: the integrand spectra at theta = 0, i.e. the
+integrands summed over the footprint offsets, one product of per-axis sums
+per entry (interior_moments).  The band is derived from the geometry alone
 (boundary_band, a wrap-mode maximum filter of the inactive mask), and
 invert_moments checks loudly that every active node off it carries M_c to
 INTERIOR_RTOL relative (off_band_deviation, which `fcrkpm verify` also
@@ -73,13 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .basis import (
-    BasisTable,
-    eval_kernel,
-    eval_kernel_1d,
-    monomial,
-    weighted_monomials,
-)
+from .basis import BasisTable, _footprint_reach, axis_sums, kept_spectrum
 from .errors import (
     IllConditionedMomentWarning,
     InteriorMomentError,
@@ -159,9 +156,11 @@ def assemble_moment_fields(
 ) -> np.ndarray:
     """The symmetric moment stack M, shaped (s, s, *grid.shape).
 
-    One convolution per distinct exponent sum alpha_p + alpha_q, i.e.
-    1 + 2 * (number of distinct sums) transforms, written to every entry
-    (p, q) and (q, p) with that sum.
+    One convolution per distinct exponent sum alpha = alpha_p + alpha_q,
+    written to every entry (p, q) and (q, p) with that sum: the mask
+    spectrum times the integrand's closed-form spectrum, i^(|alpha| mod 2)
+    kept_spectrum, inverse-transformed.  That is 1 forward transform and
+    one inverse per distinct sum.
     """
     grid = table.grid
     grid.check_field(chi, "chi")
@@ -173,10 +172,13 @@ def assemble_moment_fields(
             alpha = tuple(a + b for a, b in zip(exps[p], exps[q]))
             pairs_by_sum.setdefault(alpha, []).append((p, q))
     chi_hat = forward(chi, provider)
-    integrands = weighted_monomials(grid, table.kernel, pairs_by_sum)
+    sums = axis_sums(grid, table.kernel, 2 * table.basis.degree)
     M = np.empty((s, s) + grid.shape)
-    for pairs, integrand in zip(pairs_by_sum.values(), integrands):
-        m = chi * inverse(chi_hat * forward(integrand, provider), provider)
+    for alpha, pairs in pairs_by_sum.items():
+        spectrum = chi_hat * kept_spectrum(sums, alpha)
+        if sum(alpha) % 2:
+            spectrum *= 1j
+        m = chi * inverse(spectrum, provider)
         for p, q in pairs:
             M[p, q] = M[q, p] = m + (1.0 - chi) if p == q else m
     return M
@@ -281,27 +283,15 @@ def _b_rows(M: np.ndarray, dim: int, locate) -> np.ndarray:
     return rows.reshape(rows.shape[:2] + nodes)
 
 
-def _footprint_reach(table: BasisTable) -> list[int]:
-    """Nodes the kernel footprint reaches along each axis: the offsets
-    i dx_k with phi_a(i dx_k) > 0, so r_k = floor(a_tilde) unless a_tilde
-    is a whole number."""
-    grid = table.grid
-    return [
-        np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
-        for n, dx, a in zip(grid.counts, grid.spacing, table.kernel.support)
-    ]
-
-
 def interior_moments(table: BasisTable) -> np.ndarray:
     """M_c, the (s, s) moment matrix of a node whose footprint is all
     active: each integrand H_p H_q^a of assemble_moment_fields summed over
-    the footprint offsets xi (the box of _footprint_reach)."""
+    the footprint offsets, i.e. its spectrum at theta = 0, the product of
+    the per-axis sums r_m(0) (zero for odd m)."""
     exps = table.basis.exponents
-    offsets = [dx * np.arange(-r, r + 1)
-               for dx, r in zip(table.grid.spacing, _footprint_reach(table))]
-    xi = np.meshgrid(*offsets, indexing="ij")
-    phi = eval_kernel(xi, table.kernel)
-    return np.array([[np.sum(monomial(xi, np.add(a, b)) * phi) for b in exps]
+    sums = axis_sums(table.grid, table.kernel, 2 * table.basis.degree,
+                     [np.zeros(1)] * table.grid.dim)
+    return np.array([[kept_spectrum(sums, np.add(a, b)).item() for b in exps]
                      for a in exps])
 
 
@@ -316,7 +306,8 @@ def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
     """
     active = chi > 0.5
     near = ndimage.maximum_filter(
-        ~active, size=[2 * r + 1 for r in _footprint_reach(table)],
+        ~active,
+        size=[2 * r + 1 for r in _footprint_reach(table.grid, table.kernel)],
         mode="wrap",
     )
     return np.flatnonzero(active & near)

@@ -207,7 +207,7 @@ def discretize(
     V = quadrature_weights(grid, chi)
     basis = enumerate_basis(n, dim)
     kernel = KernelSpec(support=plan.kernel_support)
-    table = build_basis_table(grid, basis, kernel, provider)
+    table = build_basis_table(grid, basis, kernel)
     precomp = build_moment_precomp(chi, V, table, provider)
     coords = grid.coordinates()
     r = chi * case.source(*coords)

@@ -16,9 +16,10 @@ periodic box.  No floor is tuned: only rounding-level zeros of the symbol,
 the null modes of a periodic operator, are left out.  It costs two
 transforms per iteration next to the one operator application.  The
 stopping rule is on the true masked residual, ||r|| / ||r_0|| <= tol, not
-on the preconditioned one.  It solves the linear system, each Newton step
-of the nonlinear one (which needs N' >= 0) and each backward-Euler step
-(consistent mass); forward Euler divides by the lumped mass.
+on the preconditioned one.  It solves the linear system, each inexact
+Newton step of the nonlinear one (which needs N' >= 0) to its forcing
+term, and each backward-Euler step (consistent mass); forward Euler
+divides by the lumped mass.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .basis import eval_kernel_1d
+from .basis import axis_sums, kept_spectrum
 from .errors import LineSearchError
-from .moment import MomentPrecomp, _footprint_reach
+from .moment import MomentPrecomp
 from .operators import (
     evaluate_field,
     external_force,
@@ -137,35 +137,22 @@ def interior_symbol(precomp: MomentPrecomp, w0: float, w1: float,
 
         lambda = V_c sum_k w_k |g_k|^2,    w = (w0, w1, ..., w1),
 
-    is real, even and nonnegative.  Kernel and monomials are tensor
-    products, so F_a,p(theta) = prod_ax h_{alpha_p[ax]}(theta_ax) with
-
-        h_m(theta) = sum_{|o| <= r} (o dx)^m phi_1(o dx) e^{-i theta o}
-
-    over the kernel footprint offsets o (moment._footprint_reach): at the
-    DFT frequencies this is the basis spectrum, c_p hat_Ha[p].  It is built
-    axis by axis, with no transform.
+    is real, even and nonnegative.  F_a,p = c_p H_p, with H_p the kept
+    component of the basis spectrum at these frequencies (basis.axis_sums
+    and basis.kept_spectrum; at the DFT frequencies H_p is hat_Ha[p]), so
+    |g_k|^2 is the square of the even entries' sum plus that of the odd
+    entries'.  It is built axis by axis, with no transform.
     """
-    table, grid = precomp.table, precomp.grid
-    if thetas is None:
-        thetas = [2.0 * np.pi * np.fft.fftfreq(n) for n in grid.counts]
-    degree = table.basis.degree
-    h = []  # per axis, h[ax][m] over that axis's frequencies
-    for theta, dx, a, r in zip(thetas, grid.spacing, table.kernel.support,
-                               _footprint_reach(table)):
-        o = np.arange(-r, r + 1)
-        x = o * dx
-        wave = np.exp(-1j * np.outer(o, theta))
-        h.append([(x**m * eval_kernel_1d(x, a)) @ wave
-                  for m in range(degree + 1)])
-    lam = np.zeros([len(theta) for theta in thetas])
+    table = precomp.table
+    sums = axis_sums(precomp.grid, table.kernel, table.basis.degree, thetas)
+    H = np.array([kept_spectrum(sums, alpha)
+                  for alpha in table.basis.exponents])
+    lam = 0.0
     for k, wk in enumerate([w0] + [w1] * precomp.dim):
-        g = np.zeros(lam.shape, complex)
-        for c_kp, alpha in zip(precomp.c[k], table.basis.exponents):
-            g += c_kp * reduce(np.multiply.outer,
-                               [hx[m] for hx, m in zip(h, alpha)])
-        lam += wk * (g.real**2 + g.imag**2)
-    return lam * np.prod(grid.spacing)
+        for part in table.parity_split:
+            g = np.tensordot(precomp.c[k, list(part)], H[list(part)], 1)
+            lam = lam + wk * g**2
+    return lam * np.prod(precomp.grid.spacing)
 
 
 def _cyclic_extent(free: np.ndarray, axis: int):
@@ -345,15 +332,23 @@ def solve_static_nonlinear(
     config: SolverConfig | None = None,
     provider=None,
 ):
-    """Newton's method over the masked PCG for f_int(d) + f_N(d) = rhs.
+    """Inexact Newton over the masked PCG for f_int(d) + f_N(d) = rhs.
 
     `nonlinearity` maps u_h to the pointwise term N(u_h) projected against
     the shape functions; `nonlinearity_prime` is N'.  Each step solves
     J s = -R, J v = f_int(v) + f_ext(N'(u_h) v_h), by `_masked_cg` on
-    chi_omega (config.tol, config.iter_cap), preconditioned by the symbol
-    of f_int (`_fast_preconditioner`, built once per solve), and is halved
-    until ||R||^2 meets the Armijo condition (factor 1e-4, at most 40
-    halvings).  Convergence is ||masked R|| / ||masked R_0|| <= tol, one
+    chi_omega (config.iter_cap), preconditioned by the symbol of f_int
+    (`_fast_preconditioner`, built once per solve), to the relative
+    tolerance eta_k of Eisenstat and Walker's choice 2 (SIAM J. Sci.
+    Comput. 17, 1996): eta_0 = 1/2, then
+
+        eta_k = min(1/2, max(0.9 (rho_k / rho_{k-1})^2, safeguard)),
+
+    rho_k = ||R_k|| / ||R_0||, with the safeguard 0.9 eta_{k-1}^2 when it
+    exceeds 0.1 (else none), and floored at config.tol / (2 rho_k), so
+    that no step solves for more than half the remaining outer target.
+    The step is halved until ||R||^2 meets the Armijo condition (factor
+    1e-4, at most 40 halvings).  Convergence is ||masked R|| / ||masked R_0|| <= tol, one
     history entry per step; the report's inner_iterations holds the CG
     iterations of each step.
     N' >= 0 is required: only then is J positive definite on the masked
@@ -389,14 +384,23 @@ def solve_static_nonlinear(
         )
     history, inner = [1.0], []
     precondition = _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider)
+    eta = 0.5
     for iters in range(1, max_iter + 1):
+        if iters > 1:
+            safeguard = 0.9 * eta**2
+            eta = 0.9 * (history[-1] / history[-2]) ** 2
+            if safeguard > 0.1:
+                eta = max(eta, safeguard)
+            eta = min(eta, 0.5)
+        eta = max(eta, 0.5 * config.tol / history[-1])
         n_prime = nonlinearity_prime(u)
         step, _, cg_history = _masked_cg(
-            jacobian, -R, np.zeros_like(d), chi_omega, config.tol, max_iter,
+            jacobian, -R, np.zeros_like(d), chi_omega, eta, max_iter,
             precondition,
         )
         inner.append(len(cg_history) - 1)
-        # J s = -R, so ||R||^2 falls at rate 2 ||R||^2 along s
+        # ||J s + R|| <= eta ||R||, so ||R||^2 falls at a rate of at least
+        # 2 (1 - eta) ||R||^2 >= ||R||^2 along s
         for alpha in 0.5 ** np.arange(41):
             d_try = d + alpha * step
             R_try, u_try = residual(d_try)

@@ -5,7 +5,9 @@ check passes when its error is at most its tolerance.
 
     1  convolution_checks       FFT convolution against direct sums
     2  oracle_checks            moments and every operator against reference.py,
-                                and the off-band moments against the interior
+                                the off-band moments against the interior,
+                                and the closed-form basis spectra against
+                                the FFT of the weighted fields (spectra_check)
     4  reproduction_checks      constant, linear and gradient reproduction
     5  structure_checks         f_int symmetry, semi-definiteness, constants
     6  transform_count_checks   exact transforms per operator call
@@ -60,6 +62,7 @@ __all__ = [
     "oracle_checks",
     "rel_err",
     "reproduction_checks",
+    "spectra_check",
     "run_verification",
     "structure_checks",
     "symbol_checks",
@@ -140,6 +143,27 @@ def convolution_checks(rng, shapes, pairs: int) -> list[dict]:
     return [_check("convolution-oracle", worst, 1e-12)]
 
 
+def spectra_check(table, label: str) -> dict:
+    """The closed-form basis spectra (build_basis_table) against the FFT
+    of the weighted fields on the lattice (weighted_monomials): hat_Ha[p]
+    against the kept component of F(H_p^a) and zero against the dropped
+    one, so a field that is not even or odd with |alpha_p| shows up here;
+    the error is the max over p relative to max|kept|, at 1e-12."""
+    fields = weighted_monomials(table.grid, table.kernel,
+                                table.basis.exponents)
+    odd = table.parity_split[1]
+    err = 0.0
+    for p, (hat, ha) in enumerate(zip(table.hat_Ha, fields)):
+        spectrum = forward(ha)
+        kept, dropped = spectrum.real, spectrum.imag
+        if p in odd:
+            kept, dropped = dropped, kept
+        scale = np.abs(kept).max()
+        err = max(err, np.abs(hat - kept).max() / scale,
+                  np.abs(dropped).max() / scale)
+    return _check(f"spectra-{label}", err, 1e-12)
+
+
 def oracle_checks(
     precomp: MomentPrecomp, ref: ReferenceModel, rng, label: str
 ) -> list[dict]:
@@ -151,7 +175,8 @@ def oracle_checks(
     against sum_ax B_ax^T V f_ax, f_q on the boundary nodes of _inputs.
     One more record, interior-moments, is the check that invert_moments
     raises on: the moment matrices off the precomp's boundary band against
-    the interior one, at INTERIOR_RTOL, so its margin is on record.
+    the interior one, at INTERIOR_RTOL, so its margin is on record.  The
+    first, spectra, is spectra_check of the precomp's table.
     """
     inputs = _inputs(precomp, rng)
     d, r, fields, q, area = inputs
@@ -178,6 +203,7 @@ def oracle_checks(
         M, precomp.chi, precomp.band, interior_moments(precomp.table)
     )
     checks = [
+        spectra_check(precomp.table, label),
         _check(f"moment-{label}", err, 1e-10),
         _check(f"interior-moments-{label}", deviation, INTERIOR_RTOL),
     ]

@@ -16,11 +16,12 @@ from fcrkpm import (
     poisson_case,
     weighted_monomials,
 )
-from fcrkpm import basis as basis_module
+from fcrkpm import verify
 from fcrkpm.basis import monomial
 from fcrkpm.grid import build_grid, plan_extension
 from fcrkpm.moment import _b_rows
-from fcrkpm.spectral import forward
+from fcrkpm.spectral import CountingFFTProvider, forward
+from fcrkpm.verify import spectra_check
 
 
 class TestEnumerateBasis:
@@ -293,8 +294,9 @@ class TestBasisTable:
 
     def test_spectra_transform_weighted_fields(self):
         # hat_Ha[p] is the real part of F(H_p^a) for even |alpha_p| and the
-        # imaginary part for odd, bit for bit, in one real array; the part
-        # it drops is rounding noise
+        # imaginary part for odd, in one real array; it is derived in
+        # closed form, so it matches the transform to rounding, and the
+        # part it drops is rounding noise
         _, table = _table_1d(degree=2)
         assert table.hat_Ha.dtype == np.float64
         assert table.parity_split == ((0, 2), (1,))
@@ -304,9 +306,39 @@ class TestBasisTable:
             kept, dropped = spectrum.real, spectrum.imag
             if p in odd:
                 kept, dropped = dropped, kept
-            assert np.array_equal(hat, kept)
-            assert np.abs(dropped).max() <= 1e-14 * np.abs(kept).max()
+            scale = np.abs(kept).max()
+            assert np.abs(hat - kept).max() <= 1e-15 * scale
+            assert np.abs(dropped).max() <= 1e-14 * scale
         assert table.persistent_nbytes() == sum(h.nbytes for h in table.hat_Ha)
+
+    @pytest.mark.parametrize(
+        "lengths,a_tilde,counts,n",
+        [((2.0,), 1.5, 32, 1), ((2.0,), 2.5, 32, 2),
+         ((2.0, 2.0), 1.5, 32, 1), ((2.0, 2.0), 2.5, 32, 2),
+         ((2.0,) * 3, 1.5, 16, 1), ((2.0,) * 3, 2.5, 16, 2),
+         ((1.0, 3.0), (1.5, 2.5), (32, 16), 2),
+         ((2.0, 2.0), 2.0, 32, 2), ((2.0,) * 3, 2.0, 16, 1)],
+        ids=["1d-n1", "1d-n2", "2d-n1", "2d-n2", "3d-n1", "3d-n2",
+             "anisotropic", "2d-whole-a", "3d-whole-a"],
+    )
+    def test_closed_form_spectra_match_the_fft(self, lengths, a_tilde,
+                                               counts, n):
+        # both parity components of every entry, against the FFT of the
+        # weighted fields, relative to max|kept|; a whole-number a_tilde
+        # puts a kernel zero on a lattice node, which the reach leaves out
+        plan = plan_extension(lengths, a_tilde, counts=counts)
+        grid = build_grid(plan, tuple(-L / 2 for L in lengths))
+        basis = enumerate_basis(n, grid.dim)
+        table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
+        assert spectra_check(table, "cell")["error"] <= 1e-15
+
+    def test_build_runs_no_transform(self):
+        # the whole setup runs the moment stack's 1 + D transforms (D = 35
+        # distinct exponent sums in 3D at n = 2) and nothing else
+        prov = CountingFFTProvider()
+        discretize(poisson_case(3), n=2, a_tilde=2.5, counts=16,
+                   provider=prov)
+        assert (prov.forward_count, prov.inverse_count) == (1, 35)
 
     def test_parity_split_3d_quadratic(self):
         # 1 | x y z | x^2 xy xz y^2 yz z^2: odd exactly at degree 1
@@ -316,18 +348,19 @@ class TestBasisTable:
         table = build_basis_table(grid, basis, KernelSpec(plan.kernel_support))
         assert table.parity_split == ((0, 4, 5, 6, 7, 8, 9), (1, 2, 3))
 
-    def test_non_even_weighted_field_raises(self, monkeypatch):
+    def test_non_even_weighted_field_fails_spectra_check(self, monkeypatch):
         # a field shifted off the origin is neither even nor odd, so its
-        # spectrum has both components and the table must refuse it
-        plan = plan_extension(2.0, 1.5, counts=16)
-        grid = build_grid(plan, -1.0)
-        kernel = KernelSpec(support=plan.kernel_support)
-        clean = basis_module.weighted_monomials
+        # spectrum has both components; the closed form cannot produce one,
+        # so verify's FFT oracle is what must refuse it, by measured error
+        _, table = _table_1d(degree=1)
+        clean = verify.weighted_monomials
 
         def shifted(*args):
             for field in clean(*args):
                 yield np.roll(field, 1)
 
-        monkeypatch.setattr(basis_module, "weighted_monomials", shifted)
-        with pytest.raises(ValueError, match="wrong parity"):
-            build_basis_table(grid, enumerate_basis(1, 1), kernel)
+        assert spectra_check(table, "clean")["passed"]
+        monkeypatch.setattr(verify, "weighted_monomials", shifted)
+        check = spectra_check(table, "shifted")
+        assert not check["passed"]
+        assert check["tolerance"] < check["error"] < float("inf")

@@ -99,7 +99,10 @@ class TestExitCodes:
         assert main(["verify", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
-        assert any(c["name"].startswith("f_int-3d") for c in report["checks"])
+        names = [c["name"] for c in report["checks"]]
+        assert any(name.startswith("f_int-3d") for name in names)
+        cells = [n[len("moment-"):] for n in names if n.startswith("moment-")]
+        assert all(f"spectra-{cell}" in names for cell in cells)
         assert report["warnings"] == ""
 
     def test_verify_records_warnings(self, tmp_path, monkeypatch):
@@ -125,8 +128,9 @@ class TestExitCodes:
         # measured error, not crash the 2D cross-method cell
         assert all("exception" not in c for c in report["checks"])
         failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
-        f_int = failed["f_int-2d-n1-a1.5"]
-        assert f_int["tolerance"] < f_int["error"] < float("inf")
+        for name in ("f_int-2d-n1-a1.5", "spectra-2d-n1-a1.5"):
+            check = failed[name]
+            assert check["tolerance"] < check["error"] < float("inf")
 
 
 def _read_csv(path):
