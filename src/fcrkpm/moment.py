@@ -1,33 +1,26 @@
-"""Masked moment matrices via FFT, nodewise inversion, and the b-row fields.
+"""Moment matrices via FFT, nodewise inversion, and the b-row fields.
 
-The moment matrix at node I is
-
-    M_pq(x_I) = (1 - chi_I) delta_pq + chi_I [chi (*) H_p H_q^a]_I,
-
-i.e. a circular convolution of the domain mask with the monomial-pair
-kernels; the (1 - chi) identity block outside the domain keeps every
-matrix of the stack invertible, although only active nodes are inverted.  The
-integrand H_p H_q^a is the kernel-weighted monomial of the exponent sum
-alpha_p + alpha_q, so its spectrum is a product of per-axis trig sums
-(basis.axis_sums, basis.kept_spectrum), derived rather than transformed,
-and pairs with equal sums share one convolution: the mask is transformed
-once, and each distinct sum costs one inverse transform, 1 + D transforms
-for D distinct sums.  No integrand is evaluated on the grid
+The moment matrix at an active node I is M_pq(x_I) = [chi (*) H_p H_q^a]_I,
+a circular convolution of the domain mask with the kernel-weighted
+monomial of the exponent sum alpha_p + alpha_q, so it depends on that sum
+alone (Liu, Jun and Zhang 1995).  assemble_moment_fields keeps one field
+per distinct sum, (D, *grid), unmasked since only active nodes are read,
+and _exponent_sums indexes entry (p, q) into it.  Each integrand's
+spectrum is a product of per-axis trig sums (basis.axis_sums,
+basis.kept_spectrum), so the mask is transformed once and each sum costs
+one inverse, 1 + D transforms; no integrand is evaluated on the grid
 (basis.weighted_monomials, which does, is the oracle of `fcrkpm verify`).
 
-Both paths carry the moment matrices as one symmetric stack with the node
-axes last, (s, s, *nodes), so every entry M[p, q] is one contiguous field:
-assemble_moment_fields over the whole grid, the direct-summation oracle
-(reference.py) over its active nodes.  One helper, _b_rows, inverts the
-matrices by an unpivoted LDL^T factorization (one whole-slab operation per
-scalar step) over slabs of the flattened node axes, checks them, and writes
-their rows out, so that the transient memory is O(slab s^2) next to the
-rows rather than a whole-stack inverse.  No pivoting is
-needed: on the domain M is a Gram matrix, sum_J chi_J phi(x_I - x_J)
-H(x_I - x_J) H(x_I - x_J)^T with a nonnegative kernel, hence symmetric
-positive semidefinite, and positive definite once the node sees enough
-neighbors, where LDL^T is backward stable without row exchanges; off the
-domain it is the identity.
+One helper, _b_rows, inverts a symmetric stack with the node axes last,
+(s, s, *nodes): the band columns spread by the index (invert_moments) or
+the direct-summation oracle's stack (reference.py).  It runs an unpivoted
+LDL^T factorization, one whole-slab operation per scalar step, over slabs
+of the nodes, checks them, and writes their rows out, so the transient is
+O(slab s^2) next to the rows.  No pivoting is needed: M is a Gram matrix,
+sum_J chi_J phi(x_I - x_J) H(x_I - x_J) H(x_I - x_J)^T with a nonnegative
+kernel, hence symmetric positive semidefinite, and definite once the node
+sees enough neighbors, where LDL^T is backward stable without row
+exchanges.
 
 A node with too few neighbors shows up as a pivot |D_k| < 1e-14 max|M|
 (SingularMomentError), an ill-conditioned one as an estimate
@@ -46,13 +39,11 @@ Off a boundary band they are one constant.  An active node whose kernel
 footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
 node sees the full lattice stencil, so its moment matrix is the interior
 one, M_c: the interior of the method is a pure convolution.  M_c is
-derived, not sampled: the integrand spectra at theta = 0, i.e. the
-integrands summed over the footprint offsets, one product of per-axis sums
-per entry (interior_moments).  The band is derived from the geometry alone
-(boundary_band, a wrap-mode maximum filter of the inactive mask), and
-invert_moments checks loudly that every active node off it carries M_c to
-INTERIOR_RTOL relative (off_band_deviation, which `fcrkpm verify` also
-records per cell).  Only the band nodes and M_c are inverted.  What
+derived, not sampled (interior_moments), and so is the band, from the
+geometry alone (boundary_band, a wrap-mode maximum filter of the inactive
+mask); invert_moments checks loudly that every active node off it carries
+M_c to INTERIOR_RTOL relative (off_band_deviation, which `fcrkpm verify`
+also records per cell).  Only the band nodes and M_c are inverted.  What
 persists is
 
     c          (1 + d, s)            the rows of every off-band node
@@ -149,38 +140,40 @@ class MomentPrecomp:
         )
 
 
+def _exponent_sums(basis):
+    """(sums, index): the distinct exponent sums alpha_p + alpha_q of a
+    basis in order of first appearance over p <= q, and the symmetric
+    (s, s) index of each pair's sum, so that M_pq = M[index[p, q]]."""
+    exps = basis.exponents
+    index = np.empty((basis.size, basis.size), dtype=np.intp)
+    sums = {}
+    for p in range(basis.size):
+        for q in range(p, basis.size):
+            alpha = tuple(a + b for a, b in zip(exps[p], exps[q]))
+            index[p, q] = index[q, p] = sums.setdefault(alpha, len(sums))
+    return list(sums), index
+
+
 def assemble_moment_fields(
     chi: np.ndarray,
     table: BasisTable,
     provider: FFTProvider | None = None,
 ) -> np.ndarray:
-    """The symmetric moment stack M, shaped (s, s, *grid.shape).
-
-    One convolution per distinct exponent sum alpha = alpha_p + alpha_q,
-    written to every entry (p, q) and (q, p) with that sum: the mask
-    spectrum times the integrand's closed-form spectrum, i^(|alpha| mod 2)
-    kept_spectrum, inverse-transformed.  That is 1 forward transform and
-    one inverse per distinct sum.
-    """
+    """The (D, *grid.shape) moment fields, one per exponent sum alpha of
+    _exponent_sums: the mask spectrum times i^(|alpha| mod 2)
+    kept_spectrum, inverse-transformed (1 forward transform and D
+    inverses), unmasked."""
     grid = table.grid
     grid.check_field(chi, "chi")
-    s = table.size
-    exps = table.basis.exponents
-    pairs_by_sum = {}
-    for p in range(s):
-        for q in range(p, s):
-            alpha = tuple(a + b for a, b in zip(exps[p], exps[q]))
-            pairs_by_sum.setdefault(alpha, []).append((p, q))
     chi_hat = forward(chi, provider)
-    sums = axis_sums(grid, table.kernel, 2 * table.basis.degree)
-    M = np.empty((s, s) + grid.shape)
-    for alpha, pairs in pairs_by_sum.items():
-        spectrum = chi_hat * kept_spectrum(sums, alpha)
+    spectra = axis_sums(grid, table.kernel, 2 * table.basis.degree)
+    sums, _ = _exponent_sums(table.basis)
+    M = np.empty((len(sums),) + grid.shape)
+    for k, alpha in enumerate(sums):
+        spectrum = chi_hat * kept_spectrum(spectra, alpha)
         if sum(alpha) % 2:
             spectrum *= 1j
-        m = chi * inverse(spectrum, provider)
-        for p, q in pairs:
-            M[p, q] = M[q, p] = m + (1.0 - chi) if p == q else m
+        M[k] = inverse(spectrum, provider)
     return M
 
 
@@ -284,15 +277,14 @@ def _b_rows(M: np.ndarray, dim: int, locate) -> np.ndarray:
 
 
 def interior_moments(table: BasisTable) -> np.ndarray:
-    """M_c, the (s, s) moment matrix of a node whose footprint is all
-    active: each integrand H_p H_q^a of assemble_moment_fields summed over
-    the footprint offsets, i.e. its spectrum at theta = 0, the product of
-    the per-axis sums r_m(0) (zero for odd m)."""
-    exps = table.basis.exponents
-    sums = axis_sums(table.grid, table.kernel, 2 * table.basis.degree,
-                     [np.zeros(1)] * table.grid.dim)
-    return np.array([[kept_spectrum(sums, np.add(a, b)).item() for b in exps]
-                     for a in exps])
+    """The (D,) moment values of a node whose footprint is all active, M_c
+    per exponent sum: each integrand summed over the footprint offsets,
+    its spectrum at theta = 0, the product of the per-axis sums r_m(0)
+    (zero for odd m)."""
+    spectra = axis_sums(table.grid, table.kernel, 2 * table.basis.degree,
+                        [np.zeros(1)] * table.grid.dim)
+    sums, _ = _exponent_sums(table.basis)
+    return np.array([kept_spectrum(spectra, alpha).item() for alpha in sums])
 
 
 def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
@@ -314,24 +306,21 @@ def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
 
 
 def off_band_deviation(
-    M: np.ndarray, chi: np.ndarray, band: np.ndarray, Mc: np.ndarray
+    M: np.ndarray, chi: np.ndarray, band: np.ndarray, mc: np.ndarray
 ):
-    """How far the moment matrices of the active nodes off the band stray
-    from the interior one, Mc (interior_moments): (deviation, worst), the
-    max over those nodes I and all entries (p, q) of |M_pq(x_I) - Mc_pq| /
-    max|Mc| and the flat index of the node that attains it; (0.0, 0) when
-    every active node lies on the band."""
-    s = M.shape[0]
-    flat = M.reshape(s, s, -1)
-    worst = np.zeros(flat.shape[2])
-    for p in range(s):
-        for q in range(s):
-            np.maximum(worst, np.abs(flat[p, q] - Mc[p, q]), out=worst)
+    """(deviation, worst): the max over the active nodes I off the band and
+    the D sums k of |M[k](x_I) - mc[k]| / max|mc|, with mc the interior
+    values (interior_moments), and the flat index of the node that attains
+    it; (0.0, 0) when every active node lies on the band."""
+    flat = M.reshape(len(mc), -1)
+    worst = np.zeros(flat.shape[1])
+    for field, value in zip(flat, mc):
+        np.maximum(worst, np.abs(field - value), out=worst)
     off = chi.reshape(-1) > 0.5
     off[band] = False
     worst[~off] = 0.0
     i = int(np.argmax(worst))
-    return float(worst[i] / np.max(np.abs(Mc))), i
+    return float(worst[i] / np.max(np.abs(mc))), i
 
 
 def invert_moments(
@@ -340,9 +329,9 @@ def invert_moments(
     V: np.ndarray,
     table: BasisTable,
 ) -> MomentPrecomp:
-    """Invert the interior matrix M_c (interior_moments) and the moment
-    stack M (s, s, *grid.shape) on the boundary band, in that order, and
-    keep the b-rows in the band layout: c holds M_c's rows on every mask.
+    """Invert M_c (interior_moments) and the matrices of the moment fields
+    M (D, *grid.shape) on the boundary band, in that order, and keep the
+    b-rows in the band layout: c holds M_c's rows on every mask.
 
     The band is inverted in C order, so the first singular active node is
     the one reported.  A singular M_c is reported at the first active node:
@@ -369,14 +358,17 @@ def invert_moments(
         return multi, grid.node_coordinate(multi)
 
     band = boundary_band(chi, table)
-    Mc = interior_moments(table)
-    deviation, worst = off_band_deviation(M, chi, band, Mc)
+    mc = interior_moments(table)
+    deviation, worst = off_band_deviation(M, chi, band, mc)
     if deviation > INTERIOR_RTOL:
         raise InteriorMomentError(*node(worst), deviation)
-    s = table.size
-    stack = np.concatenate([Mc[..., None], M.reshape(s, s, -1)[..., band]], 2)
-    cols = np.concatenate([[np.argmax(chi > 0.5)], band])
-    rows = _b_rows(stack, grid.dim, lambda first: node(cols[first[0]]))
+    _, index = _exponent_sums(table.basis)
+    # the (s, s, 1 + n_band) stack: M_c, then the band columns
+    stack = np.concatenate(
+        [mc[:, None], M.reshape(len(mc), -1)[:, band]], 1
+    )[index]
+    at = np.concatenate([[np.argmax(chi > 0.5)], band])
+    rows = _b_rows(stack, grid.dim, lambda first: node(at[first[0]]))
     return MomentPrecomp(
         grid=grid, table=table, chi=chi, V=chi * V,
         c=rows[..., 0].copy(), band_rows=rows[..., 1:], band=band,
@@ -389,10 +381,10 @@ def build_moment_precomp(
     table: BasisTable,
     provider: FFTProvider | None = None,
 ) -> MomentPrecomp:
-    """Assemble the moment matrices, derive the boundary band, check the
+    """Assemble the moment fields, derive the boundary band, check the
     interior, and invert the band (invert_moments).
 
-    The s x s moment stack is only needed here; afterwards the operators
+    The D moment fields are only needed here; afterwards the operators
     run on the spectra, one interior row constant and the band rows, which
     keeps the persistent memory at O(N s) for the spectra plus
     O(n_band (1 + d) s) for the rows.

@@ -186,8 +186,8 @@ class ReferenceModel:
         """Per-node moment matrices by the O(N*M) direct neighbor sum, the
         symmetric node-last stack (s, s, n_nodes) (cached): the validity
         pattern times the per-offset products H(-o*dx) H(-o*dx)^T phi(o*dx).
-        This is the oracle for moment.assemble_moment_fields restricted to
-        the active nodes."""
+        Entry (p, q), summed on its own, is the oracle for the field of
+        alpha_p + alpha_q of moment.assemble_moment_fields."""
         if self._moment is None:
             s = self.basis.size
             valid = self._neighbor_table() >= 0

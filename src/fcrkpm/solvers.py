@@ -18,8 +18,8 @@ transforms per iteration next to the one operator application.  The
 stopping rule is on the true masked residual, ||r|| / ||r_0|| <= tol, not
 on the preconditioned one.  It solves the linear system, each inexact
 Newton step of the nonlinear one (which needs N' >= 0) to its forcing
-term, and each backward-Euler step (consistent mass); forward Euler
-divides by the lumped mass.
+term, and each backward-Euler step (consistent mass, for the increment
+from zero); forward Euler divides by the lumped mass.
 """
 
 from __future__ import annotations
@@ -441,10 +441,12 @@ def step_transient_diffusion(
 ) -> TransientState:
     """Advance the diffusion system one time step.
 
-    Forward Euler divides by the (precomputed) lumped mass on the active
-    nodes; backward Euler solves the consistent-mass system by masked CG,
-    preconditioned by the symbol of M/dt + nu K (`_fast_preconditioner`),
-    which costs no transform to build.  Dirichlet coefficients stay frozen either way.
+    Both schemes take f = rhs - nu K d.  Forward Euler divides it by the
+    (precomputed) lumped mass on the active nodes; backward Euler solves
+    (M/dt + nu K) delta = f from delta = 0 by masked CG, preconditioned by
+    the symbol of M/dt + nu K (`_fast_preconditioner`, no transform to
+    build): 2(s+1) + k (4(s+1) + 2) transforms for k CG iterations.
+    Dirichlet coefficients stay frozen either way.
 
     Raises:
         ValueError: config.dt is not set.
@@ -455,24 +457,25 @@ def step_transient_diffusion(
         raise ValueError("transient stepping needs config.dt")
     d = state.d
     converged = state.converged
-    if config.scheme == "explicit-euler":
-        if lumped is None:
-            raise ValueError("explicit stepping needs the lumped mass field")
-        f = rhs - config.nu * internal_force(d, precomp, provider)
+    explicit = config.scheme == "explicit-euler"
+    if explicit and lumped is None:
+        raise ValueError("explicit stepping needs the lumped mass field")
+    f = rhs - config.nu * internal_force(d, precomp, provider)
+    if explicit:
         upd = np.zeros(precomp.grid.shape)
         np.divide(f, lumped, out=upd, where=chi_omega > 0.5)
         d_new = d + dt * upd
     else:
-        b = mass_force(d, precomp, provider) / dt + rhs
         n_active = int(np.count_nonzero(chi_omega))
-        d_new, step_converged, history = _masked_cg(
+        delta, step_converged, history = _masked_cg(
             lambda x: mass_force(x, precomp, provider) / dt
-            + config.nu * internal_force(x, precomp, provider), b, d,
-            chi_omega, config.tol, config.iter_cap(n_active),
+            + config.nu * internal_force(x, precomp, provider), f,
+            np.zeros_like(d), chi_omega, config.tol, config.iter_cap(n_active),
             _fast_preconditioner(
                 precomp, 1.0 / dt, config.nu, chi_omega, provider
             ),
         )
+        d_new = d + delta
         if not step_converged:
             converged = False
             warnings.warn(

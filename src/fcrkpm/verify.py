@@ -37,6 +37,7 @@ from .grid import box_predicates
 from .moment import (
     INTERIOR_RTOL,
     MomentPrecomp,
+    _exponent_sums,
     assemble_moment_fields,
     boundary_band,
     build_moment_precomp,
@@ -170,7 +171,8 @@ def oracle_checks(
     """Criterion 2: the moments and every operator of operators.__all__
     against direct summation, each at relative error 1e-10.
 
-    The moments are compared entry by entry and the gradient component by
+    The moments are compared entry by entry (all s(s + 1)/2, each read
+    from its exponent sum's field) and the gradient component by
     component, so each keeps its own scale.  The gradient force is judged
     against sum_ax B_ax^T V f_ax, f_q on the boundary nodes of _inputs.
     One more record, interior-moments, is the check that invert_moments
@@ -195,8 +197,9 @@ def oracle_checks(
     }
     M = assemble_moment_fields(precomp.chi, precomp.table)
     M_direct = ref.moment_matrices()
+    _, index = _exponent_sums(precomp.table.basis)
     err = max(
-        rel_err(ref.restrict(M[pq]), M_direct[pq])
+        rel_err(ref.restrict(M[index[pq]]), M_direct[pq])
         for pq in combinations_with_replacement(range(precomp.size), 2)
     )
     deviation, _ = off_band_deviation(

@@ -37,6 +37,7 @@ from fcrkpm.moment import (
     INTERIOR_RTOL,
     SINGULAR_PIVOT_RTOL,
     _b_rows,
+    _exponent_sums,
     _invert_symmetric,
     boundary_band,
     interior_moments,
@@ -87,13 +88,19 @@ def _upper_pairs(s):
     return itertools.combinations_with_replacement(range(s), 2)
 
 
+def _matrices(M, table):
+    """The (s, s, *grid) moment matrices spread from the fields of M."""
+    return M[_exponent_sums(table.basis)[1]]
+
+
 def _assert_rows_match_numpy(disc):
     # at the active nodes, the only ones the operators read the rows at
     M = assemble_moment_fields(disc.chi, disc.table)
     grid = disc.grid
     s = disc.table.size
     active = disc.chi > 0.5
-    inv_np = np.linalg.inv(M[..., active].transpose(2, 0, 1))
+    inv_np = np.linalg.inv(_matrices(M, disc.table)[..., active]
+                           .transpose(2, 0, 1))
     rows = invert_moments(M, disc.chi, disc.V, disc.table).dense_rows()
     b0, bgrad = rows[0][:, active], rows[1:][..., active]
     for p in range(s):
@@ -108,22 +115,25 @@ def _assert_rows_match_numpy(disc):
 
 
 class TestAssembly:
-    def test_identity_outside_domain(self):
-        grid, chi, V, table = _setup_1d()
-        M = assemble_moment_fields(chi, table)
-        outside = chi < 0.5
-        assert np.any(outside)
-        assert np.allclose(M[0, 0][outside], 1.0)
-        assert np.allclose(M[1, 1][outside], 1.0)
-        assert np.allclose(M[0, 1][outside], 0.0)
-        assert np.array_equal(M[1, 0], M[0, 1])
+    def test_exponent_sums(self):
+        # 2D n = 2: 15 distinct sums of the 21 pairs p <= q, in order of
+        # first appearance, and a symmetric index that names each pair's
+        # sum
+        basis = enumerate_basis(2, 2)
+        sums, index = _exponent_sums(basis)
+        assert len(sums) == len(set(sums)) == 15
+        assert sums[:3] == [(0, 0), (1, 0), (0, 1)]
+        assert np.array_equal(index, index.T)
+        for p, q in _upper_pairs(basis.size):
+            alpha = np.add(basis.exponents[p], basis.exponents[q])
+            assert sums[index[p, q]] == tuple(alpha)
 
     def test_interior_values_1d(self):
         # interior node with neighbors at offsets {-dx, 0, +dx}:
         # M11 = 2*phi(dx) + phi(0) = 2*(4/81) + 54/81 = 62/81
         # M12 = 0 by odd symmetry, M22 = 2*dx^2*phi(dx) = 8*dx^2/81
         grid, chi, V, table = _setup_1d()
-        M = assemble_moment_fields(chi, table)
+        M = _matrices(assemble_moment_fields(chi, table), table)
         dx = grid.spacing[0]
         mid = 5  # interior node of the physical domain
         assert M[0, 0][mid] == pytest.approx(62.0 / 81.0, rel=1e-13)
@@ -132,7 +142,8 @@ class TestAssembly:
 
     def test_matches_direct_sum_oracle(self, disc2d, ref2d):
         # entry by entry, each against its own scale
-        M = assemble_moment_fields(disc2d.chi, disc2d.table)
+        M = _matrices(assemble_moment_fields(disc2d.chi, disc2d.table),
+                      disc2d.table)
         direct = ref2d.moment_matrices()
         for pq in _upper_pairs(disc2d.table.size):
             fc = ref2d.restrict(M[pq])
@@ -140,7 +151,8 @@ class TestAssembly:
             assert np.max(np.abs(fc - direct[pq])) < 1e-11 * scale
 
     def test_spd_at_active_nodes(self, disc2d):
-        M = assemble_moment_fields(disc2d.chi, disc2d.table)
+        M = _matrices(assemble_moment_fields(disc2d.chi, disc2d.table),
+                      disc2d.table)
         mats = M[:, :, disc2d.chi > 0.5].transpose(2, 0, 1)
         np.linalg.cholesky(mats)  # raises if any matrix is not SPD
 
@@ -168,11 +180,13 @@ class TestAssembly:
         M = assemble_moment_fields(np.ones(grid.shape), table, prov)
         assert prov.forward_count == 1
         assert prov.inverse_count == len(sums)
-        assert M.shape == (basis.size, basis.size) + grid.shape
+        # one field per distinct sum, not an (s, s) stack
+        assert M.shape == (len(sums),) + grid.shape
 
     def test_matches_pairwise_products(self, disc3d_quadratic):
         # the exponent-sum integrand against the product H_p * H_q^a of the
-        # two basis entries, convolved with the mask pair by pair
+        # two basis entries, convolved with the mask pair by pair, over the
+        # whole grid: the fields are not masked
         disc = disc3d_quadratic
         table = disc.table
         xi = disc.grid.wrapped_offsets()
@@ -180,13 +194,10 @@ class TestAssembly:
         Ha = list(
             weighted_monomials(disc.grid, table.kernel, table.basis.exponents)
         )
-        M = assemble_moment_fields(disc.chi, table)
+        M = _matrices(assemble_moment_fields(disc.chi, table), table)
         for p, q in _upper_pairs(table.size):
-            pairwise = disc.chi * circular_convolve(disc.chi, H[p] * Ha[q])
-            if p == q:
-                pairwise = pairwise + (1.0 - disc.chi)
+            pairwise = circular_convolve(disc.chi, H[p] * Ha[q])
             assert rel_err(M[p, q], pairwise) < 1e-13
-            assert np.array_equal(M[q, p], M[p, q])
 
 
 class TestInversion:
@@ -226,7 +237,7 @@ class TestInversion:
         rng = np.random.default_rng(40 + s)
         A = rng.standard_normal((60, s, 3 * s))
         mats = A @ A.transpose(0, 2, 1)
-        mats[::4] = np.eye(s)  # the identity block off the domain
+        mats[::4] = np.eye(s)  # every pivot exactly 1
         inv, min_pivot = _invert_symmetric(_node_last(mats))
         inv_np = np.linalg.inv(mats)
         assert rel_err(inv.transpose(2, 0, 1), inv_np) <= 1e-12
@@ -271,8 +282,9 @@ class TestInversion:
         # (pivot still above the 1e-14 threshold, condition estimate beyond
         # 1e12); off the band they must stay the interior one
         band = boundary_band(chi, table)
-        M[0, 1].flat[band] = M[1, 0].flat[band] = 0.0
-        M[1, 1].flat[band] = 1e-13
+        _, index = _exponent_sums(table.basis)
+        M[index[0, 1]].flat[band] = 0.0
+        M[index[1, 1]].flat[band] = 1e-13
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedMomentWarning):
@@ -420,7 +432,7 @@ class TestBand:
         pc = invert_moments(M, chi, quadrature_weights(grid, chi), table)
         d, s = grid.dim, table.size
         assert pc.band.size == 0 and pc.band_rows.shape == (1 + d, s, 0)
-        inv = np.linalg.inv(M[:, :, 0, 0])
+        inv = np.linalg.inv(_matrices(M, table)[:, :, 0, 0])
         assert rel_err(pc.c[0], inv[0]) < 1e-12
         assert rel_err(pc.c[1:], -inv[1 : 1 + d]) < 1e-12
         u1 = evaluate_field(np.ones(grid.shape), pc)
@@ -439,10 +451,11 @@ class TestBand:
         pc = invert_moments(M, chi, quadrature_weights(grid, chi), table)
         active = chi > 0.5
         assert np.array_equal(pc.band, np.flatnonzero(active))
-        inv_c = np.linalg.inv(interior_moments(table))
+        inv_c = np.linalg.inv(_matrices(interior_moments(table), table))
         assert rel_err(pc.c[0], inv_c[0]) < 1e-12
         assert rel_err(pc.c[1:], -inv_c[1:3]) < 1e-12
-        inv = np.linalg.inv(M[..., active].transpose(2, 0, 1))
+        inv = np.linalg.inv(_matrices(M, table)[..., active]
+                            .transpose(2, 0, 1))
         assert rel_err(pc.band_rows[0], inv[:, 0, :].T) < 1e-12
         u1 = evaluate_field(np.ones(grid.shape), pc)
         assert np.max(np.abs(u1[active] - 1.0)) <= 1e-10
@@ -455,7 +468,8 @@ class TestBand:
         off[disc2d.precomp.band] = False
         node = tuple(int(k) for k in np.unravel_index(
             np.flatnonzero(off)[-1], disc2d.grid.shape))
-        M[(0, 0) + node] *= 1.0 + 1e-8
+        k = _exponent_sums(disc2d.table.basis)[1][0, 0]
+        M[(k,) + node] *= 1.0 + 1e-8
         with pytest.raises(InteriorMomentError) as err:
             invert_moments(M, disc2d.chi, disc2d.V, disc2d.table)
         assert err.value.node_index == node
@@ -471,7 +485,8 @@ class TestBand:
         off[disc.precomp.band] = False
         node = tuple(int(k) for k in np.unravel_index(
             np.flatnonzero(off)[0], disc.grid.shape))
-        M[(0, 0) + node] *= 1.0 + 1e-8
+        k = _exponent_sums(disc.table.basis)[1][0, 0]
+        M[(k,) + node] *= 1.0 + 1e-8
         with pytest.raises(InteriorMomentError) as err:
             invert_moments(M, disc.chi, disc.V, disc.table)
         assert err.value.node_index == node
@@ -485,9 +500,9 @@ class TestBand:
         M = assemble_moment_fields(disc.chi, disc.table)
         off = (disc.chi > 0.5).ravel()
         off[disc.precomp.band] = False
-        Mc = interior_moments(disc.table)
-        at = M.reshape(M.shape[:2] + (-1,))[..., off]
-        assert np.max(np.abs(at - Mc[..., None])) <= 1e-15 * np.abs(Mc).max()
+        mc = interior_moments(disc.table)
+        at = M.reshape(len(mc), -1)[:, off]
+        assert np.max(np.abs(at - mc[:, None])) <= 1e-15 * np.abs(mc).max()
 
 
 class TestReproducingConditions:
@@ -533,14 +548,17 @@ class TestMemoryStory:
     def test_inversion_transient_below_moment_stack(self):
         # the inversion copies out the matrices of the band (28.8 % of the
         # box here) and holds O(slab s^2) scratch next to the band rows,
-        # never a second whole-stack array: at 32^3, s = 10, M is 26.2 MB
+        # never a whole-box (s, s) stack: at 32^3, s = 10, that would be
+        # 26.2 MB, and the D = 35 moment fields are 9.2 MB
         disc = discretize(poisson_case(3), n=2, a_tilde=2.5, counts=32)
         assert disc.grid.shape == (32, 32, 32)
         M = assemble_moment_fields(disc.chi, disc.table)
+        s = disc.table.size
+        whole_stack = s * s * M[0].nbytes
         tracemalloc.start()
         try:
             pc = invert_moments(M, disc.chi, disc.V, disc.table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - pc.band_rows.nbytes < M.nbytes
+        assert peak - pc.band_rows.nbytes < whole_stack

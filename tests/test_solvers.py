@@ -570,6 +570,37 @@ class TestTransient:
         assert stepped.total == marched.total
         assert np.array_equal(state.d, alone.d) and state.converged
 
+    def test_implicit_step_transform_count(self, transient_setup,
+                                           monkeypatch):
+        # increment form: the force rhs - nu K d costs 2(s+1), and the inner
+        # CG starts from a zero increment, which costs no application; its
+        # k iterations apply M/dt + nu K once each (4(s+1)) and run k
+        # preconditionings (2 each): one before the first iteration and
+        # none after the converged one
+        disc, rhs, u_static = transient_setup
+        s = disc.precomp.size
+        iterations = []
+        masked_cg = solvers._masked_cg
+
+        def recording(*args):
+            d, converged, history = masked_cg(*args)
+            iterations.append(len(history) - 1)
+            return d, converged, history
+
+        monkeypatch.setattr(solvers, "_masked_cg", recording)
+        # from a nonzero state, where a full-form start would apply the
+        # operator to d
+        start = TransientState(t=0.0, d=disc.chi_omega * u_static)
+        cfg = SolverConfig(dt=1e-2, n_steps=1, scheme="implicit-euler")
+        for _ in range(3):
+            prov = CountingFFTProvider()
+            start = step_transient_diffusion(
+                start, disc.precomp, disc.chi_omega, rhs, cfg, provider=prov
+            )
+            k = iterations[-1]
+            assert start.converged and k > 0
+            assert prov.total == 2 * (s + 1) + k * (4 * (s + 1) + 2)
+
     def test_implicit_not_converged_flagged(self, transient_setup):
         disc, rhs, _ = transient_setup
         state = TransientState(t=0.0, d=np.zeros(disc.grid.shape))
