@@ -588,8 +588,7 @@ class TestTransient:
             return d, converged, history
 
         monkeypatch.setattr(solvers, "_masked_cg", recording)
-        # from a nonzero state, where a full-form start would apply the
-        # operator to d
+        # a nonzero state: the count does not depend on d
         start = TransientState(t=0.0, d=disc.chi_omega * u_static)
         cfg = SolverConfig(dt=1e-2, n_steps=1, scheme="implicit-euler")
         for _ in range(3):
