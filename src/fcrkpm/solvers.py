@@ -33,13 +33,7 @@ import numpy as np
 from .basis import axis_sums, kept_spectrum
 from .errors import LineSearchError
 from .moment import MomentPrecomp
-from .operators import (
-    evaluate_field,
-    external_force,
-    internal_force,
-    lumped_mass,
-    mass_force,
-)
+from .operators import _form, evaluate_field, internal_force, lumped_mass
 from .spectral import forward, inverse, sine_forward, sine_inverse
 
 __all__ = [
@@ -100,8 +94,12 @@ class SolveReport:
     iteration, and the last entry equals `residual`.  A linear solve whose
     initial residual is not finite (a NaN or inf in the load or the
     Dirichlet data) runs no iteration: history is [nan], `residual` is NaN
-    and `converged` is False.  A nonlinear solve also records the inner
-    CG iterations of each Newton step in `inner_iterations`.
+    and `converged` is False.  A nonlinear solve counts Newton steps in
+    `iterations` and ||R_k|| / ||R_0|| after each, and records the inner
+    CG iterations of each step in `inner_iterations`; one whose initial
+    residual is not finite takes no step and reports the same as the
+    linear solve, with `inner_iterations` [].  Either solve warns when it
+    does not converge.
     """
 
     iterations: int
@@ -298,21 +296,17 @@ def solve_static_linear(
         (d, u_h, SolveReport)
     """
     config = config or SolverConfig()
-    grid = precomp.grid
-    grid.check_field(rhs, "rhs")
-    d0 = np.zeros(grid.shape) if dirichlet is None else dirichlet.copy()
-    n_active = int(np.count_nonzero(chi_omega))
+    precomp.grid.check_field(rhs, "rhs")
+    d0 = np.zeros(precomp.grid.shape) if dirichlet is None else dirichlet.copy()
     start = time.perf_counter()
     d, converged, history = _masked_cg(
         lambda x: internal_force(x, precomp, provider), rhs, d0, chi_omega,
-        config.tol, config.iter_cap(n_active),
+        config.tol, config.iter_cap(int(np.count_nonzero(chi_omega))),
         _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
     )
     wall = time.perf_counter() - start
     iters, resid = len(history) - 1, history[-1]
-    report = SolveReport(
-        iters, resid, wall, converged, residual_history=history
-    )
+    report = SolveReport(iters, resid, wall, converged, residual_history=history)
     if not converged:
         warnings.warn(
             f"CG stopped at relative residual {resid:.3e} "
@@ -350,7 +344,13 @@ def solve_static_nonlinear(
     The step is halved until ||R||^2 meets the Armijo condition (factor
     1e-4, at most 40 halvings).  Convergence is ||masked R|| / ||masked R_0|| <= tol, one
     history entry per step; the report's inner_iterations holds the CG
-    iterations of each step.
+    iterations of each step.  A start whose residual is not finite takes
+    no step and warns (SolveReport).
+    The residual and each Jacobian application are one weak form each
+    (operators._form: N(u_h), resp. N'(u_h), on the b0 row and 1 on
+    bgrad), so a solve of `steps` Newton steps and k inner CG iterations
+    in all, with no backtracking, runs 2(s+1)(1 + steps) + (2(s+1) + 2) k
+    transforms; each halving adds 2(s+1).
     N' >= 0 is required: only then is J positive definite on the masked
     subspace.  Otherwise the inner CG can stop on non-positive curvature,
     and a step that never reduces the residual raises LineSearchError.
@@ -362,27 +362,20 @@ def solve_static_nonlinear(
 
     def residual(dd):
         """Masked residual and the evaluated field it was built from."""
-        u = evaluate_field(dd, precomp, provider)
-        fN = external_force(nonlinearity(u), precomp, provider)
-        R = chi_omega * (internal_force(dd, precomp, provider) + fN - rhs)
-        return R, u
+        f, u = _form(dd, nonlinearity, 1.0, precomp, provider)
+        return chi_omega * (f - rhs), u
 
     def jacobian(v):  # at the current iterate, through n_prime
-        dv = n_prime * evaluate_field(v, precomp, provider)
-        fN = external_force(dv, precomp, provider)
-        return internal_force(v, precomp, provider) + fN
+        return _form(v, n_prime, 1.0, precomp, provider)[0]
 
     d = np.zeros(precomp.grid.shape) if dirichlet is None else dirichlet.copy()
     max_iter = config.iter_cap(int(np.count_nonzero(chi_omega)))
     start = time.perf_counter()
     R, u = residual(d)
     R_norm0 = float(np.linalg.norm(R))
-    if R_norm0 == 0.0:
-        return d, u, SolveReport(
-            0, 0.0, time.perf_counter() - start, True, residual_history=[0.0],
-            inner_iterations=[],
-        )
     history, inner = [1.0], []
+    if not 0.0 < R_norm0 < np.inf:  # no step from a zero or non-finite start
+        history, max_iter = [0.0 if R_norm0 == 0.0 else np.nan], 0
     precondition = _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider)
     eta = 0.5
     for iters in range(1, max_iter + 1):
@@ -445,7 +438,8 @@ def step_transient_diffusion(
     (precomputed) lumped mass on the active nodes; backward Euler solves
     (M/dt + nu K) delta = f from delta = 0 by masked CG, preconditioned by
     the symbol of M/dt + nu K (`_fast_preconditioner`, no transform to
-    build): 2(s+1) + k (4(s+1) + 2) transforms for k CG iterations.
+    build), applying M/dt + nu K as one weak form (operators._form):
+    2(s+1) + k (2(s+1) + 2) transforms for k CG iterations.
     Dirichlet coefficients stay frozen either way.
 
     Raises:
@@ -466,14 +460,12 @@ def step_transient_diffusion(
         np.divide(f, lumped, out=upd, where=chi_omega > 0.5)
         d_new = d + dt * upd
     else:
-        n_active = int(np.count_nonzero(chi_omega))
+        w = (1.0 / dt, config.nu)
         delta, step_converged, history = _masked_cg(
-            lambda x: mass_force(x, precomp, provider) / dt
-            + config.nu * internal_force(x, precomp, provider), f,
-            np.zeros_like(d), chi_omega, config.tol, config.iter_cap(n_active),
-            _fast_preconditioner(
-                precomp, 1.0 / dt, config.nu, chi_omega, provider
-            ),
+            lambda x: _form(x, *w, precomp, provider)[0], f, np.zeros_like(d),
+            chi_omega, config.tol,
+            config.iter_cap(int(np.count_nonzero(chi_omega))),
+            _fast_preconditioner(precomp, *w, chi_omega, provider),
         )
         d_new = d + delta
         if not step_converged:

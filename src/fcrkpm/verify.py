@@ -4,13 +4,14 @@ Every function returns check records {name, passed, error, tolerance}; a
 check passes when its error is at most its tolerance.
 
     1  convolution_checks       FFT convolution against direct sums
-    2  oracle_checks            moments and every operator against reference.py,
+    2  oracle_checks            moments, every operator and the solvers'
+                                mixed weak forms against reference.py,
                                 the off-band moments against the interior,
                                 and the closed-form basis spectra against
                                 the FFT of the weighted fields (spectra_check)
     4  reproduction_checks      constant, linear and gradient reproduction
     5  structure_checks         f_int symmetry, semi-definiteness, constants
-    6  transform_count_checks   exact transforms per operator call
+    6  transform_count_checks   exact transforms per operator and form call
     7  lumped_mass_total_check  lumped-mass total against the volume
     9  symbol_checks            preconditioner symbol against the stencil,
                                 at the DFT and the sine frequencies
@@ -70,7 +71,8 @@ __all__ = [
     "transform_count_checks",
 ]
 
-# the name each operator of operators.__all__ carries in the check names
+# the name each operator of operators.__all__, and each weak form the
+# solvers apply through operators._form, carries in the check names
 CHECK_NAMES = {
     "internal_force": "f_int",
     "external_force": "f_r",
@@ -80,6 +82,8 @@ CHECK_NAMES = {
     "nonlinear_force_gradient": "f_N",
     "mass_force": "mass",
     "lumped_mass": "lumped",
+    "implicit_form": "form-implicit",
+    "jacobian_form": "form-jacobian",
 }
 
 
@@ -115,8 +119,12 @@ def _inputs(precomp: MomentPrecomp, rng):
 
 def _calls(precomp: MomentPrecomp, inputs):
     """Each operator of operators.__all__ on the inputs, by name, as a
-    function of the FFT provider."""
+    function of the FFT provider; and two weak forms of operators._form
+    on d: backward Euler M/dt + nu K at dt = dx_0^2, nu = 1/2 (as
+    symbol_checks), and the Newton Jacobian K + M_w with the positive
+    field w = 1 + r^2 in place of N'(u_h)."""
     d, r, fields, q, area = inputs
+    inv_dt, w = precomp.grid.spacing[0] ** -2, 1.0 + r * r
     return {
         "internal_force": lambda fft: ops.internal_force(d, precomp, fft),
         "external_force": lambda fft: ops.external_force(r, precomp, fft),
@@ -128,6 +136,8 @@ def _calls(precomp: MomentPrecomp, inputs):
         ),
         "mass_force": lambda fft: ops.mass_force(d, precomp, fft),
         "lumped_mass": lambda fft: ops.lumped_mass(precomp, fft),
+        "implicit_form": lambda fft: ops._form(d, inv_dt, 0.5, precomp, fft)[0],
+        "jacobian_form": lambda fft: ops._form(d, w, 1.0, precomp, fft)[0],
     }
 
 
@@ -168,8 +178,9 @@ def spectra_check(table, label: str) -> dict:
 def oracle_checks(
     precomp: MomentPrecomp, ref: ReferenceModel, rng, label: str
 ) -> list[dict]:
-    """Criterion 2: the moments and every operator of operators.__all__
-    against direct summation, each at relative error 1e-10.
+    """Criterion 2: the moments, every operator of operators.__all__ and
+    the weak forms of _calls against direct summation, each at relative
+    error 1e-10 (the forms against M d/dt + nu K d and K d + Psi^T V w u_h).
 
     The moments are compared entry by entry (all s(s + 1)/2, each read
     from its exponent sum's field) and the gradient component by
@@ -194,6 +205,10 @@ def oracle_checks(
         ),
         "mass_force": ref.mass_apply_direct(d),
         "lumped_mass": ref.lumped_mass_direct(),
+        "implicit_form": ref.mass_apply_direct(d) / precomp.grid.spacing[0] ** 2
+        + 0.5 * ref.f_int_direct(d),
+        "jacobian_form": ref.f_int_direct(d)
+        + ref.f_r_direct((1.0 + r * r) * ref.u_h_direct(d)),
     }
     M = assemble_moment_fields(precomp.chi, precomp.table)
     M_direct = ref.moment_matrices()
@@ -268,16 +283,18 @@ def structure_checks(precomp: MomentPrecomp, rng, samples: int) -> list[dict]:
 
 
 def transform_count_checks(precomp: MomentPrecomp, rng) -> list[dict]:
-    """Criterion 6: one call of each operator of operators.__all__ runs
-    exactly 2(s+1) transforms (internal_force, mass_force) or s+1 (all
-    others); the error is the count's distance from that."""
+    """Criterion 6: one call of each operator of operators.__all__ and of
+    each weak form of _calls runs exactly 2(s+1) transforms
+    (internal_force, mass_force and the forms) or s+1 (all others); the
+    error is the count's distance from that."""
     s = precomp.size
     fft = CountingFFTProvider()
     checks = []
     for name, call in _calls(precomp, _inputs(precomp, rng)).items():
         fft.reset()
         call(fft)
-        twice = name in ("internal_force", "mass_force")
+        twice = name in ("internal_force", "mass_force", "implicit_form",
+                         "jacobian_form")
         expected = 2 * (s + 1) if twice else s + 1
         err = abs(fft.total - expected)
         checks.append(_check(f"{CHECK_NAMES[name]}-transforms", err, 0.0))
@@ -294,9 +311,9 @@ def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
 
 def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
     """Criterion 9, the preconditioner: solvers.interior_symbol against
-    the response K(o) of the operator to a unit delta at a node whose
-    footprint's footprint is all active, rolled back to the origin, at
-    1e-12; for internal_force and M/dt + nu K (dt = dx_0^2, nu = 1/2), on
+    the response K(o) of the form (operators._form) to a unit delta at a
+    node whose footprint's footprint is all active, rolled back to the
+    origin, at 1e-12; for K and M/dt + nu K (dt = dx_0^2, nu = 1/2), on
     the precomp and on its mask rolled by half the box across the seam.
 
     Two frequency sets: the DFT ones, against the DFT (real part) of the
@@ -325,9 +342,9 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
         center = np.unravel_index(int(np.argmax(deep)), grid.shape)
         delta = np.zeros(grid.shape)
         delta[center] = 1.0
-        M, K = ops.mass_force(delta, pc), ops.internal_force(delta, pc)
         for name, (w0, w1) in forms.items():
-            col = np.roll(w0 * M + w1 * K, [-k for k in center], axes)
+            col = np.roll(ops._form(delta, w0, w1, pc, None)[0],
+                          [-k for k in center], axes)
             err = rel_err(interior_symbol(pc, w0, w1), forward(col).real)
             sine = col
             for o, theta in zip(offsets, thetas):

@@ -193,8 +193,9 @@ class TestBandLayout:
     ])
     def test_operators_match_dense_rows(self, dim, counts, n, a_tilde,
                                         monkeypatch):
-        # every operator, at the active nodes, against the contraction of
-        # the (1 + d, s, *grid) row fields the layout stands for
+        # every operator and weak form, at the active nodes, against the
+        # contraction of the (1 + d, s, *grid) row fields the layout
+        # stands for
         disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
                           counts=counts)
         pc = disc.precomp
@@ -210,8 +211,8 @@ class TestBandLayout:
 
 
 class TestInputsUntouched:
-    """The operators scale and transform temporaries in place, never their
-    inputs or the precomputed arrays."""
+    """The operators and the weak forms scale and transform temporaries in
+    place, never their inputs or the precomputed arrays."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_inputs_bit_identical(self, dim, discs, rng):
@@ -229,7 +230,9 @@ class TestInputsUntouched:
                 pc.V, pc.chi]
         before = [a.tobytes() for a in kept]
         calls = _calls(pc, inputs)
-        assert set(calls) == set(operators.__all__)
+        assert set(calls) == set(operators.__all__) | {
+            "implicit_form", "jacobian_form"
+        }
         for name, call in calls.items():
             call(None)
             assert [a.tobytes() for a in kept] == before, name

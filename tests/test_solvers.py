@@ -434,10 +434,11 @@ class TestStaticNonlinear:
 
     def test_newton_transform_count(self, monkeypatch):
         # 2D 64^2: the start residual, one residual per full Newton step and
-        # every Jacobian application cost 4(s+1) transforms each, the
-        # symbol none, each preconditioning 2; the zero start of every
-        # inner CG costs none.  Feeding that skipped application through
-        # the right-hand side costs 4(s+1) per step and changes no bit of d.
+        # every Jacobian application are one weak form each, 2(s+1)
+        # transforms, the symbol none, each preconditioning 2; the zero
+        # start of every inner CG costs none.  Feeding that skipped
+        # application through the right-hand side costs 2(s+1) per step
+        # and changes no bit of d.
         disc = discretize(poisson_case(2), counts=64)
         s = disc.precomp.size
 
@@ -461,7 +462,7 @@ class TestStaticNonlinear:
         assert k == 9
         assert prov.forward_count == prov.inverse_count
         assert prov.total == (
-            4 * (s + 1) * (1 + steps) + (4 * (s + 1) + 2) * k
+            2 * (s + 1) * (1 + steps) + (2 * (s + 1) + 2) * k
         )
         masked_cg = solvers._masked_cg
         monkeypatch.setattr(
@@ -471,7 +472,7 @@ class TestStaticNonlinear:
             ),
         )
         d_applied, _, prov_applied = solve()
-        assert prov_applied.total - prov.total == steps * 4 * (s + 1)
+        assert prov_applied.total - prov.total == steps * 2 * (s + 1)
         assert np.array_equal(d, d_applied)
 
     def test_not_converged_warning_names_inner_iterations(self):
@@ -489,6 +490,30 @@ class TestStaticNonlinear:
                 config=SolverConfig(max_iter=3),
             )
         assert not report.converged and report.inner_iterations == [1, 1, 2]
+
+    def test_non_finite_rhs_fails_fast(self):
+        # as the linear solve: one NaN in the load stops Newton before its
+        # first step, after the start residual's 2(s+1) transforms, instead
+        # of halving a NaN step until the line search gives up
+        disc = discretize(poisson_case(2), counts=32)
+        rhs = _cubic_rhs(disc)
+        rhs[np.unravel_index(np.argmax(disc.chi_omega), rhs.shape)] = np.nan
+        prov = CountingFFTProvider()
+        with pytest.warns(UserWarning, match="residual nan after 0 iter"):
+            _, _, report = solve_static_nonlinear(
+                disc.precomp,
+                disc.chi_omega,
+                rhs,
+                nonlinearity=lambda u: u**3,
+                nonlinearity_prime=lambda u: 3 * u**2,
+                provider=prov,
+            )
+        assert not report.converged and report.iterations == 0
+        assert np.isnan(report.residual)
+        assert len(report.residual_history) == 1
+        assert np.isnan(report.residual_history[0])
+        assert report.inner_iterations == []
+        assert prov.total == 2 * (disc.precomp.size + 1)
 
     def test_decreasing_nonlinearity_raises(self):
         # N' < 0 makes the Jacobian indefinite: the inner CG stops on
@@ -574,9 +599,9 @@ class TestTransient:
                                            monkeypatch):
         # increment form: the force rhs - nu K d costs 2(s+1), and the inner
         # CG starts from a zero increment, which costs no application; its
-        # k iterations apply M/dt + nu K once each (4(s+1)) and run k
-        # preconditionings (2 each): one before the first iteration and
-        # none after the converged one
+        # k iterations apply M/dt + nu K once each, as one weak form
+        # (2(s+1)), and run k preconditionings (2 each): one before the
+        # first iteration and none after the converged one
         disc, rhs, u_static = transient_setup
         s = disc.precomp.size
         iterations = []
@@ -598,7 +623,7 @@ class TestTransient:
             )
             k = iterations[-1]
             assert start.converged and k > 0
-            assert prov.total == 2 * (s + 1) + k * (4 * (s + 1) + 2)
+            assert prov.total == 2 * (s + 1) + k * (2 * (s + 1) + 2)
 
     def test_implicit_not_converged_flagged(self, transient_setup):
         disc, rhs, _ = transient_setup
