@@ -12,9 +12,11 @@ its counterpart on the traditional path:
     u_h      evaluate_field          u_h_direct
 
 The fc row's `speedup` is the traditional median over the fc median of the
-same term.  Timings are medians over R repetitions after one warm-up on a
-monotonic clock; if a measurement lands below timer resolution the inner
-loop count doubles until it does not.  `K` is the stiffness of the model
+same term; on setup it includes the interpreter overhead of the stiffness
+assembly's per-node Python loop (README, Bench notes).  Timings are
+medians over R repetitions after one warm-up on a monotonic clock; if a
+measurement lands below timer resolution the inner loop count doubles
+until it does not.  `K` is the stiffness of the model
 built by the last timed traditional setup, so a cell assembles it R + 1
 times.
 

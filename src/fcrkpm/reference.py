@@ -13,13 +13,13 @@ The active (chi = 1) nodes are numbered in numpy's C order, the order of
 other linearization exists.  Neighbors come from one node-major table,
 (n_nodes, n_offsets) local ids with -1 for an inactive lattice node,
 built with one np.roll per stencil offset.  Offsets are enumerated in
-np.ndindex order, which is C order, so each table row is already sorted
-by local id whenever no support crosses the periodic seam (the extension
-guarantees that for every mask inside the physical box).  The table
-gives the neighbor lists, the per-node moment sums (one product of the
-0/1 validity pattern with the per-offset basis products) and the shape
-values, which are stored as CSR matrices Psi and B_ax that all share the
-neighbor table's int32 index arrays.  Field evaluation and forces are
+itertools.product order, which is C order, so each table row is already
+sorted by local id whenever no support crosses the periodic seam (the
+extension guarantees that for every mask inside the physical box).  The
+table gives the neighbor lists, the per-node moment sums (one product of
+the 0/1 validity pattern with the per-offset basis products) and the
+shape values, which are stored as CSR matrices Psi and B_ax that all
+share the neighbor table's int32 index arrays.  Field evaluation and forces are
 then sparse products with them.
 
 The moment matrices form the node-last stack (s, s, n_nodes) of the
@@ -39,6 +39,8 @@ provided by `shape_functions_at`.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,24 +141,13 @@ class ReferenceModel:
 
     def _offset_tables(self):
         """Stencil offsets with per-axis |o| < a_tilde (strict: the kernel
-        vanishes exactly at the support edge), in np.ndindex (C) order, and
-        the per-offset basis data H(-o*dx) and H(-o*dx)*phi(-o*dx), which
+        vanishes exactly at the support edge), the product of the per-axis
+        ranges 1 - ceil(a_tilde) .. ceil(a_tilde) - 1 in C order, and the
+        per-offset basis data H(-o*dx) and H(-o*dx)*phi(-o*dx), which
         depend on the offset only (phi is even, bit for bit)."""
-        d = self.grid.dim
-        ranges = [
-            np.arange(-int(np.ceil(at)) + 1, int(np.ceil(at)))
-            for at in self.a_tilde
-        ]
-        offsets = np.array(
-            [
-                o
-                for o in np.ndindex(*[len(r) for r in ranges])
-                if all(abs(ranges[k][o[k]]) < self.a_tilde[k] for k in range(d))
-            ]
-        )
-        offsets = np.array(
-            [[ranges[k][o[k]] for k in range(d)] for o in offsets], dtype=np.int64
-        )
+        ranges = [range(1 - math.ceil(at), math.ceil(at))
+                  for at in self.a_tilde]
+        offsets = np.array(list(itertools.product(*ranges)), dtype=np.int64)
         disp = offsets * np.array(self.grid.spacing)  # x_J - x_S per offset
         return (offsets, *self._weighted_basis(-disp))  # argument x_S - x_J
 

@@ -150,22 +150,39 @@ def interior_symbol(precomp: MomentPrecomp, w0: float, w1: float,
         for part in table.parity_split:
             g = np.tensordot(precomp.c[k, list(part)], H[list(part)], 1)
             lam = lam + wk * g**2
-    return lam * np.prod(precomp.grid.spacing)
+    return lam * precomp.grid.cell_volume
 
 
 def _cyclic_extent(free: np.ndarray, axis: int):
     """(start, n): the shortest run of indices along `axis`, read
-    cyclically from start, that holds every free node; None when the free
-    nodes leave no index of the axis out (or there are none)."""
+    cyclically from start, that holds every free node; (0, N), the whole
+    axis, when the free nodes leave no index of it out (or there are
+    none)."""
     others = tuple(ax for ax in range(free.ndim) if ax != axis)
     idx = np.flatnonzero(free.any(axis=others))
     N = free.shape[axis]
     if idx.size in (0, N):
-        return None
+        return 0, N
     # the widest gap between cyclically consecutive occupied indices
     step = np.diff(idx, append=idx[0] + N)
     i = int(np.argmax(step))
     return int(idx[(i + 1) % idx.size]), N - int(step[i]) + 1
+
+
+def _free_box(free: np.ndarray):
+    """(box, thetas, periodic) of a boolean free set: the index of its
+    cyclic extent (slices, or an np.ix_ index where the extent wraps
+    across the seam), the sine frequencies pi j / (n + 1), j = 1..n, of
+    each axis's extent n, and whether the extent is the whole box."""
+    extent = [_cyclic_extent(free, ax) for ax in range(free.ndim)]
+    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for _, n in extent]
+    periodic = all(n == N for (_, n), N in zip(extent, free.shape))
+    if all(start + n <= N for (start, n), N in zip(extent, free.shape)):
+        box = tuple(slice(start, start + n) for start, n in extent)
+    else:
+        box = np.ix_(*[(start + np.arange(n)) % N
+                       for (start, n), N in zip(extent, free.shape)])
+    return box, thetas, periodic
 
 
 def _pseudo_reciprocal(lam: np.ndarray) -> np.ndarray:
@@ -178,9 +195,11 @@ def _pseudo_reciprocal(lam: np.ndarray) -> np.ndarray:
 
 
 def _fast_preconditioner(precomp, w0, w1, mask, provider):
-    """z = mask * T^-1[T(r) / lambda]: the interior symbol of w0 M + w1 K
-    (interior_symbol) inverted in the transform that diagonalizes the
-    operator's interior stencil on the free set (mask > 0.5).
+    """z = mask * T^-1[T(r) / lambda] on the free set's box: the interior
+    symbol of w0 M + w1 K (interior_symbol) inverted in the transform that
+    diagonalizes the operator's interior stencil on the free set
+    (mask > 0.5).  The box, its sine frequencies and whether it is the
+    whole periodic box come from _free_box, as in criterion 9's check.
 
     Where the free set leaves a gap along some axis it is a Dirichlet
     block, whose interior stencil is a multilevel Toeplitz matrix: T is
@@ -189,38 +208,24 @@ def _fast_preconditioner(precomp, w0, w1, mask, provider):
     frequencies pi j / (n + 1), j = 1..n, the tau preconditioner of the
     Toeplitz stencil.  Where it covers every axis the operator is a
     circulant: T is the DFT over the grid and lambda is taken at the DFT
-    frequencies.  Either way the preconditioner is symmetric positive
-    semidefinite, definite on the masked subspace of a Dirichlet block.
-    Its reciprocal is kept, so an application (two transforms)
-    multiplies; the build runs none.
+    frequencies.  One closure applies either pair.  Either way the
+    preconditioner is symmetric positive semidefinite, definite on the
+    masked subspace of a Dirichlet block.  Its reciprocal is kept, so an
+    application (two transforms) multiplies; the build runs none.
     """
-    extent = [_cyclic_extent(mask > 0.5, ax) for ax in range(precomp.dim)]
-    if all(e is None for e in extent):
-        inv_lam = _pseudo_reciprocal(interior_symbol(precomp, w0, w1))
-
-        def precondition(v):
-            v_hat = forward(v, provider)
-            v_hat *= inv_lam
-            return mask * inverse(v_hat, provider)
-
-        return precondition
+    box, thetas, periodic = _free_box(mask > 0.5)
+    if periodic:
+        transform, back, thetas = forward, inverse, None
+    else:
+        transform, back = sine_forward, sine_inverse
+    inv_lam = _pseudo_reciprocal(interior_symbol(precomp, w0, w1, thetas))
     shape = precomp.grid.shape
-    extent = [e or (0, N) for e, N in zip(extent, shape)]
-    inv_lam = _pseudo_reciprocal(interior_symbol(
-        precomp, w0, w1, [np.pi * np.arange(1, n + 1) / (n + 1)
-                          for _, n in extent],
-    ))
-    if all(start + n <= N for (start, n), N in zip(extent, shape)):
-        box = tuple(slice(start, start + n) for start, n in extent)
-    else:  # the extent wraps across the seam
-        box = np.ix_(*[(start + np.arange(n)) % N
-                       for (start, n), N in zip(extent, shape)])
 
     def precondition(v):
-        v_hat = sine_forward(v[box], provider)
+        v_hat = transform(v[box], provider)
         v_hat *= inv_lam
         z = np.zeros(shape)
-        z[box] = sine_inverse(v_hat, provider)
+        z[box] = back(v_hat, provider)
         z *= mask
         return z
 

@@ -47,7 +47,7 @@ from .moment import (
 )
 from .problems import discretize, poisson_case
 from .reference import ReferenceModel
-from .solvers import _cyclic_extent, interior_symbol
+from .solvers import _free_box, interior_symbol
 from .spectral import (
     CountingFFTProvider,
     circular_convolve,
@@ -111,7 +111,7 @@ def _inputs(precomp: MomentPrecomp, rng):
     d = chi * rng.standard_normal(shape)
     r = chi * rng.standard_normal(shape)
     fields = chi * rng.standard_normal((precomp.dim, *shape))
-    boundary = chi * (precomp.V < 0.75 * np.prod(precomp.grid.spacing))
+    boundary = chi * (precomp.V < 0.75 * precomp.grid.cell_volume)
     q = boundary * rng.standard_normal(shape)
     area = boundary * rng.uniform(0.5, 1.5, shape)
     return d, r, fields, q, area
@@ -318,10 +318,10 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
 
     Two frequency sets: the DFT ones, against the DFT (real part) of the
     response (symbol-<form>-<case>), and the sine frequencies pi j / (n + 1)
-    of the active set's cyclic extent per axis, which the preconditioner
-    divides by on a Dirichlet block, against sum_o K(o) prod_ax
-    cos(theta_ax o_ax) (symbol-sine-<form>-<case>).  A mask without such a
-    node fails."""
+    of the active set's cyclic extent per axis (solvers._free_box, which
+    gives the preconditioner those of its free set), against
+    sum_o K(o) prod_ax cos(theta_ax o_ax) (symbol-sine-<form>-<case>).  A
+    mask without such a node fails."""
     grid, table, axes = precomp.grid, precomp.table, tuple(range(precomp.dim))
     half = [n // 2 for n in grid.shape]
     rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
@@ -330,9 +330,7 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
     # minimal-image node offsets, and the sine frequencies of the extent,
     # which rolling the mask does not change
     offsets = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.shape]
-    lengths = [(_cyclic_extent(precomp.chi > 0.5, ax) or (0, N))[1]
-               for ax, N in enumerate(grid.shape)]
-    thetas = [np.pi * np.arange(1, n + 1) / (n + 1) for n in lengths]
+    _, thetas, _ = _free_box(precomp.chi > 0.5)
     checks = []
     for case, pc in ((label, precomp), (f"{label}-rolled", rolled)):
         # the active nodes off the band whose footprint is off it too

@@ -7,7 +7,9 @@ fcrkpm.verify, which
 counts below.
 Criterion 8 times the heavy traditional assembly in single runs: the
 compared ratios sit one to four orders of magnitude above their bounds, so
-repetition medians would only add minutes, not information.
+repetition medians would only add minutes, not information.  Its
+assembly/fc ratios include the interpreter overhead of the assembly's
+per-node Python loop (README, Bench notes).
 """
 
 import time

@@ -33,7 +33,9 @@ from fcrkpm import solvers
 from fcrkpm.errors import LineSearchError
 from fcrkpm.solvers import (
     TransientState,
+    _cyclic_extent,
     _fast_preconditioner,
+    _free_box,
     _masked_cg,
     interior_symbol,
 )
@@ -199,7 +201,7 @@ def _preconditioner_case(disc, kind):
         "periodic": np.ones(X.shape, dtype=bool),
     }[kind].astype(float)
     precomp = _masked_precomp(disc, chi)
-    return precomp, chi * (precomp.V == np.prod(disc.grid.spacing))
+    return precomp, chi * (precomp.V == disc.grid.cell_volume)
 
 
 class TestPreconditioner:
@@ -219,8 +221,43 @@ class TestPreconditioner:
                 P1, P2 = precondition(r1), precondition(r2)
                 assert np.array_equal(P1, mask * P1)
                 a, b = np.vdot(r1, P2), np.vdot(r2, P1)
-                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+                # both sums round at the scale of their terms, which a
+                # draw that cancels leaves far above |a| and |b|
+                terms = np.sum(np.abs(r1 * P2) + np.abs(r2 * P1))
+                assert abs(a - b) <= 1e-15 * terms
                 assert np.vdot(r1, P1) > 0.0 and np.vdot(r2, P2) > 0.0
+
+    def test_free_box(self, disc2d):
+        # the box the preconditioner and criterion 9 share, per free set
+        free = {kind: _preconditioner_case(disc2d, kind)[1] > 0.5
+                for kind in ("box", "rolled", "strip", "periodic")}
+        N = disc2d.grid.shape[0]
+        box, thetas, periodic = _free_box(free["box"])
+        idx = np.flatnonzero(free["box"].any(axis=1))
+        n = idx.size
+        assert box == (slice(idx[0], idx[-1] + 1),) * 2 and not periodic
+        for theta in thetas:
+            assert np.array_equal(theta,
+                                  np.pi * np.arange(1, n + 1) / (n + 1))
+        # rolled by half the box: an np.ix_ index that wraps the seam
+        rolled, thetas_r, periodic_r = _free_box(free["rolled"])
+        wrapped = (idx + N // 2) % N
+        assert wrapped[0] > wrapped[-1] and not periodic_r
+        for ax, index in enumerate(rolled):
+            assert np.array_equal(index.ravel(), wrapped)
+            assert index.shape == tuple(n if k == ax else 1 for k in (0, 1))
+        assert np.array_equal(free["rolled"][rolled], free["box"][box])
+        assert all(np.array_equal(a, b) for a, b in zip(thetas_r, thetas))
+        # the strip spans axis 1 whole: a sine block of all N nodes there
+        strip, thetas_s, periodic_s = _free_box(free["strip"])
+        assert strip[1] == slice(0, N) and len(thetas_s[1]) == N
+        assert strip[0] != slice(0, N) and not periodic_s
+        box, _, periodic = _free_box(free["periodic"])
+        assert box == (slice(0, N),) * 2 and periodic
+        empty = np.zeros(disc2d.grid.shape, dtype=bool)
+        assert [_cyclic_extent(empty, ax) for ax in (0, 1)] == [(0, N)] * 2
+        box, _, periodic = _free_box(empty)
+        assert box == (slice(0, N),) * 2 and periodic
 
     @pytest.mark.parametrize("kind", ["disk", "strip"])
     def test_masked_cg_converges(self, disc2d, kind):
@@ -247,7 +284,7 @@ class TestPreconditioner:
             re = np.where(odd, 0.0, pc.c) @ H
             im = np.where(odd, pc.c, 0.0) @ H
             for w0, w1 in ((0.0, 1.0), (3.0, 0.5)):
-                w = np.array([w0] + [w1] * pc.dim) * np.prod(disc.grid.spacing)
+                w = np.array([w0] + [w1] * pc.dim) * disc.grid.cell_volume
                 spectra = (w @ (re * re + im * im)).reshape(disc.grid.shape)
                 assert rel_err(interior_symbol(pc, w0, w1), spectra) <= 1e-12
 
