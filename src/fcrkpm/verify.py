@@ -309,7 +309,8 @@ def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
     return _check("lumped-mass-total", abs(total - volume) / volume, 1e-12)
 
 
-def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
+def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
+                  label: str) -> list[dict]:
     """Criterion 9, the preconditioner: solvers.interior_symbol against
     the response K(o) of the form (operators._form) to a unit delta at a
     node whose footprint's footprint is all active, rolled back to the
@@ -318,10 +319,10 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
 
     Two frequency sets: the DFT ones, against the DFT (real part) of the
     response (symbol-<form>-<case>), and the sine frequencies pi j / (n + 1)
-    of the active set's cyclic extent per axis (solvers._free_box, which
-    gives the preconditioner those of its free set), against
-    sum_o K(o) prod_ax cos(theta_ax o_ax) (symbol-sine-<form>-<case>).  A
-    mask without such a node fails."""
+    of the free set's (chi_omega's) cyclic extent per axis
+    (solvers._free_box, the frequencies the preconditioner divides at),
+    against sum_o K(o) prod_ax cos(theta_ax o_ax)
+    (symbol-sine-<form>-<case>).  A mask without such a node fails."""
     grid, table, axes = precomp.grid, precomp.table, tuple(range(precomp.dim))
     half = [n // 2 for n in grid.shape]
     rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
@@ -330,7 +331,7 @@ def symbol_checks(precomp: MomentPrecomp, label: str) -> list[dict]:
     # minimal-image node offsets, and the sine frequencies of the extent,
     # which rolling the mask does not change
     offsets = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.shape]
-    _, thetas, _ = _free_box(precomp.chi > 0.5)
+    _, thetas, _ = _free_box(chi_omega > 0.5)
     checks = []
     for case, pc in ((label, precomp), (f"{label}-rolled", rolled)):
         # the active nodes off the band whose footprint is off it too
@@ -418,7 +419,7 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
             checks.extend(
                 oracle_checks(disc.precomp, disc.reference(), rng, label)
             )
-            checks.extend(symbol_checks(disc.precomp, label))
+            checks.extend(symbol_checks(disc.precomp, disc.chi_omega, label))
             if (dim, n) == (2, 1):
                 disc2 = disc
         except Exception as exc:  # a crash is itself a failed check

@@ -223,7 +223,8 @@ def test_criterion_9_preconditioner_symbol():
             fc.poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts
         )
         label = f"{dim}d-n{n}-a{a_tilde}"
-        checks.extend(verify.symbol_checks(disc.precomp, label))
+        checks.extend(verify.symbol_checks(disc.precomp, disc.chi_omega,
+                                          label))
     _report(9, "preconditioner symbol", *_summary(checks))
 
 

@@ -333,7 +333,7 @@ class TestPreconditioner:
         # at 8^3 no footprint's footprint (9 nodes wide at a_tilde = 2.5)
         # fits the domain: the oracle check fails instead of passing empty
         disc = discretize(poisson_case(3), n=2, a_tilde=2.5, counts=8)
-        checks = symbol_checks(disc.precomp, "8")
+        checks = symbol_checks(disc.precomp, disc.chi_omega, "8")
         assert len(checks) == 8 and not any(c["passed"] for c in checks)
 
     def test_masked_cg_leaves_rhs_and_start_untouched(self, disc2d, rng):
@@ -783,3 +783,78 @@ class TestTransient:
             SolverConfig(dt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(scheme="leapfrog")
+
+
+def _dense_top_eigenvalue(disc, Ml):
+    """Largest eigenvalue of the dense M_l^-1/2 K_ff M_l^-1/2, with K_ff
+    the direct-summation stiffness over the free nodes and M_l the FFT
+    path's lumped mass."""
+    ref = disc.reference()
+    free = ~ref.gamma_mask
+    K_ff = ref.assemble_stiffness()[free][:, free].toarray()
+    scale = ref.restrict(Ml)[free] ** -0.5
+    return np.linalg.eigvalsh(scale[:, None] * K_ff * scale)[-1]
+
+
+@pytest.fixture(scope="module")
+def explicit_64():
+    disc = discretize(poisson_case(2), counts=64)
+    Ml = lumped_mass(disc.precomp)
+    return disc, Ml, _dense_top_eigenvalue(disc, Ml)
+
+
+class TestExplicitStableDt:
+    @pytest.mark.parametrize("dim, counts, n, a_tilde", [
+        (2, 16, 1, 1.5), (2, 16, 2, 2.5), (2, 24, 1, 3.5), (1, 64, 1, 1.5),
+        (3, 10, 1, 1.5),
+    ])
+    def test_matches_dense_eigenvalue(self, dim, counts, n, a_tilde):
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
+                          counts=counts)
+        Ml = lumped_mass(disc.precomp)
+        lam = 2.0 / explicit_stable_dt(disc.precomp, disc.chi_omega, Ml)
+        assert rel_err(lam, _dense_top_eigenvalue(disc, Ml)) < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_eigenvalue_at_64(self, explicit_64, seed):
+        disc, Ml, dense = explicit_64
+        dt = explicit_stable_dt(disc.precomp, disc.chi_omega, Ml, seed=seed)
+        assert rel_err(2.0 / dt, dense) < 1e-5
+
+    def test_one_internal_force_per_step(self, explicit_64, monkeypatch):
+        # each Lanczos step applies the operator once and transforms
+        # nothing else: k steps run exactly k 2(s+1) transforms
+        disc, Ml, _ = explicit_64
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return internal_force(*args)
+
+        monkeypatch.setattr(solvers, "internal_force", counting)
+        prov = CountingFFTProvider()
+        explicit_stable_dt(disc.precomp, disc.chi_omega, Ml, provider=prov)
+        k = len(calls)
+        assert 0 < k <= 40
+        assert prov.total == k * 2 * (disc.precomp.size + 1)
+
+    def test_cap_warns(self, disc2d):
+        Ml = lumped_mass(disc2d.precomp)
+        prov = CountingFFTProvider()
+        with pytest.warns(UserWarning, match="after 3 steps"):
+            dt = explicit_stable_dt(disc2d.precomp, disc2d.chi_omega, Ml,
+                                    iterations=3, provider=prov)
+        assert np.isfinite(dt) and dt > 0.0
+        assert prov.total == 3 * 2 * (disc2d.precomp.size + 1)
+
+    def test_non_positive_mass_raises(self, disc2d):
+        Ml = lumped_mass(disc2d.precomp)
+        node = np.unravel_index(np.argmax(disc2d.chi_omega), Ml.shape)
+        Ml[node] = -1.0
+        with pytest.raises(ValueError, match="is not positive"):
+            explicit_stable_dt(disc2d.precomp, disc2d.chi_omega, Ml)
+
+    def test_no_free_node_raises(self, disc2d):
+        Ml = lumped_mass(disc2d.precomp)
+        with pytest.raises(ValueError, match="free node"):
+            explicit_stable_dt(disc2d.precomp, 0.0 * disc2d.chi_omega, Ml)
