@@ -350,7 +350,14 @@ def boundary_face_weights(grid: PeriodicGrid, chi, bounds, axis, side, tol=None)
 
     Returns:
         (face_mask, A) where face_mask is a 0/1 field and A the area field.
+
+    Raises:
+        ValueError: side not 'lo' or 'hi', or axis not in range(grid.dim).
     """
+    if side not in ("lo", "hi"):
+        raise ValueError(f"side must be 'lo' or 'hi', got {side!r}")
+    if axis not in range(grid.dim):
+        raise ValueError(f"axis must be in range({grid.dim}), got {axis!r}")
     bounds = [tuple(b) for b in bounds]
     if tol is None:
         tol = 1e-9 * max(hi - lo for lo, hi in bounds)

@@ -11,11 +11,14 @@ basis.kept_spectrum), so the mask is transformed once and each sum costs
 one inverse, 1 + D transforms; no integrand is evaluated on the grid
 (basis.weighted_monomials, which does, is the oracle of `fcrkpm verify`).
 
-One helper, _b_rows, inverts a symmetric stack with the node axes last,
-(s, s, *nodes): the band columns spread by the index (invert_moments) or
-the direct-summation oracle's stack (reference.py).  It runs an unpivoted
-LDL^T factorization, one whole-slab operation per scalar step, over slabs
-of the nodes, checks them, and writes their rows out, so the transient is
+One helper, _b_rows, inverts symmetric matrices given as a column table
+M (K, n) and an (s, s) index, entry (p, q) of node J read as
+M[index[p, q], J]: the (D, 1 + n_band) columns of M_c and the band with
+_exponent_sums' index (invert_moments), or the direct-summation oracle's
+(s, s, n) stack as (s^2, n) with the identity index (reference.py), so no
+s x s stack is built from the D fields.  It runs an unpivoted LDL^T
+factorization, one whole-slab operation per scalar step, over slabs of
+the nodes, checks them, and writes their rows out, so the transient is
 O(slab s^2) next to the rows.  No pivoting is needed: M is a Gram matrix,
 sum_J chi_J phi(x_I - x_J) H(x_I - x_J) H(x_I - x_J)^T with a nonnegative
 kernel, hence symmetric positive semidefinite, and definite once the node
@@ -93,7 +96,7 @@ CONDITION_WARN = 1e12
 INTERIOR_RTOL = 1e-12
 
 # nodes per slab of the inversion in _b_rows; bounds its transient memory
-_SLAB_NODES = 4096
+_SLAB_NODES = 2048
 
 
 @dataclass
@@ -177,12 +180,14 @@ def assemble_moment_fields(
     return M
 
 
-def _invert_symmetric(M: np.ndarray):
-    """Invert a stack of symmetric s x s matrices, node axes last.
+def _invert_symmetric(M: np.ndarray, index: np.ndarray):
+    """Invert symmetric s x s matrices given as a column table.
 
-    M has shape (s, s, *nodes), so every M[p, q] is one contiguous field.
-    It is factored as M = L D L^T without pivoting, by one whole-field
-    operation per scalar step:
+    M has shape (K, n) and index (s, s): entry (p, q) of node J is
+    M[index[p, q], J], so every entry is one contiguous field and no
+    (s, s, n) stack is built.  It is factored as M = L D L^T without
+    pivoting, reading the lower triangle, by one whole-field operation per
+    scalar step:
 
         D_j  = M_jj - sum_{k<j} L_jk^2 D_k
         L_ij = (M_ij - sum_{k<j} L_ik L_jk D_k) / D_j          (i > j)
@@ -195,21 +200,21 @@ def _invert_symmetric(M: np.ndarray):
     the caller rejects such a node by the returned pivot ratio.
 
     Returns:
-        (inverse, min_pivot): the full inverse, shaped like M, and
+        (inverse, min_pivot): the full inverse, shaped (s, s, n), and
         min_k |D_k| / max|M| per node (0 where M is all zeros).
     """
-    s = M.shape[0]
+    s = len(index)
     L = {}  # (i, j) -> field for i > j
-    D = np.empty(M.shape[1:])
+    D = np.empty((s, M.shape[1]))
     for j in range(s):
         LD = [L[j, k] * D[k] for k in range(j)]
-        d = M[j, j].copy()
+        d = M[index[j, j]].copy()
         for k in range(j):
             d -= L[j, k] * LD[k]
         D[j] = d
         safe = np.where(d == 0.0, 1.0, d)
         for i in range(j + 1, s):
-            v = M[i, j].copy()
+            v = M[index[i, j]].copy()
             for k in range(j):
                 v -= L[i, k] * LD[k]
             L[i, j] = v / safe
@@ -221,7 +226,7 @@ def _invert_symmetric(M: np.ndarray):
                 v -= W[i, k] * W[k, j]
             W[i, j] = v
     D_inv = 1.0 / np.where(D == 0.0, 1.0, D)
-    inv = np.empty_like(M)
+    inv = np.empty((s, s, M.shape[1]))
     for p in range(s):
         for q in range(p, s):
             v = D_inv[q] * (W[q, p] if q > p else 1.0)
@@ -229,42 +234,43 @@ def _invert_symmetric(M: np.ndarray):
                 v += W[k, p] * W[k, q] * D_inv[k]
             inv[p, q] = v
             inv[q, p] = v
-    scale = np.max(np.abs(M), axis=(0, 1))
+    scale = np.max(np.abs(M), axis=0)
     return inv, np.min(np.abs(D), axis=0) / np.where(scale == 0.0, 1.0, scale)
 
 
-def _b_rows(M: np.ndarray, dim: int, locate) -> np.ndarray:
-    """Invert the moment stack M (s, s, *nodes), check every matrix, and
-    return the (1 + d, s, *nodes) b-rows (module docstring).
+def _b_rows(M: np.ndarray, index: np.ndarray, dim: int, locate) -> np.ndarray:
+    """Invert the moment matrices of the column table M (K, n), entry
+    (p, q) of node J at M[index[p, q], J], check every matrix, and return
+    the (1 + d, s, n) b-rows (module docstring).
 
-    The flattened node axes are taken in slabs of _SLAB_NODES nodes, so
-    the transient memory is O(_SLAB_NODES s^2) next to the rows: each
-    slab is factored, checked and written into the rows before the next.
-    Slabs run in C order, so the first singular slab holds the first
+    The n nodes are taken in slabs of _SLAB_NODES, so the transient memory
+    is O(_SLAB_NODES s^2) next to the rows: each slab is factored, checked
+    and written into the rows, and its inverse released, before the next.
+    Slabs run in order, so the first singular slab holds the first
     singular node; the condition warning waits for the worst estimate over
-    every slab.  locate maps the node-axes index of that node to the
+    every slab.  locate maps the column of that node to the
     (node_index, coordinate) that SingularMomentError reports.  The
     degree-1 monomial of axis ax sits at 1 + ax in the graded basis order.
     """
-    s, nodes = M.shape[0], M.shape[2:]
-    flat = M.reshape(s, s, -1)
-    rows = np.empty((1 + dim, s, flat.shape[2]))
+    n = M.shape[1]
+    rows = np.empty((1 + dim, len(index), n))
     worst = 0.0
-    for start in range(0, flat.shape[2], _SLAB_NODES):
+    for start in range(0, n, _SLAB_NODES):
         slab = slice(start, start + _SLAB_NODES)
-        Ms = flat[..., slab]
-        inv, min_pivot = _invert_symmetric(Ms)
+        Ms = M[:, slab]
+        inv, min_pivot = _invert_symmetric(Ms, index)
         bad = min_pivot < SINGULAR_PIVOT_RTOL
         if np.any(bad):
             i = int(np.argmax(bad))
-            first = tuple(int(k) for k in np.unravel_index(start + i, nodes))
-            scale = np.max(np.abs(Ms[..., i]))
-            raise SingularMomentError(*locate(first), min_pivot[i] * scale)
-        # ||M||_inf ||M^-1||_inf, the max row sum of |entries| per node
-        cond = (np.abs(Ms).sum(axis=1).max(axis=0)
-                * np.abs(inv).sum(axis=1).max(axis=0))
-        worst = max(worst, float(cond.max()))
+            scale = np.max(np.abs(Ms[:, i]))
+            raise SingularMomentError(*locate(start + i), min_pivot[i] * scale)
         rows[..., slab] = inv[: 1 + dim]
+        # ||M||_inf ||M^-1||_inf, the max row sum of |entries| per node;
+        # |M^-1| overwrites the inverse, whose rows are already copied out
+        inv_norm = np.abs(inv, out=inv).sum(axis=1).max(axis=0)
+        del inv
+        cond = np.abs(Ms)[index].sum(axis=1).max(axis=0) * inv_norm
+        worst = max(worst, float(cond.max()))
     if worst > CONDITION_WARN:
         warnings.warn(
             f"moment matrix condition estimate up to {worst:.2e} at active "
@@ -273,7 +279,7 @@ def _b_rows(M: np.ndarray, dim: int, locate) -> np.ndarray:
             stacklevel=3,
         )
     np.negative(rows[1:], out=rows[1:])
-    return rows.reshape(rows.shape[:2] + nodes)
+    return rows
 
 
 def interior_moments(table: BasisTable) -> np.ndarray:
@@ -363,12 +369,9 @@ def invert_moments(
     if deviation > INTERIOR_RTOL:
         raise InteriorMomentError(*node(worst), deviation)
     _, index = _exponent_sums(table.basis)
-    # the (s, s, 1 + n_band) stack: M_c, then the band columns
-    stack = np.concatenate(
-        [mc[:, None], M.reshape(len(mc), -1)[:, band]], 1
-    )[index]
+    cols = np.concatenate([mc[:, None], M.reshape(len(mc), -1)[:, band]], 1)
     at = np.concatenate([[np.argmax(chi > 0.5)], band])
-    rows = _b_rows(stack, grid.dim, lambda first: node(at[first[0]]))
+    rows = _b_rows(cols, index, grid.dim, lambda i: node(at[i]))
     return MomentPrecomp(
         grid=grid, table=table, chi=chi, V=chi * V,
         c=rows[..., 0].copy(), band_rows=rows[..., 1:], band=band,

@@ -22,9 +22,10 @@ shape values, which are stored as CSR matrices Psi and B_ax that all
 share the neighbor table's int32 index arrays.  Field evaluation and forces are
 then sparse products with them.
 
-The moment matrices form the node-last stack (s, s, n_nodes) of the
-convolution path, and moment._b_rows inverts, checks and reads out their
-rows, as it does for the (s, s, 1) stack of an off-node query.  H and phi
+The moment matrices form the node-last stack (s, s, n_nodes), and
+moment._b_rows inverts, checks and reads out their rows, taking the stack
+as the column table (s^2, n_nodes) with the identity index (_stack_rows),
+as it does for the single matrix of an off-node query.  H and phi
 come from basis.monomial and basis.eval_kernel.
 
 The stiffness assembly keeps its explicit per-node loop of outer-product
@@ -55,6 +56,15 @@ __all__ = ["NeighborTable", "ReferenceModel"]
 
 # flush threshold for chunked COO -> CSR accumulation during assembly
 _TRIPLET_BUDGET = 8_000_000
+
+
+def _stack_rows(stack: np.ndarray, dim: int, locate) -> np.ndarray:
+    """moment._b_rows of a node-last (s, s, n) stack, read as the column
+    table (s^2, n) through the identity index: entry (p, q) is the stack's
+    own stack[p, q]."""
+    s = len(stack)
+    return _b_rows(stack.reshape(s * s, -1), np.arange(s * s).reshape(s, s),
+                   dim, locate)
 
 
 @dataclass
@@ -201,10 +211,11 @@ class ReferenceModel:
         if self._rows is None:
 
             def locate(i):
-                multi = tuple(int(k) for k in np.argwhere(self.active)[i[0]])
+                multi = tuple(int(k) for k in np.argwhere(self.active)[i])
                 return multi, self.grid.node_coordinate(multi)
 
-            self._rows = _b_rows(self.moment_matrices(), self.grid.dim, locate)
+            self._rows = _stack_rows(self.moment_matrices(), self.grid.dim,
+                                     locate)
         return self._rows
 
     def shape_matrices(self):
@@ -359,10 +370,8 @@ class ReferenceModel:
             inside &= np.abs(x[k] - self.coords[:, k]) < self.kernel.support[k]
         ids = np.flatnonzero(inside)
         H, Hvec = self._weighted_basis(x[None, :] - self.coords[ids])  # x - x_J
-        rows = _b_rows(
-            (H.T @ Hvec)[:, :, None], self.grid.dim,
-            lambda _: (("point",), tuple(x)),
-        )[:, :, 0]
+        rows = _stack_rows((H.T @ Hvec)[:, :, None], self.grid.dim,
+                           lambda _: (("point",), tuple(x)))[:, :, 0]
         return ids, Hvec @ rows[0], [Hvec @ b for b in rows[1:]]
 
     # ------------------------------------------------------------- solving

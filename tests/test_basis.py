@@ -124,14 +124,15 @@ class TestRowLayout:
 
 def _invert_constant(n, d):
     """Run the row helper of invert_moments on one well-conditioned SPD
-    moment matrix M at every node of an 8^d lattice; return inv(M) and the
-    (1 + d, s, *lattice) rows."""
+    moment matrix M at every node of an 8^d lattice, as the (s^2, 8^d)
+    column table with the identity index; return inv(M) and the
+    (1 + d, s, 8^d) rows."""
     s = enumerate_basis(n, d).size
     A = np.random.default_rng(7).standard_normal((s, s))
     M = A @ A.T + s * np.eye(s)
-    stack = np.empty((s, s) + (8,) * d)
-    stack[...] = M.reshape((s, s) + (1,) * d)
-    rows = _b_rows(stack, d, lambda first: (first, first))
+    cols = np.repeat(M.reshape(s * s, 1), 8**d, axis=1)
+    rows = _b_rows(cols, np.arange(s * s).reshape(s, s), d,
+                   lambda i: ((i,), (i,)))
     return np.linalg.inv(M), rows
 
 

@@ -80,6 +80,25 @@ class TestExitCodes:
         path = _write(tmp_path, "bad.json", {"version": 1, "experiment": "converge", "x": 1})
         assert main(["converge", "--config", path]) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("experiment,key", [
+        ("converge", "a_tilde"), ("converge", "tol"),
+        ("diffuse", "a_tilde"), ("diffuse", "tol"), ("diffuse", "t_end"),
+        ("diffuse", "dt"), ("diffuse", "nu"), ("bench", "a_tilde_values"),
+    ])
+    def test_non_finite_number_is_2(self, tmp_path, experiment, key, value):
+        # json writes and parses NaN and +-Infinity; each numeric key, and
+        # an a_tilde_values entry, rejects them before any compute
+        doc = {"version": 1, "experiment": experiment, "dim": 1,
+               key: [1.5, value] if key == "a_tilde_values" else value}
+        if experiment == "diffuse":
+            doc["counts"] = 16
+        path = _write(tmp_path, "c.json", doc)
+        out = str(tmp_path / "out.csv")
+        assert main([experiment, "--config", path, "--out", out]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_wrong_experiment_is_2(self, tmp_path):
         path = _write(tmp_path, "v.json", {"version": 1, "experiment": "verify"})
         assert main(["bench", "--config", path]) == 2

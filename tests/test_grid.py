@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrkpm import (
+    boundary_face_weights,
     build_grid,
     build_masks,
     plan_extension,
@@ -160,6 +161,30 @@ class TestMasks:
         grid = build_grid(plan, -1.0)
         chi, _, _ = build_masks(grid, lambda x: np.ones_like(x, dtype=bool))
         assert np.all(chi == 1.0)
+
+
+class TestBoundaryFaceWeights:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_face_areas_sum_to_the_side(self, disc2d, axis, side):
+        face, area = boundary_face_weights(
+            disc2d.grid, disc2d.chi, disc2d.case.bounds, axis, side
+        )
+        target = disc2d.case.bounds[axis][side == "hi"]
+        on_face = np.abs(disc2d.grid.coordinates()[axis] - target) < 1e-9
+        assert np.array_equal(face > 0.5, on_face & (disc2d.chi > 0.5))
+        assert np.sum(area) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("axis,side", [(0, "low"), (0, "HI"), (0, None),
+                                           (-1, "hi"), (2, "lo")])
+    def test_bad_side_or_axis_rejected(self, disc2d, axis, side):
+        # "low" used to give the hi face, and axis = -1 the right face with
+        # its own axis weighted in: areas summing to 0.143 on this 16^2
+        # box, not 2
+        with pytest.raises(ValueError, match="side|axis"):
+            boundary_face_weights(
+                disc2d.grid, disc2d.chi, disc2d.case.bounds, axis, side
+            )
 
 
 class TestQuadratureWeights:

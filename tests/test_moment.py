@@ -66,9 +66,12 @@ def disc3d_quadratic():
     return discretize(poisson_case(3), n=2, a_tilde=2.5, counts=16)
 
 
-def _node_last(mats):
-    """(B, s, s) stack -> the (s, s, B) layout `_invert_symmetric` takes."""
-    return np.ascontiguousarray(mats.transpose(1, 2, 0))
+def _columns(mats):
+    """(B, s, s) stack -> the (s^2, B) column table and the identity (s, s)
+    index that `_invert_symmetric` and `_b_rows` take."""
+    s = mats.shape[1]
+    return (np.ascontiguousarray(mats.reshape(-1, s * s).T),
+            np.arange(s * s).reshape(s, s))
 
 
 def _lattice_moment(offsets, dim, n, a_tilde, h=2.0 / 47):
@@ -238,11 +241,32 @@ class TestInversion:
         A = rng.standard_normal((60, s, 3 * s))
         mats = A @ A.transpose(0, 2, 1)
         mats[::4] = np.eye(s)  # every pivot exactly 1
-        inv, min_pivot = _invert_symmetric(_node_last(mats))
+        inv, min_pivot = _invert_symmetric(*_columns(mats))
         inv_np = np.linalg.inv(mats)
         assert rel_err(inv.transpose(2, 0, 1), inv_np) <= 1e-12
         assert np.all(min_pivot[::4] == 1.0)
         assert np.all(min_pivot > SINGULAR_PIVOT_RTOL)
+
+    @pytest.mark.parametrize("dim,counts", [(2, 64), (3, 16)])
+    def test_column_table_matches_spread_stack(self, dim, counts):
+        # the LDL^T read through _exponent_sums' index gives exactly what it
+        # gives on the (s, s) stack those columns spread into, read through
+        # the identity index; and both are invert_moments' rows
+        disc = discretize(poisson_case(dim), n=2, a_tilde=2.5, counts=counts)
+        M = assemble_moment_fields(disc.chi, disc.table)
+        mc = interior_moments(disc.table)
+        band = disc.precomp.band
+        cols = np.concatenate([mc[:, None], M.reshape(len(mc), -1)[:, band]],
+                              1)
+        _, index = _exponent_sums(disc.table.basis)
+        s = disc.table.size
+        rows = _b_rows(cols, index, dim, lambda i: ((i,), (i,)))
+        spread = _b_rows(cols[index].reshape(s * s, -1),
+                         np.arange(s * s).reshape(s, s), dim,
+                         lambda i: ((i,), (i,)))
+        assert np.array_equal(rows, spread)
+        assert np.array_equal(rows[..., 0], disc.precomp.c)
+        assert np.array_equal(rows[..., 1:], disc.precomp.band_rows)
 
     @pytest.mark.parametrize("dim,n,a_tilde", [(2, 1, 1.5), (3, 1, 1.5),
                                                (2, 2, 2.5), (3, 2, 2.5)])
@@ -262,7 +286,7 @@ class TestInversion:
             )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, min_pivot = _invert_symmetric(_node_last(np.array(mats)))
+            _, min_pivot = _invert_symmetric(*_columns(np.array(mats)))
         assert min_pivot[0] > SINGULAR_PIVOT_RTOL
         assert np.all(min_pivot[1:] < SINGULAR_PIVOT_RTOL)
 
@@ -298,11 +322,11 @@ class TestInversion:
         rng = np.random.default_rng(s)
         for _ in range(200):
             A = rng.standard_normal((s, s - 1))
-            M = (A @ A.T)[:, :, None]
+            M, index = _columns((A @ A.T)[None])
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    _b_rows(M, dim, lambda i: (i, (0.0,)))
+                    _b_rows(M, index, dim, lambda i: ((i,), (0.0,)))
                 except SingularMomentError:
                     continue
             assert any(
@@ -333,16 +357,16 @@ class TestInversion:
         assert ref_err.value.coordinate == err.value.coordinate
 
 
-def _stack_with(nodes, specials, s=3, seed=7):
-    """(s, s, *nodes) stack of random SPD matrices, with the matrices in
-    specials ({flat node index: s x s matrix}) put in their place."""
+def _stack_with(n, specials, s=3, seed=7):
+    """(s^2, n) column table and identity index of n random SPD matrices,
+    with the matrices in specials ({node column: s x s matrix}) put in
+    their place."""
     rng = np.random.default_rng(seed)
-    n = int(np.prod(nodes))
     A = rng.standard_normal((n, s, 2 * s))
     mats = A @ A.transpose(0, 2, 1)
     for i, m in specials.items():
         mats[i] = m
-    return _node_last(mats).reshape((s, s) + tuple(nodes))
+    return _columns(mats)
 
 
 # the last pivot of this matrix is exactly zero
@@ -379,30 +403,28 @@ class TestSlabs:
         assert np.array_equal(one, slabbed)
 
     def test_singular_node_in_later_slab(self, monkeypatch):
-        # flat nodes 7 and 10 are singular, in the third and fourth slab of
-        # three nodes each
-        nodes = (3, 4)
-        M = _stack_with(nodes, {7: _SINGULAR, 10: _SINGULAR})
+        # columns 7 and 10 of 12 are singular, in the third and fourth slab
+        # of three nodes each
+        M, index = _stack_with(12, {7: _SINGULAR, 10: _SINGULAR})
 
         def raised():
             with pytest.raises(SingularMomentError) as err:
-                _b_rows(M, 2, lambda multi: (multi, multi))
+                _b_rows(M, index, 2, lambda i: ((i,), (i,)))
             return err.value
 
         one, slabbed = self._one_and_slabbed(monkeypatch, raised, 3)
-        assert one.node_index == slabbed.node_index == (1, 3)
+        assert one.node_index == slabbed.node_index == (7,)
         assert one.pivot == slabbed.pivot
 
     def test_ill_conditioned_node_in_later_slab(self, monkeypatch):
-        # condition estimates 2e12 at flat node 4 and 1e13 at node 10
+        # condition estimates 2e12 at column 4 and 1e13 at column 10
         # (slabs 2 and 4 of 3 nodes): one warning, with the worst
-        nodes = (3, 4)
-        M = _stack_with(nodes, {4: np.diag([1.0, 1.0, 5e-13]),
-                                10: np.diag([1.0, 1.0, 1e-13])})
+        M, index = _stack_with(12, {4: np.diag([1.0, 1.0, 5e-13]),
+                                    10: np.diag([1.0, 1.0, 1e-13])})
         monkeypatch.setattr(moment, "_SLAB_NODES", 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _b_rows(M, 2, lambda multi: (multi, multi))
+            _b_rows(M, index, 2, lambda i: ((i,), (i,)))
         assert len(caught) == 1
         assert issubclass(caught[0].category, IllConditionedMomentWarning)
         assert "1.00e+13" in str(caught[0].message)
@@ -546,19 +568,17 @@ class TestMemoryStory:
         assert pc.persistent_nbytes() == fields + rows + n_band * 8
 
     def test_inversion_transient_below_moment_stack(self):
-        # the inversion copies out the matrices of the band (28.8 % of the
+        # the inversion copies out the D columns of the band (28.8 % of the
         # box here) and holds O(slab s^2) scratch next to the band rows,
-        # never a whole-box (s, s) stack: at 32^3, s = 10, that would be
-        # 26.2 MB, and the D = 35 moment fields are 9.2 MB
+        # never an (s, s) stack: it stays below the D = 35 moment fields it
+        # reads, 9.2 MB at 32^3 (a whole-box s = 10 stack would be 26.2 MB)
         disc = discretize(poisson_case(3), n=2, a_tilde=2.5, counts=32)
         assert disc.grid.shape == (32, 32, 32)
         M = assemble_moment_fields(disc.chi, disc.table)
-        s = disc.table.size
-        whole_stack = s * s * M[0].nbytes
         tracemalloc.start()
         try:
             pc = invert_moments(M, disc.chi, disc.V, disc.table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - pc.band_rows.nbytes < whole_stack
+        assert peak - pc.band_rows.nbytes < M.nbytes
