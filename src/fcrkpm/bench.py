@@ -72,6 +72,11 @@ def measure(fn, reps: int = 5) -> float:
         loops *= 2
 
 
+def _cell_spacing(nodes_per_axis: int) -> float:
+    """The spacing of a cell: `nodes_per_axis` nodes on [-1, 1]."""
+    return 2.0 / (nodes_per_axis - 1)
+
+
 def bench_cell(
     dim: int = 3,
     n: int = 1,
@@ -90,13 +95,13 @@ def bench_cell(
     """
     rng = np.random.default_rng(seed)
     case = poisson_case(dim)
-    spacing = 2.0 / (nodes_per_axis - 1)
     disc = model = None
 
     def fc_setup():
         nonlocal disc
         disc = discretize(
-            case, n=n, a_tilde=a_tilde, spacing=spacing, provider=provider,
+            case, n=n, a_tilde=a_tilde, spacing=_cell_spacing(nodes_per_axis),
+            provider=provider,
         )
 
     def trad_setup():

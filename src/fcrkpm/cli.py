@@ -5,8 +5,9 @@ experiment accepts only the keys it reads; every key is schema-checked and
 any other key is rejected before any compute starts.
 Outputs are plot-ready CSVs (converge, bench, diffuse) or a JSON report
 (verify).  Exit codes: 0 success, 1 check failure or a solve that did not
-converge (the CSV is still written), 2 config error or an output directory
-that cannot be created.
+converge (the CSV is still written), 2 config error (a support too wide
+for one of the config's grids included: every grid is planned before any
+compute) or an output directory that cannot be created.
 
 Numeric CSV payloads are deterministic for a fixed config and seed
 (timing columns excepted): random inputs come from a seeded generator and
@@ -35,8 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import operators as ops
-from .bench import CSV_HEADER, bench_cell
+from .bench import CSV_HEADER, _cell_spacing, bench_cell
 from .problems import (
+    _plan_case,
     continuous_l2_error_1d,
     convergence_slope,
     discretize,
@@ -167,6 +169,30 @@ def load_config(doc: dict) -> dict:
     if experiment == "converge" and cfg["powers"] is None:
         cfg["powers"] = DEFAULT_POWERS[cfg["dim"]]
     return cfg
+
+
+def _check_plans(cfg: dict) -> None:
+    """Plan every grid the config implies (each count or node spacing at
+    each a_tilde) with the pure plan_extension, so that a support too wide
+    for its grid is a ConfigError before any compute; verify runs fixed
+    cells and plans none."""
+    experiment = cfg["experiment"]
+    if experiment == "verify":
+        return
+    case = poisson_case(cfg["dim"])
+    if experiment == "converge":
+        grids = [(cfg["a_tilde"], 2**p, None) for p in cfg["powers"]]
+    elif experiment == "diffuse":
+        grids = [(cfg["a_tilde"], cfg["counts"], None)]
+    else:
+        grids = [(a, None, _cell_spacing(nodes))
+                 for nodes in cfg["nodes_per_axis"]
+                 for a in cfg["a_tilde_values"]]
+    for a_tilde, counts, spacing in grids:
+        try:
+            _plan_case(case, a_tilde, counts, spacing)
+        except ValueError as exc:
+            raise ConfigError(f"a_tilde={a_tilde!r}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -376,6 +402,7 @@ def main(argv=None) -> int:
             doc[key] = value
     try:
         cfg = load_config(doc)
+        _check_plans(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,7 @@ footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
 node sees the full lattice stencil, so its moment matrix is the interior
 one, M_c: the interior of the method is a pure convolution.  M_c is
 derived, not sampled (interior_moments), and so is the band, from the
-geometry alone (boundary_band, a wrap-mode maximum filter of the inactive
+geometry alone (boundary_band, a periodic box dilation of the inactive
 mask); invert_moments checks loudly that every active node off it carries
 M_c to INTERIOR_RTOL relative (off_band_deviation, which `fcrkpm verify`
 also records per cell).  Only the band nodes and M_c are inverted.  What
@@ -68,7 +68,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .basis import BasisTable, _footprint_reach, axis_sums, kept_spectrum
 from .errors import (
@@ -298,16 +297,19 @@ def boundary_band(chi: np.ndarray, table: BasisTable) -> np.ndarray:
     holds an inactive node, the only nodes whose moment matrix can differ
     from the interior one.
 
-    A wrap-mode maximum filter of the inactive mask over the footprint box
+    A periodic dilation of the inactive mask by the footprint box
     (_footprint_reach) marks every node that some inactive node's footprint
-    reaches.
+    reaches.  The box is separable, so the dilation runs axis by axis, an
+    OR of the 2r + 1 rolled masks of each axis.
     """
     active = chi > 0.5
-    near = ndimage.maximum_filter(
-        ~active,
-        size=[2 * r + 1 for r in _footprint_reach(table.grid, table.kernel)],
-        mode="wrap",
-    )
+    near = ~active
+    for axis, r in enumerate(_footprint_reach(table.grid, table.kernel)):
+        grown = near.copy()
+        for shift in range(1, r + 1):
+            grown |= np.roll(near, shift, axis)
+            grown |= np.roll(near, -shift, axis)
+        near = grown
     return np.flatnonzero(active & near)
 
 

@@ -172,6 +172,13 @@ class Discretization:
         )
 
 
+def _plan_case(case: ManufacturedCase, a_tilde, counts=None, spacing=None):
+    """The extension plan of the case's box (grid.plan_extension: pure, no
+    array is built), as discretize takes it."""
+    lengths = tuple(hi - lo for lo, hi in case.bounds)
+    return plan_extension(lengths, a_tilde, counts=counts, spacing=spacing)
+
+
 def discretize(
     case: ManufacturedCase,
     *,
@@ -187,8 +194,7 @@ def discretize(
     powers of two recommended); `spacing` selects fix-spacing.
     """
     dim = case.dim
-    lengths = tuple(hi - lo for lo, hi in case.bounds)
-    plan = plan_extension(lengths, a_tilde, counts=counts, spacing=spacing)
+    plan = _plan_case(case, a_tilde, counts, spacing)
     grid = build_grid(plan, tuple(lo for lo, _ in case.bounds))
     inside, on_gamma = box_predicates(case.bounds)
     chi, chi_g, chi_omega = build_masks(grid, inside, on_gamma)

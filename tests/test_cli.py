@@ -99,6 +99,24 @@ class TestExitCodes:
         assert main([experiment, "--config", path, "--out", out]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("experiment,keys", [
+        ("converge", {"dim": 1, "a_tilde": 100}),
+        ("converge", {"dim": 2, "powers": [2, 3, 4], "a_tilde": 3.5}),
+        ("diffuse", {"dim": 1, "counts": 16, "a_tilde": 100}),
+        ("bench", {"dim": 1, "a_tilde_values": [1.5, 1e30]}),
+    ])
+    def test_support_too_wide_for_a_grid_is_2(self, tmp_path, capsys,
+                                             experiment, keys):
+        # every grid the config implies is planned before any compute: the
+        # run fails as a config error and writes nothing, not even the
+        # output directory
+        path = _write(tmp_path, "c.json",
+                      {"version": 1, "experiment": experiment, **keys})
+        out = tmp_path / "out" / "rows.csv"
+        assert main([experiment, "--config", path, "--out", str(out)]) == 2
+        assert "config error: a_tilde=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_experiment_is_2(self, tmp_path):
         path = _write(tmp_path, "v.json", {"version": 1, "experiment": "verify"})
         assert main(["bench", "--config", path]) == 2

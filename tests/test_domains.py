@@ -52,7 +52,26 @@ def disk_setup():
     return _pipeline(plan, (-1.0, -1.0), inside)
 
 
-@pytest.mark.parametrize("setup", ["aniso_setup", "disk_setup"])
+def _mixed_pipeline(N):
+    """[-1, 1]^2 with Dirichlet nodes on the x faces only."""
+    plan = plan_extension((2.0, 2.0), 1.5, counts=(N, N))
+    inside, _ = box_predicates([(-1.0, 1.0), (-1.0, 1.0)])
+    tol = 1e-9
+
+    def on_gamma(x, y):
+        on_x_face = (np.abs(x - 1) <= tol) | (np.abs(x + 1) <= tol)
+        return on_x_face & inside(x, y)
+
+    return _pipeline(plan, (-1.0, -1.0), inside, on_gamma)
+
+
+@pytest.fixture(scope="module")
+def mixed_setup():
+    return _mixed_pipeline(32)
+
+
+@pytest.mark.parametrize("setup", ["aniso_setup", "disk_setup",
+                                   "mixed_setup"])
 def test_band_is_the_footprint_boundary(setup, request):
     # per-axis reach (1 and 2 nodes on the anisotropic box) and a curved
     # boundary: the band is exactly the nodes whose box footprint leaves chi
@@ -117,17 +136,7 @@ class TestMixedBoundaryConditions:
 
     def _solve(self, N):
         bounds = [(-1.0, 1.0), (-1.0, 1.0)]
-        plan = plan_extension((2.0, 2.0), 1.5, counts=(N, N))
-        inside, _ = box_predicates(bounds)
-        tol = 1e-9
-
-        def on_gamma(x, y):
-            on_x_face = (np.abs(x - 1) <= tol) | (np.abs(x + 1) <= tol)
-            return on_x_face & inside(x, y)
-
-        grid, chi, chi_g, chi_o, V, precomp, _ = _pipeline(
-            plan, (-1.0, -1.0), inside, on_gamma
-        )
+        grid, chi, chi_g, chi_o, V, precomp, _ = _mixed_pipeline(N)
         X, Y = grid.coordinates()
         exact = (1 - X**2) + X * Y
         rhs = ops.external_force(chi * (2.0 + 0.0 * X), precomp)

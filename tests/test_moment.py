@@ -1,6 +1,10 @@
 """Moment assembly, nodewise inversion, and reproducing conditions."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -433,8 +437,11 @@ class TestSlabs:
 class TestBand:
     """The boundary band, its edge cases, and the interior check."""
 
-    @pytest.mark.parametrize("dim,counts,n,a_tilde",
-                             [(2, 64, 2, 2.5), (3, 32, 2, 2.5)])
+    # two wide-band cells, then the cells of fcrkpm verify
+    @pytest.mark.parametrize("dim,counts,n,a_tilde", [
+        (2, 64, 2, 2.5), (3, 32, 2, 2.5), (1, 64, 1, 1.5), (1, 64, 2, 2.5),
+        (2, 32, 1, 1.5), (2, 32, 2, 2.5), (3, 12, 1, 1.5), (3, 16, 2, 2.5),
+    ])
     def test_band_is_the_footprint_boundary(self, dim, counts, n, a_tilde):
         disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
                           counts=counts)
@@ -442,10 +449,27 @@ class TestBand:
         support = disc.table.kernel.support
         assert np.array_equal(band, footprint_band(disc.chi, disc.grid,
                                                    support))
+        # the dilation wraps: the mask rolled across the seam
+        rolled = np.roll(disc.chi, [counts // 2] * dim, tuple(range(dim)))
+        assert np.array_equal(boundary_band(rolled, disc.table),
+                              footprint_band(rolled, disc.grid, support))
         M = assemble_moment_fields(disc.chi, disc.table)
         Mc = interior_moments(disc.table)
         deviation, _ = off_band_deviation(M, disc.chi, band, Mc)
         assert deviation <= INTERIOR_RTOL
+
+    def test_package_import_leaves_out_scipy_ndimage(self):
+        # the band is a rolled-mask dilation: nothing in the package needs
+        # scipy.ndimage, so a fresh interpreter's import does not load it
+        src = str(pathlib.Path(moment.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, fcrkpm; print('scipy.ndimage' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_empty_band_on_the_whole_periodic_box(self, disc2d):
         grid, table = disc2d.grid, disc2d.table

@@ -15,7 +15,7 @@ from fcrkpm import (
     inverse,
 )
 from fcrkpm.errors import ImaginaryResidueError
-from fcrkpm.spectral import IMAG_TOL
+from fcrkpm.spectral import IMAG_TOL, _sine_plan
 from fcrkpm.verify import convolution_checks
 
 from conftest import failed
@@ -117,6 +117,82 @@ class TestTransformConvention:
         first = forward(a).copy()
         for _ in range(3):
             assert np.array_equal(forward(a), first)
+
+
+def _direct_dst(a):
+    """The DST-I over every axis as the direct O(N^2) sum
+
+        a_hat[k] = sum_i a[i] prod_ax 2 sin(pi (k + 1)(i + 1) / (n + 1))
+
+    (k, i and n those of axis ax), one kernel entry per (output, input)
+    pair of nodes; each angle is reduced modulo 2 pi exactly, in
+    integers."""
+    factors = []
+    for n in a.shape:
+        j = np.arange(1, n + 1)
+        jk = np.outer(j, j) % (2 * (n + 1))
+        factors.append(2.0 * np.sin(np.pi * jk / (n + 1)))
+    kernel = np.ones((1, 1))
+    for f in factors:
+        kernel = (kernel[:, None, :, None] * f[None, :, None, :]).reshape(
+            kernel.shape[0] * f.shape[0], -1)
+    return (kernel @ a.ravel()).reshape(a.shape)
+
+
+class TestSinePair:
+    """The default backend's DST-I pair: sine-matrix products on the axes
+    where scipy's length 2(n + 1) is slow (and n <= 128), scipy elsewhere."""
+
+    # shape -> the axes that take the matrix form
+    SHAPES = {(7,): (), (45, 3): (0,), (63, 5): (), (300,): (),
+              (13, 13, 13): (0, 1, 2), (61, 61): (0, 1)}
+
+    def test_rule(self):
+        # 16, 128 and 8, 12 are fast lengths; 92, 28 and 124 are not;
+        # 300 is past the cap
+        for shape, matrix in self.SHAPES.items():
+            assert _sine_plan(shape)[0] == matrix, shape
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_direct_sum(self, shape, rng):
+        a = rng.standard_normal(shape)
+        ref = _direct_dst(a)
+        scale = np.max(np.abs(ref))
+        keep = a.copy()
+        prov = ScipyFFTProvider()
+        out = prov.dstn(a)
+        assert np.array_equal(a, keep)  # the forward leaves its input
+        assert np.max(np.abs(out - ref)) <= 1e-14 * scale
+        # the inverse carries 1/(2(n + 1)) per axis: back to a, from the
+        # direct sum and from the forward (the round trip)
+        for spectrum in (ref, out):
+            back = prov.idstn(spectrum.copy())
+            assert np.max(np.abs(back - a)) <= 1e-14 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("shape", [(45, 3), (13, 13, 13), (7,)])
+    def test_one_count_per_call(self, shape, rng):
+        prov = CountingFFTProvider()
+        a = rng.standard_normal(shape)
+        prov.idstn(prov.dstn(a))
+        assert (prov.forward_count, prov.inverse_count) == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(45, 3), (13, 13, 13), (45, 45, 45)])
+    def test_repeat_calls_bit_identical(self, shape, rng):
+        prov = ScipyFFTProvider()
+        a = rng.standard_normal(shape)
+        first = prov.dstn(a)
+        back = prov.idstn(first.copy())
+        for _ in range(3):
+            assert prov.dstn(a).tobytes() == first.tobytes()
+            assert prov.idstn(first.copy()).tobytes() == back.tobytes()
+
+    def test_scipy_axes_match_scipy_bitwise(self, rng):
+        # an extent on scipy's side of the rule runs exactly scipy's call
+        a = rng.standard_normal((63, 5))
+        prov = ScipyFFTProvider()
+        assert prov.dstn(a).tobytes() == scipy.fft.dstn(a, type=1).tobytes()
+        assert (prov.idstn(a.copy()).tobytes()
+                == scipy.fft.idstn(a, type=1).tobytes())
 
 
 class TestCircularConvolution:
