@@ -171,26 +171,29 @@ def load_config(doc: dict) -> dict:
     return cfg
 
 
-def _check_plans(cfg: dict) -> None:
-    """Plan every grid the config implies (each count or node spacing at
-    each a_tilde) with the pure plan_extension, so that a support too wide
-    for its grid is a ConfigError before any compute; verify runs fixed
-    cells and plans none."""
+def _grids(cfg: dict) -> list[tuple]:
+    """The grids the experiment runs, in its order, as (a_tilde, counts,
+    nodes_per_axis): box counts for converge and diffuse, nodes on the
+    box's [-1, 1] axes for bench; verify runs fixed cells and lists none."""
     experiment = cfg["experiment"]
-    if experiment == "verify":
-        return
-    case = poisson_case(cfg["dim"])
     if experiment == "converge":
-        grids = [(cfg["a_tilde"], 2**p, None) for p in cfg["powers"]]
-    elif experiment == "diffuse":
-        grids = [(cfg["a_tilde"], cfg["counts"], None)]
-    else:
-        grids = [(a, None, _cell_spacing(nodes))
-                 for nodes in cfg["nodes_per_axis"]
-                 for a in cfg["a_tilde_values"]]
-    for a_tilde, counts, spacing in grids:
+        return [(cfg["a_tilde"], 2**p, None) for p in cfg["powers"]]
+    if experiment == "diffuse":
+        return [(cfg["a_tilde"], cfg["counts"], None)]
+    if experiment == "bench":
+        return [(a_tilde, None, nodes) for nodes in cfg["nodes_per_axis"]
+                for a_tilde in cfg["a_tilde_values"]]
+    return []
+
+
+def _check_plans(cfg: dict) -> None:
+    """Plan every grid of the experiment with the pure plan_extension, so
+    that a support too wide for its grid is a ConfigError before any
+    compute."""
+    for a_tilde, counts, nodes in _grids(cfg):
+        spacing = None if nodes is None else _cell_spacing(nodes)
         try:
-            _plan_case(case, a_tilde, counts, spacing)
+            _plan_case(poisson_case(cfg["dim"]), a_tilde, counts, spacing)
         except ValueError as exc:
             raise ConfigError(f"a_tilde={a_tilde!r}: {exc}") from exc
 
@@ -243,12 +246,11 @@ def cmd_converge(cfg, provider) -> int:
     rows = []
     hs, e2s, einfs = [], [], []
     all_converged = True
-    for power in cfg["powers"]:
-        counts = 2**power
+    for a_tilde, counts, _ in _grids(cfg):
         with warnings.catch_warnings(record=True) as fired:
             warnings.simplefilter("always")
             disc = discretize(
-                case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=counts,
+                case, n=cfg["n"], a_tilde=a_tilde, counts=counts,
                 provider=provider,
             )
             rhs = ops.external_force(disc.r, disc.precomp, provider)
@@ -286,33 +288,33 @@ def cmd_converge(cfg, provider) -> int:
 
 def cmd_bench(cfg, provider) -> int:
     rows = []
-    for nodes in cfg["nodes_per_axis"]:
-        for a_tilde in cfg["a_tilde_values"]:
-            with warnings.catch_warnings(record=True) as fired:
-                warnings.simplefilter("always")
-                cell = bench_cell(
-                    dim=cfg["dim"],
-                    n=cfg["n"],
-                    a_tilde=a_tilde,
-                    nodes_per_axis=nodes,
-                    reps=cfg["reps"],
-                    seed=cfg["seed"],
-                    provider=provider,
-                )
-            categories = _reissue(fired)
-            rows.extend(row + [categories] for row in cell)
+    for a_tilde, _, nodes in _grids(cfg):
+        with warnings.catch_warnings(record=True) as fired:
+            warnings.simplefilter("always")
+            cell = bench_cell(
+                dim=cfg["dim"],
+                n=cfg["n"],
+                a_tilde=a_tilde,
+                nodes_per_axis=nodes,
+                reps=cfg["reps"],
+                seed=cfg["seed"],
+                provider=provider,
+            )
+        categories = _reissue(fired)
+        rows.extend(row + [categories] for row in cell)
     _write_csv(cfg["out"], CSV_HEADER, rows)
     return 0
 
 
 def cmd_diffuse(cfg, provider) -> int:
     case = poisson_case(cfg["dim"])
+    [(a_tilde, counts, _)] = _grids(cfg)
     # row i's warnings are fired[marks[i]:marks[i + 1]]
     rows, marks = [], [0]
     with warnings.catch_warnings(record=True) as fired:
         warnings.simplefilter("always")
         disc = discretize(
-            case, n=cfg["n"], a_tilde=cfg["a_tilde"], counts=cfg["counts"],
+            case, n=cfg["n"], a_tilde=a_tilde, counts=counts,
             provider=provider,
         )
         rhs = ops.external_force(disc.r, disc.precomp, provider)

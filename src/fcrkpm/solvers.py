@@ -226,11 +226,11 @@ def _fast_preconditioner(precomp, w0, w1, mask, provider):
     application (two transforms) multiplies; the build runs none.
 
     The sine pair is the provider's dstn/idstn.  On the default backend an
-    extent whose DST-I scipy would run at a slow FFT length (n = 45 at
-    poisson3d's 48^3 grid: 2(n + 1) = 92) is transformed by sine-matrix
-    products instead, 0.65 ms against 2.4 ms per DST-I there; the
-    provider still counts one forward and one inverse transform per
-    application.
+    extent of up to 128 nodes is transformed by a sine-matrix product
+    instead of scipy's real FFT of length 2(n + 1): at poisson3d's 48^3
+    grid (n = 45, length 92, a slow FFT size) that is 0.65 ms against
+    2.4 ms per DST-I.  The provider still counts one forward and one
+    inverse transform per application.
     """
     box, thetas, periodic = _free_box(mask > 0.5)
     if periodic:

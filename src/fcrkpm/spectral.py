@@ -17,12 +17,13 @@ assumes here.  The sine pair is the DST-I of an n-node field per axis,
 with the full 1/(2(n + 1)) factor per axis on the inverse (scipy's type-1
 convention): it diagonalizes a symmetric Toeplitz stencil up to its
 boundary rows, as the DFT diagonalizes a circulant one.  scipy runs a
-DST-I of n nodes as a real FFT of length 2(n + 1), which is slow where that
-length is not a fast FFT size (n = 45 gives 92 = 2^2 * 23).  On such an
-axis, up to n = 128 (_SINE_MATRIX_MAX), the default backend multiplies
-by the n x n sine matrix instead, the fast diagonalization method (Lynch,
-Rice & Thomas 1964, Numer. Math. 6); every other axis goes through scipy.  The
-rule reads only the axis length.  The provider's `workers` sets the
+DST-I of n nodes as a real FFT of length 2(n + 1), which costs a full
+transform's overhead on a small axis and is slow where that length is not
+a fast FFT size (n = 45 gives 92 = 2^2 * 23).  On an axis of up to
+n = 128 nodes (_SINE_MATRIX_MAX) the default backend multiplies by the
+n x n sine matrix instead, the fast diagonalization method (Lynch, Rice &
+Thomas 1964, Numer. Math. 6); longer axes go through scipy.  The rule
+reads only the axis length.  The provider's `workers` sets the
 threads of scipy's transforms only; the matrix products run on the BLAS
 library's threads (OPENBLAS_NUM_THREADS and the like).  A direct O(N^2)
 summation of the circular convolution is kept alongside the FFT path as an
@@ -36,6 +37,7 @@ output across calls.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -61,11 +63,11 @@ IMAG_TOL = 1e-10
 
 DIRECT_SIZE_GUARD = 4096
 
-# longest axis whose DST-I may run as a sine-matrix product.  It bounds
-# the O(n^2) matrix (128 KB at 128) and the rounding of its n-term sums,
-# which grows faster than the FFT's: at 1D n = 253 the product left CG's
-# one-iteration relative residual at 1.3e-12 against the FFT's 8.3e-13,
-# across the default tol of 1e-12.  In 1D either way costs about 10 us.
+# longest axis whose DST-I runs as a sine-matrix product.  It bounds the
+# O(n^2) matrix (128 KB at 128), the product's O(n) work per node, and the
+# rounding of its n-term sums, which grows faster than the FFT's: at 1D
+# n = 253 the product left CG's one-iteration relative residual at 1.3e-12
+# against the FFT's 8.3e-13, across the default tol of 1e-12.
 _SINE_MATRIX_MAX = 128
 
 
@@ -88,28 +90,14 @@ class FFTProvider:
         """Forward DST-I of a real array over every axis into a new array.
 
         ScipyFFTProvider runs it per axis, as a product with the sine
-        matrix where scipy's DST length 2(n + 1) is not a fast FFT size and
-        n <= _SINE_MATRIX_MAX (on BLAS's threads), and through scipy (on
-        `workers` threads) on every other axis."""
+        matrix on an axis of n <= _SINE_MATRIX_MAX nodes (on BLAS's
+        threads), and through scipy (on `workers` threads) on every longer
+        axis."""
         raise NotImplementedError
 
     def idstn(self, a: np.ndarray) -> np.ndarray:
         """Inverse DST-I of a real array, which it may overwrite."""
         raise NotImplementedError
-
-
-@lru_cache(maxsize=64)
-def _sine_plan(shape: tuple) -> tuple:
-    """(matrix, rest): the axes whose DST-I runs as a sine-matrix product,
-    those where scipy's length 2(n + 1) is not a fast FFT size and
-    n <= _SINE_MATRIX_MAX, and the other axes, for scipy."""
-    def fast(n):
-        return scipy.fft.next_fast_len(2 * (n + 1), real=True) == 2 * (n + 1)
-
-    matrix = tuple(ax for ax, n in enumerate(shape)
-                   if n <= _SINE_MATRIX_MAX and not fast(n))
-    rest = tuple(ax for ax in range(len(shape)) if ax not in matrix)
-    return matrix, rest
 
 
 @lru_cache(maxsize=64)  # at most 8 MB of matrices
@@ -134,7 +122,7 @@ def _sine_axis(a: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
     if axis == a.ndim - 1:
         out = a.reshape(-1, shape[axis]) @ S
     else:
-        out = S @ a.reshape(-1, shape[axis], int(np.prod(shape[axis + 1:])))
+        out = S @ a.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))
     return out.reshape(shape)
 
 
@@ -152,30 +140,27 @@ class ScipyFFTProvider(FFTProvider):
     def ifftn(self, a):
         return scipy.fft.ifftn(a, workers=self.workers, overwrite_x=True)
 
-    # an array with no matrix axis takes the parent's scipy call as it was:
-    # each keyword more (axes=, overwrite_x=False) costs scipy's front end
-    # about 0.5 us, which is 5 % of a small DST-I
     def dstn(self, a):
-        matrix, rest = _sine_plan(a.shape)
-        if not matrix:
-            return scipy.fft.dstn(a, type=1, workers=self.workers)
-        return self._products(a, matrix, rest, inverse=False)
+        return self._sine(a, inverse=False)
 
     def idstn(self, a):
-        matrix, rest = _sine_plan(a.shape)
-        if not matrix:
-            return scipy.fft.idstn(a, type=1, workers=self.workers,
-                                   overwrite_x=True)
-        return self._products(a, matrix, rest, inverse=True)
+        return self._sine(a, inverse=True)
 
-    def _products(self, a, matrix, rest, inverse):
-        """The DST-I over every axis: sine-matrix products on the `matrix`
-        axes, then one scipy call over the `rest`."""
+    def _sine(self, a, inverse):
+        """The DST-I over every axis: a sine-matrix product on each axis of
+        n <= _SINE_MATRIX_MAX nodes, then one scipy call over the longer
+        axes."""
+        transform = scipy.fft.idstn if inverse else scipy.fft.dstn
+        if min(a.shape) > _SINE_MATRIX_MAX:
+            # one plain call: scipy's `axes` path costs about 3 us more
+            return transform(a, type=1, workers=self.workers,
+                             overwrite_x=inverse)
         out = a
-        for ax in matrix:
-            out = _sine_axis(out, ax, inverse)
+        for ax, n in enumerate(a.shape):
+            if n <= _SINE_MATRIX_MAX:
+                out = _sine_axis(out, ax, inverse)
+        rest = tuple(ax for ax, n in enumerate(a.shape) if n > _SINE_MATRIX_MAX)
         if rest:  # out is a temporary of the products by now
-            transform = scipy.fft.idstn if inverse else scipy.fft.dstn
             out = transform(out, type=1, axes=rest, workers=self.workers,
                             overwrite_x=True)
         return out

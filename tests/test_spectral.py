@@ -15,7 +15,7 @@ from fcrkpm import (
     inverse,
 )
 from fcrkpm.errors import ImaginaryResidueError
-from fcrkpm.spectral import IMAG_TOL, _sine_plan
+from fcrkpm.spectral import IMAG_TOL
 from fcrkpm.verify import convolution_checks
 
 from conftest import failed
@@ -141,19 +141,14 @@ def _direct_dst(a):
 
 class TestSinePair:
     """The default backend's DST-I pair: sine-matrix products on the axes
-    where scipy's length 2(n + 1) is slow (and n <= 128), scipy elsewhere."""
+    of n <= 128 nodes, scipy on the longer ones."""
 
-    # shape -> the axes that take the matrix form
-    SHAPES = {(7,): (), (45, 3): (0,), (63, 5): (), (300,): (),
-              (13, 13, 13): (0, 1, 2), (61, 61): (0, 1)}
+    # both sides of the rule: products only, scipy only ((300,)) and both
+    # ((300, 5))
+    SHAPES = [(7,), (45, 3), (63, 5), (300,), (300, 5), (13, 13, 13),
+              (61, 61)]
 
-    def test_rule(self):
-        # 16, 128 and 8, 12 are fast lengths; 92, 28 and 124 are not;
-        # 300 is past the cap
-        for shape, matrix in self.SHAPES.items():
-            assert _sine_plan(shape)[0] == matrix, shape
-
-    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_direct_sum(self, shape, rng):
         a = rng.standard_normal(shape)
         ref = _direct_dst(a)
@@ -186,9 +181,8 @@ class TestSinePair:
             assert prov.dstn(a).tobytes() == first.tobytes()
             assert prov.idstn(first.copy()).tobytes() == back.tobytes()
 
-    def test_scipy_axes_match_scipy_bitwise(self, rng):
-        # an extent on scipy's side of the rule runs exactly scipy's call
-        a = rng.standard_normal((63, 5))
+    def test_long_axes_go_through_scipy(self, rng):
+        a = rng.standard_normal(300)
         prov = ScipyFFTProvider()
         assert prov.dstn(a).tobytes() == scipy.fft.dstn(a, type=1).tobytes()
         assert (prov.idstn(a.copy()).tobytes()
