@@ -47,7 +47,6 @@ from .problems import (
     nodal_errors,
     poisson_case,
 )
-from .reference import NeighborTable, ReferenceModel
 from .solvers import (
     SolveReport,
     SolverConfig,
@@ -69,3 +68,13 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load the direct-summation oracle (and scipy.sparse with it) on first
+    use of ReferenceModel or NeighborTable (PEP 562)."""
+    if name in ("NeighborTable", "ReferenceModel"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -87,7 +87,6 @@ _COMMON_SCHEMA = {
     "seed": (lambda v: isinstance(v, int) and v >= 0, 0),
     "tol": (lambda v: _is_number(v) and v > 0, 1e-12),
     "max_iter": (lambda v: v is None or (isinstance(v, int) and v > 0), None),
-    "threads": (lambda v: isinstance(v, int) and v >= 1, 1),
     "out": (lambda v: v is None or isinstance(v, str), None),
 }
 
@@ -129,13 +128,13 @@ _EXPERIMENT_SCHEMA = {
 }
 
 
-# the common keys each experiment's cmd_* reads (threads through the FFT
-# provider main builds); the others are rejected like unknown keys
+# the common keys each experiment's cmd_* reads; the others are rejected
+# like unknown keys
 _COMMON_KEYS = {
     "verify": ("seed", "out"),
-    "converge": ("dim", "n", "a_tilde", "tol", "max_iter", "threads", "out"),
-    "bench": ("dim", "n", "seed", "threads", "out"),
-    "diffuse": ("dim", "n", "a_tilde", "tol", "max_iter", "threads", "out"),
+    "converge": ("dim", "n", "a_tilde", "tol", "max_iter", "out"),
+    "bench": ("dim", "n", "seed", "out"),
+    "diffuse": ("dim", "n", "a_tilde", "tol", "max_iter", "out"),
 }
 
 
@@ -377,8 +376,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output file (CSV or JSON)")
         if "seed" in keys:
             p.add_argument("--seed", type=int, help="random seed override")
-        if "threads" in keys:
-            p.add_argument("--threads", type=int, help="FFT worker threads")
     args = parser.parse_args(argv)
 
     doc = {"version": 1, "experiment": args.command}
@@ -398,7 +395,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    for key in ("out", "seed", "threads"):
+    for key in ("out", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
@@ -415,21 +412,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
-    threads = cfg.get("threads", 1)
-    provider = ScipyFFTProvider(workers=threads)
-    if threads > 1:
-        print(
-            f"note: parallel FFT provider active ({threads} workers); "
-            "timings are not comparable with single-threaded runs",
-            file=sys.stderr,
-        )
     handler = {
         "verify": cmd_verify,
         "converge": cmd_converge,
         "bench": cmd_bench,
         "diffuse": cmd_diffuse,
     }[cfg["experiment"]]
-    return handler(cfg, provider)
+    return handler(cfg, ScipyFFTProvider())
 
 
 if __name__ == "__main__":

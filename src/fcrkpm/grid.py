@@ -310,19 +310,24 @@ def quadrature_weights(grid: PeriodicGrid, chi: np.ndarray) -> np.ndarray:
     return V
 
 
-def box_predicates(bounds, tol=None):
-    """Predicates for a box domain with all faces Dirichlet.
+def _snap_tol(bounds) -> float:
+    """The coordinate snap tolerance of a box: 1e-9 times its largest
+    extent."""
+    return 1e-9 * max(hi - lo for lo, hi in bounds)
+
+
+def box_predicates(bounds):
+    """Predicates for a box domain with all faces Dirichlet; a node within
+    _snap_tol of a face counts as on it.
 
     Args:
         bounds: per-axis (lo, hi) of the physical box.
-        tol: coordinate snap tolerance; defaults to 1e-9 * max extent.
 
     Returns:
         (inside, on_gamma_g) predicates over coordinate arrays.
     """
     bounds = [tuple(b) for b in bounds]
-    if tol is None:
-        tol = 1e-9 * max(hi - lo for lo, hi in bounds)
+    tol = _snap_tol(bounds)
 
     def inside(*coords):
         ok = np.ones(coords[0].shape, dtype=bool)
@@ -339,14 +344,15 @@ def box_predicates(bounds, tol=None):
     return inside, on_gamma_g
 
 
-def boundary_face_weights(grid: PeriodicGrid, chi, bounds, axis, side, tol=None):
+def boundary_face_weights(grid: PeriodicGrid, chi, bounds, axis, side):
     """Boundary-area weights A for one face of a box domain.
 
-    Marks the nodes on the face `axis`/`side` ('lo' or 'hi') of the box and
-    assigns each the tensor-trapezoid area of the (d-1)-dimensional face
-    patch (full product of the transverse spacings, halved per transverse
-    axis on the face's rim).  Zero elsewhere, as the extension trick for
-    boundary convolutions requires.
+    Marks the nodes on the face `axis`/`side` ('lo' or 'hi') of the box
+    (within _snap_tol of it) and assigns each the tensor-trapezoid area of
+    the (d-1)-dimensional face patch (full product of the transverse
+    spacings, halved per transverse axis on the face's rim, again within
+    _snap_tol).  Zero elsewhere, as the extension trick for boundary
+    convolutions requires.
 
     Returns:
         (face_mask, A) where face_mask is a 0/1 field and A the area field.
@@ -359,8 +365,7 @@ def boundary_face_weights(grid: PeriodicGrid, chi, bounds, axis, side, tol=None)
     if axis not in range(grid.dim):
         raise ValueError(f"axis must be in range({grid.dim}), got {axis!r}")
     bounds = [tuple(b) for b in bounds]
-    if tol is None:
-        tol = 1e-9 * max(hi - lo for lo, hi in bounds)
+    tol = _snap_tol(bounds)
     coords = grid.coordinates()
     lo, hi = bounds[axis]
     target = lo if side == "lo" else hi

@@ -47,12 +47,13 @@ A weak form that mixes the two row sets is one gather over both, a
 pointwise weighting of its rows and one scatter (_form); the scatter is
 linear in its row sets, so the terms add inside it:
 
-    w0 M + w1 K      f     = S((w0 u_h, w1 G_bgrad), V, b0 + bgrad)
+    w0 M + w1 K      f     = S((w0 G_b0, w1 G_bgrad), V, b0 + bgrad)
 
 with w0 a scalar (backward Euler: 1/dt, nu) or a field (the Newton
-Jacobian: N'(u_h), 1), or N(u_h) in place of w0 u_h (the nonlinear
-residual f_int + f_ext(N(u_h))).  The internal force and the mass term
-are its one-row-set cases, K = (None, 1) and M = (1, None).
+Jacobian: N'(u_h), 1), or N(u_h) in place of w0 G_b0 (the nonlinear
+residual f_int + f_ext(N(u_h))).  G_b0 stands in for u_h = chi o G_b0
+because V vanishes wherever chi does.  The internal force and the mass
+term are its one-row-set cases, K = (None, 1) and M = (1, None).
 
 Transform counts are exact and fixed: 2(s+1) for the internal force, the
 mass term and every mixed form, s+1 for everything else.  Inputs are
@@ -137,21 +138,22 @@ def _scatter(fields, w, rows: slice, precomp: MomentPrecomp, provider):
 
 def _form(d, w0, w1, precomp: MomentPrecomp, provider):
     """(w0 M + w1 K) d in one gather and one scatter (2(s+1) transforms),
-    and u_h = chi o G_b0 (None when w0 is None).
+    and u_h = chi o G_b0 when w0 is callable (else None).
 
     A weight that is None drops its row set from both, and one that is the
     scalar 1 runs no weighting pass.  w1 is a scalar; it scales G_bgrad.
-    w0 is a scalar or a field, which scales u_h in place of G_b0 (the same
-    under V; N'(u_h) gives the Newton Jacobian), or a callable N, whose
-    N(u_h) replaces G_b0 (the residual f_int(d) + f_ext(N(u_h)) at w1 = 1).
+    w0 is a scalar or a field, which scales G_b0 in place (N'(u_h) gives
+    the Newton Jacobian), or a callable N, whose N(u_h) replaces G_b0 (the
+    residual f_int(d) + f_ext(N(u_h)) at w1 = 1).
     """
     rows = slice(0 if w0 is not None else 1, 1 if w1 is None else None)
     G = _gather(d, rows, precomp, provider)
-    u = None if w0 is None else precomp.chi * G[0]
+    u = None
     if callable(w0):
+        u = precomp.chi * G[0]
         G[0] = w0(u)
     elif np.ndim(w0) or w0 not in (None, 1):
-        G[0] = w0 * u
+        G[0] *= w0
     if w1 not in (None, 1):
         G[int(w0 is not None):] *= w1
     return _scatter(G, precomp.V, rows, precomp, provider), u

@@ -13,13 +13,14 @@ Errors are the normalized nodal l2 and l-infinity norms restricted to the
 active nodes; in 1D a continuous L2 norm is also available, integrated cell
 by cell with 5-point Gauss quadrature using the off-node reference shape
 functions.  Convergence rates come from a least-squares fit of log(e)
-against log(h) over the finest points.
+against log(h) over the SLOPE_POINTS finest points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,8 +32,10 @@ from .grid import (
     plan_extension,
     quadrature_weights,
 )
-from .moment import build_moment_precomp
-from .reference import ReferenceModel
+from .moment import MomentPrecomp, build_moment_precomp
+
+if TYPE_CHECKING:  # the oracle (and scipy.sparse) loads on first use only
+    from .reference import ReferenceModel
 
 __all__ = [
     "ManufacturedCase",
@@ -44,6 +47,9 @@ __all__ = [
     "Discretization",
     "discretize",
 ]
+
+# convergence rates are fitted over this many of the finest points
+SLOPE_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -130,42 +136,51 @@ def continuous_l2_error_1d(d, exact, model: ReferenceModel) -> float:
     return float(np.sqrt(total))
 
 
-def convergence_slope(h, e, points: int = 3) -> float:
-    """Least-squares slope of log(e) vs log(h) over the finest points."""
+def convergence_slope(h, e) -> float:
+    """Least-squares slope of log(e) vs log(h) over the SLOPE_POINTS
+    finest points."""
     h = np.asarray(h, dtype=float)
     e = np.asarray(e, dtype=float)
-    if h.size != e.size or h.size < points or points < 2:
+    if h.size != e.size or h.size < SLOPE_POINTS:
         raise ValueError("need at least as many (h, e) pairs as fit points")
     if np.any(h <= 0) or np.any(e <= 0):
         raise ValueError("h and e must be positive for a log-log fit")
     order = np.argsort(h)
-    h, e = h[order][:points], e[order][:points]
+    h, e = h[order][:SLOPE_POINTS], e[order][:SLOPE_POINTS]
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
 @dataclass
 class Discretization:
-    """Everything a solver run needs, assembled from a manufactured case."""
+    """Everything a solver run needs, assembled from a manufactured case.
+
+    The grid, the basis table (with its basis and kernel), chi and the
+    masked quadrature weights V are the precomp's own; chi_omega is
+    chi - chi_gamma_g, the nodes the solvers update.
+    """
 
     case: ManufacturedCase
-    grid: object
-    chi: np.ndarray
     chi_gamma_g: np.ndarray
-    chi_omega: np.ndarray
-    V: np.ndarray
-    basis: object
-    kernel: KernelSpec
-    table: object
-    precomp: object
+    precomp: MomentPrecomp
     r: np.ndarray
     exact_field: np.ndarray
     dirichlet: np.ndarray
+
+    grid = property(lambda self: self.precomp.grid)
+    table = property(lambda self: self.precomp.table)
+    basis = property(lambda self: self.precomp.table.basis)
+    kernel = property(lambda self: self.precomp.table.kernel)
+    chi = property(lambda self: self.precomp.chi)
+    V = property(lambda self: self.precomp.V)
+    chi_omega = property(lambda self: self.chi - self.chi_gamma_g)
 
     @property
     def n_omega(self) -> int:
         return int(np.count_nonzero(self.chi))
 
     def reference(self) -> ReferenceModel:
+        from .reference import ReferenceModel
+
         return ReferenceModel(
             self.grid, self.chi, self.V, self.basis, self.kernel,
             self.chi_gamma_g,
@@ -197,28 +212,17 @@ def discretize(
     plan = _plan_case(case, a_tilde, counts, spacing)
     grid = build_grid(plan, tuple(lo for lo, _ in case.bounds))
     inside, on_gamma = box_predicates(case.bounds)
-    chi, chi_g, chi_omega = build_masks(grid, inside, on_gamma)
+    chi, chi_g, _ = build_masks(grid, inside, on_gamma)
     V = quadrature_weights(grid, chi)
-    basis = enumerate_basis(n, dim)
     kernel = KernelSpec(support=plan.kernel_support)
-    table = build_basis_table(grid, basis, kernel)
+    table = build_basis_table(grid, enumerate_basis(n, dim), kernel)
     precomp = build_moment_precomp(chi, V, table, provider)
     coords = grid.coordinates()
-    r = chi * case.source(*coords)
-    exact_field = case.exact(*coords)
-    dirichlet = chi_g * case.dirichlet(*coords)
     return Discretization(
         case=case,
-        grid=grid,
-        chi=chi,
         chi_gamma_g=chi_g,
-        chi_omega=chi_omega,
-        V=V,
-        basis=basis,
-        kernel=kernel,
-        table=table,
         precomp=precomp,
-        r=r,
-        exact_field=exact_field,
-        dirichlet=dirichlet,
+        r=chi * case.source(*coords),
+        exact_field=case.exact(*coords),
+        dirichlet=chi_g * case.dirichlet(*coords),
     )

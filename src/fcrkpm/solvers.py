@@ -64,6 +64,10 @@ NULL_RTOL = 1e-12
 # 20^2, n = 2); at 2D 64^2 it stops after 35-38 steps within 3e-7.
 RITZ_RTOL = 1e-8
 
+# the most Lanczos steps explicit_stable_dt takes; it warns when it stops
+# there (35-38 steps reach RITZ_RTOL at 2D 64^2)
+LANCZOS_MAX_STEPS = 120
+
 
 @dataclass
 class SolverConfig:
@@ -97,26 +101,27 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a static solve.
 
-    `residual` and every entry of `residual_history` are relative to the
-    initial masked residual, ||R_i|| / ||R_0||: history[0] is 1.0 (0.0 when
-    the initial residual already vanishes), one entry follows each
-    iteration, and the last entry equals `residual`.  A linear solve whose
-    initial residual is not finite (a NaN or inf in the load or the
-    Dirichlet data) runs no iteration: history is [nan], `residual` is NaN
-    and `converged` is False.  A nonlinear solve counts Newton steps in
-    `iterations` and ||R_k|| / ||R_0|| after each, and records the inner
-    CG iterations of each step in `inner_iterations`; one whose initial
-    residual is not finite takes no step and reports the same as the
-    linear solve, with `inner_iterations` [].  Either solve warns when it
-    does not converge.
+    Every entry of `residual_history` is relative to the initial masked
+    residual, ||R_i|| / ||R_0||: history[0] is 1.0 (0.0 when the initial
+    residual already vanishes), and one entry follows each iteration, so
+    `iterations` is len(history) - 1 and `residual` the last entry.  A
+    linear solve whose initial residual is not finite (a NaN or inf in the
+    load or the Dirichlet data) runs no iteration: history is [nan],
+    `residual` is NaN and `converged` is False.  A nonlinear solve counts
+    Newton steps in `iterations` and ||R_k|| / ||R_0|| after each, and
+    records the inner CG iterations of each step in `inner_iterations`;
+    one whose initial residual is not finite takes no step and reports the
+    same as the linear solve, with `inner_iterations` [].  Either solve
+    warns when it does not converge.
     """
 
-    iterations: int
-    residual: float
     wall_time: float
     converged: bool
-    residual_history: list[float] | None = None
+    residual_history: list[float]
     inner_iterations: list[int] | None = None
+
+    iterations = property(lambda self: len(self.residual_history) - 1)
+    residual = property(lambda self: self.residual_history[-1])
 
 
 @dataclass
@@ -333,13 +338,11 @@ def solve_static_linear(
         config.tol, config.iter_cap(int(np.count_nonzero(chi_omega))),
         _fast_preconditioner(precomp, 0.0, 1.0, chi_omega, provider),
     )
-    wall = time.perf_counter() - start
-    iters, resid = len(history) - 1, history[-1]
-    report = SolveReport(iters, resid, wall, converged, residual_history=history)
+    report = SolveReport(time.perf_counter() - start, converged, history)
     if not converged:
         warnings.warn(
-            f"CG stopped at relative residual {resid:.3e} "
-            f"after {iters} iterations", stacklevel=2,
+            f"CG stopped at relative residual {report.residual:.3e} "
+            f"after {report.iterations} iterations", stacklevel=2,
         )
     u_h = evaluate_field(d, precomp, provider)
     return d, u_h, report
@@ -440,8 +443,7 @@ def solve_static_nonlinear(
             break
     converged = history[-1] <= config.tol
     report = SolveReport(
-        len(history) - 1, history[-1], time.perf_counter() - start,
-        converged, residual_history=history, inner_iterations=inner,
+        time.perf_counter() - start, converged, history, inner
     )
     if not converged:
         warnings.warn(
@@ -552,7 +554,6 @@ def explicit_stable_dt(
     chi_omega: np.ndarray,
     lumped: np.ndarray,
     nu: float = 1.0,
-    iterations: int = 120,
     seed: int = 0,
     provider=None,
 ) -> float:
@@ -567,7 +568,7 @@ def explicit_stable_dt(
     value) of the k x k tridiagonal.  It stops once that value moves by at
     most RITZ_RTOL relative in one step, or when the recurrence breaks down
     (exactly, on an invariant subspace).  Each step is one internal_force,
-    2(s+1) transforms; `iterations` caps the steps.  A Ritz value never
+    2(s+1) transforms; LANCZOS_MAX_STEPS caps the steps.  A Ritz value never
     exceeds lambda_max, so the limit is approached from above: callers take
     a fraction of it.
 
@@ -595,7 +596,7 @@ def explicit_stable_dt(
     q_prev, beta = np.zeros_like(q), 0.0
     alphas, betas = [], []
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(LANCZOS_MAX_STEPS):
         w = scale * internal_force(scale * q, precomp, provider)
         alphas.append(float(np.vdot(q, w)))
         w -= alphas[-1] * q + beta * q_prev
@@ -609,8 +610,8 @@ def explicit_stable_dt(
         q_prev, q = q, w / beta
     warnings.warn(
         f"explicit_stable_dt: the top Ritz value {lam:.6e} still moved by "
-        f"{abs(lam - last) / lam:.1e} relative after {iterations} steps "
-        f"(tolerance {RITZ_RTOL:g}); the limit may be too large",
+        f"{abs(lam - last) / lam:.1e} relative after {LANCZOS_MAX_STEPS} "
+        f"steps (tolerance {RITZ_RTOL:g}); the limit may be too large",
         stacklevel=2,
     )
     return 2.0 / (nu * lam)

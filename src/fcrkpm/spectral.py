@@ -23,14 +23,15 @@ a fast FFT size (n = 45 gives 92 = 2^2 * 23).  On an axis of up to
 n = 128 nodes (_SINE_MATRIX_MAX) the default backend multiplies by the
 n x n sine matrix instead, the fast diagonalization method (Lynch, Rice &
 Thomas 1964, Numer. Math. 6); longer axes go through scipy.  The rule
-reads only the axis length.  The provider's `workers` sets the
-threads of scipy's transforms only; the matrix products run on the BLAS
-library's threads (OPENBLAS_NUM_THREADS and the like).  A direct O(N^2)
-summation of the circular convolution is kept alongside the FFT path as an
-independent oracle.
+reads only the axis length.  scipy's transforms run on the provider's
+`workers` threads, one unless a caller asks for more (the package never
+does); the matrix products run on the BLAS library's own threads
+(OPENBLAS_NUM_THREADS and the like).  A direct O(N^2) summation of the
+circular convolution is kept alongside the FFT path as an independent
+oracle.
 
 The FFT backend sits behind a small provider interface so it can be
-swapped (multithreaded, instrumented, ...) without touching the callers.
+swapped (counting, instrumented, ...) without touching the callers.
 All providers must be deterministic: identical input gives bit-identical
 output across calls.
 """
@@ -61,6 +62,7 @@ __all__ = [
 # spectrum that should be Hermitian
 IMAG_TOL = 1e-10
 
+# the most nodes direct_circular_convolve sums over, O(N^2) work
 DIRECT_SIZE_GUARD = 4096
 
 # longest axis whose DST-I runs as a sine-matrix product.  It bounds the
@@ -127,9 +129,10 @@ def _sine_axis(a: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
 
 
 class ScipyFFTProvider(FFTProvider):
-    """Default backend.  `workers` > 1 parallelizes scipy's transforms; the
-    sine-matrix products of dstn/idstn run on the BLAS library's own
-    threads (e.g. OPENBLAS_NUM_THREADS), which `workers` does not set."""
+    """Default backend.  scipy's transforms run on `workers` threads (one
+    by default); the sine-matrix products of dstn/idstn run on the BLAS
+    library's own threads (e.g. OPENBLAS_NUM_THREADS), which `workers`
+    does not set."""
 
     def __init__(self, workers: int = 1):
         self.workers = int(workers)
@@ -149,20 +152,17 @@ class ScipyFFTProvider(FFTProvider):
     def _sine(self, a, inverse):
         """The DST-I over every axis: a sine-matrix product on each axis of
         n <= _SINE_MATRIX_MAX nodes, then one scipy call over the longer
-        axes."""
-        transform = scipy.fft.idstn if inverse else scipy.fft.dstn
-        if min(a.shape) > _SINE_MATRIX_MAX:
-            # one plain call: scipy's `axes` path costs about 3 us more
-            return transform(a, type=1, workers=self.workers,
-                             overwrite_x=inverse)
+        axes, which may overwrite a temporary of the products or the
+        inverse's input."""
         out = a
         for ax, n in enumerate(a.shape):
             if n <= _SINE_MATRIX_MAX:
                 out = _sine_axis(out, ax, inverse)
         rest = tuple(ax for ax, n in enumerate(a.shape) if n > _SINE_MATRIX_MAX)
-        if rest:  # out is a temporary of the products by now
+        if rest:
+            transform = scipy.fft.idstn if inverse else scipy.fft.dstn
             out = transform(out, type=1, axes=rest, workers=self.workers,
-                            overwrite_x=True)
+                            overwrite_x=inverse or out is not a)
         return out
 
 
@@ -257,20 +257,20 @@ def circular_convolve(a, b, provider: FFTProvider | None = None) -> np.ndarray:
     return inverse(forward(a, provider) * forward(b, provider), provider)
 
 
-def direct_circular_convolve(a, b, size_guard: int = DIRECT_SIZE_GUARD) -> np.ndarray:
+def direct_circular_convolve(a, b) -> np.ndarray:
     """O(N^2) circular convolution by direct summation (the oracle).
 
-    c[k] = sum_j a[j] * b[(k - j) mod N] per axis.  Guarded against large
-    inputs; raise the guard explicitly if a bigger oracle run is intended.
+    c[k] = sum_j a[j] * b[(k - j) mod N] per axis.  Inputs of more than
+    DIRECT_SIZE_GUARD nodes are refused.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size > size_guard:
+    if a.size > DIRECT_SIZE_GUARD:
         raise ValueError(
             f"direct convolution of {a.size} nodes exceeds the size guard "
-            f"{size_guard}; this is an O(N^2) oracle"
+            f"{DIRECT_SIZE_GUARD}; this is an O(N^2) oracle"
         )
     c = np.zeros_like(a)
     axes = tuple(range(a.ndim))

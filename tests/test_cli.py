@@ -55,17 +55,21 @@ class TestConfigValidation:
             load_config(json.loads(path.read_text()))
 
     def test_keys_the_experiment_never_reads_rejected(self):
+        # no experiment reads threads: scipy's transforms run on one thread
         for doc in [
             {"version": 1, "experiment": "bench", "a_tilde": 3.5},
-            {"version": 1, "experiment": "verify", "threads": 2},
             {"version": 1, "experiment": "converge", "seed": 7},
-        ]:
+        ] + [{"version": 1, "experiment": e, "threads": 2}
+             for e in ("verify", "converge", "bench", "diffuse")]:
             with pytest.raises(ConfigError, match="unknown config keys"):
                 load_config(doc)
 
     def test_flags_only_where_read(self):
-        # --seed for verify/bench, --threads for converge/bench/diffuse
-        for argv in (["converge", "--seed", "1"], ["verify", "--threads", "2"]):
+        # --seed for verify/bench only, --threads for no experiment
+        for argv in [["converge", "--seed", "1"]] + [
+            [e, "--threads", "2"]
+            for e in ("verify", "converge", "bench", "diffuse")
+        ]:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 2

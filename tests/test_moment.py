@@ -460,16 +460,19 @@ class TestBand:
 
     def test_package_import_leaves_out_scipy_ndimage(self):
         # the band is a rolled-mask dilation: nothing in the package needs
-        # scipy.ndimage, so a fresh interpreter's import does not load it
+        # scipy.ndimage, so a fresh interpreter's import does not load it;
+        # nor scipy.sparse, which only the oracle loads, on first use
         src = str(pathlib.Path(moment.__file__).parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        code = "import sys, fcrkpm; print('scipy.ndimage' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        assert out.stdout.strip() == "False"
+        for module in ("fcrkpm", "fcrkpm.cli"):
+            code = (f"import sys, {module}; print(sorted(m for m in "
+                    "('scipy.ndimage', 'scipy.sparse') if m in sys.modules))")
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=120)
+            assert out.stdout.strip() == "[]", (module, out.stdout)
 
     def test_empty_band_on_the_whole_periodic_box(self, disc2d):
         grid, table = disc2d.grid, disc2d.table

@@ -403,12 +403,14 @@ class TestCheckLibrary:
     def test_flipped_mask_node_fails_mask_check(self, discs):
         d = discs[2]
         assert mask_check(d)["passed"]
-        # flip one interior node out of chi and chi_omega together, so the
-        # masks stay 0/1 and still split: only the domain predicate sees it
-        chi, chi_omega = d.chi.copy(), d.chi_omega.copy()
-        node = np.unravel_index(np.argmax(chi_omega), chi.shape)
-        chi[node] = chi_omega[node] = 0.0
-        flipped = dataclasses.replace(d, chi=chi, chi_omega=chi_omega)
+        # flip one free node out of chi, and so out of the derived
+        # chi_omega: the masks stay 0/1 and still split, so only the domain
+        # predicate sees it
+        chi = d.chi.copy()
+        chi[np.unravel_index(np.argmax(d.chi_omega), chi.shape)] = 0.0
+        flipped = dataclasses.replace(
+            d, precomp=dataclasses.replace(d.precomp, chi=chi)
+        )
         record = mask_check(flipped)
         assert not record["passed"] and record["error"] == 1.0
 

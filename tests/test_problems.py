@@ -10,6 +10,7 @@ from fcrkpm import (
     external_force,
     nodal_errors,
     poisson_case,
+    quadrature_weights,
     solve_static_linear,
 )
 
@@ -132,3 +133,22 @@ class TestDiscretize:
 
     def test_dirichlet_field_zero(self, disc2d):
         assert np.all(disc2d.dirichlet == 0.0)
+
+    @pytest.mark.parametrize("dim,mode", [
+        (1, {"counts": 32}), (1, {"spacing": 0.125}),
+        (2, {"counts": 16}), (2, {"spacing": 0.25}),
+        (3, {"counts": 8}), (3, {"spacing": 0.5}),
+    ])
+    def test_derived_attributes_are_the_precomps(self, dim, mode):
+        # the setup objects are read from the precomp, not kept twice
+        disc = discretize(poisson_case(dim), **mode)
+        pc = disc.precomp
+        assert disc.grid is pc.grid and disc.table is pc.table
+        assert disc.chi is pc.chi and disc.V is pc.V
+        assert disc.basis is pc.table.basis
+        assert disc.kernel is pc.table.kernel
+        # the masked weights equal the plain ones bit for bit: V is
+        # already zero wherever chi is
+        V = quadrature_weights(disc.grid, disc.chi)
+        assert disc.V.tobytes() == V.tobytes()
+        assert np.array_equal(disc.chi_omega, disc.chi - disc.chi_gamma_g)

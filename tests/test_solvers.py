@@ -856,12 +856,13 @@ class TestExplicitStableDt:
         assert 0 < k <= 40
         assert prov.total == k * 2 * (disc.precomp.size + 1)
 
-    def test_cap_warns(self, disc2d):
+    def test_cap_warns(self, disc2d, monkeypatch):
         Ml = lumped_mass(disc2d.precomp)
         prov = CountingFFTProvider()
+        monkeypatch.setattr(solvers, "LANCZOS_MAX_STEPS", 3)
         with pytest.warns(UserWarning, match="after 3 steps"):
             dt = explicit_stable_dt(disc2d.precomp, disc2d.chi_omega, Ml,
-                                    iterations=3, provider=prov)
+                                    provider=prov)
         assert np.isfinite(dt) and dt > 0.0
         assert prov.total == 3 * 2 * (disc2d.precomp.size + 1)
 

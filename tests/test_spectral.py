@@ -14,6 +14,7 @@ from fcrkpm import (
     forward,
     inverse,
 )
+from fcrkpm import spectral
 from fcrkpm.errors import ImaginaryResidueError
 from fcrkpm.spectral import IMAG_TOL
 from fcrkpm.verify import convolution_checks
@@ -214,11 +215,12 @@ class TestCircularConvolution:
         with pytest.raises(ValueError, match="shape"):
             circular_convolve(np.ones(4), np.ones(5))
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         big = np.ones(5000)
         with pytest.raises(ValueError, match="guard"):
             direct_circular_convolve(big, big)
-        direct_circular_convolve(big, big, size_guard=5000)
+        monkeypatch.setattr(spectral, "DIRECT_SIZE_GUARD", 5000)
+        direct_circular_convolve(big, big)
 
     def test_commutativity_and_linearity(self, rng):
         a = rng.standard_normal((8, 8))
