@@ -227,7 +227,8 @@ def cmd_verify(cfg, provider) -> int:
     with warnings.catch_warnings(record=True) as fired:
         warnings.simplefilter("always")
         report = run_verification(
-            seed=cfg["seed"], inject_fault=cfg["fault_injection"]
+            seed=cfg["seed"], inject_fault=cfg["fault_injection"],
+            provider=provider,
         )
     report["warnings"] = _reissue(fired)
     text = json.dumps(report, indent=2)

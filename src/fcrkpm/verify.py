@@ -17,11 +17,13 @@ check passes when its error is at most its tolerance.
                                 at the DFT and the sine frequencies
 
 `run_verification`, the report of `fcrkpm verify`, calls each at its
-default sizes.  tests/test_acceptance.py calls each on its own cells and
-sample counts.  The unit tests reuse them: test_operators.py reads
-criteria 2 and 4-7 per operator and runs criterion 2 on random ball
-domains, test_domains.py runs criteria 2 and 4 on a shifted anisotropic
-box and a disk, test_spectral.py criterion 1 per shape.  A fault-injection
+default sizes, on the FFT provider it is given (the default backend when
+None); only criterion 6 runs on a counting provider of its own.
+tests/test_acceptance.py calls each on its own cells and sample counts.
+The unit tests reuse them: test_operators.py reads criteria 2 and 4-7
+per operator and runs criterion 2 on random ball domains, test_domains.py
+runs criteria 2 and 4 on a shifted anisotropic box and a disk,
+test_spectral.py criterion 1 per shape.  A fault-injection
 switch corrupts one cached spectrum entry (`corrupt_table`) so the checks
 themselves can be shown to catch a corrupted kernel table.
 """
@@ -144,7 +146,7 @@ def _calls(precomp: MomentPrecomp, inputs):
     }
 
 
-def convolution_checks(rng, shapes, pairs: int) -> list[dict]:
+def convolution_checks(rng, shapes, pairs: int, provider=None) -> list[dict]:
     """Criterion 1: FFT circular convolution against the direct sum on
     `pairs` random pairs, cycling through `shapes`, at 1e-12."""
     worst = 0.0
@@ -152,12 +154,13 @@ def convolution_checks(rng, shapes, pairs: int) -> list[dict]:
         shape = shapes[k % len(shapes)]
         a = rng.standard_normal(shape)
         b = rng.standard_normal(shape)
-        err = rel_err(circular_convolve(a, b), direct_circular_convolve(a, b))
+        err = rel_err(circular_convolve(a, b, provider),
+                      direct_circular_convolve(a, b))
         worst = max(worst, err)
     return [_check("convolution-oracle", worst, 1e-12)]
 
 
-def spectra_check(table, label: str) -> dict:
+def spectra_check(table, label: str, provider=None) -> dict:
     """The closed-form basis spectra (build_basis_table) against the FFT
     of the weighted fields on the lattice (weighted_monomials): hat_Ha[p]
     against the kept component of F(H_p^a) and zero against the dropped
@@ -168,7 +171,7 @@ def spectra_check(table, label: str) -> dict:
     odd = table.parity_split[1]
     err = 0.0
     for p, (hat, ha) in enumerate(zip(table.hat_Ha, fields)):
-        spectrum = forward(ha)
+        spectrum = forward(ha, provider)
         kept, dropped = spectrum.real, spectrum.imag
         if p in odd:
             kept, dropped = dropped, kept
@@ -179,7 +182,8 @@ def spectra_check(table, label: str) -> dict:
 
 
 def oracle_checks(
-    precomp: MomentPrecomp, ref: ReferenceModel, rng, label: str
+    precomp: MomentPrecomp, ref: ReferenceModel, rng, label: str,
+    provider=None,
 ) -> list[dict]:
     """Criterion 2: the moments, every operator of operators.__all__ and
     the weak forms of _calls against direct summation, each at relative
@@ -213,7 +217,7 @@ def oracle_checks(
         "jacobian_form": ref.f_int_direct(d)
         + ref.f_r_direct((1.0 + r * r) * ref.u_h_direct(d)),
     }
-    M = assemble_moment_fields(precomp.chi, precomp.table)
+    M = assemble_moment_fields(precomp.chi, precomp.table, provider)
     M_direct = ref.moment_matrices()
     _, index = _exponent_sums(precomp.table.basis)
     err = max(
@@ -224,12 +228,12 @@ def oracle_checks(
         M, precomp.chi, precomp.band, interior_moments(precomp.table)
     )
     checks = [
-        spectra_check(precomp.table, label),
+        spectra_check(precomp.table, label, provider),
         _check(f"moment-{label}", err, 1e-10),
         _check(f"interior-moments-{label}", deviation, INTERIOR_RTOL),
     ]
     for name, call in _calls(precomp, inputs).items():
-        fast, slow = call(None), direct[name]
+        fast, slow = call(provider), direct[name]
         if isinstance(fast, list):
             err = max(rel_err(a, b) for a, b in zip(fast, slow, strict=True))
         else:
@@ -238,14 +242,14 @@ def oracle_checks(
     return checks
 
 
-def reproduction_checks(precomp: MomentPrecomp) -> list[dict]:
+def reproduction_checks(precomp: MomentPrecomp, provider=None) -> list[dict]:
     """Criterion 4: at the active nodes u_h reproduces 1 (1e-10) and x
     (1e-9, relative to max|x|), and the implicit gradient of x is 1 (1e-8)."""
     active = precomp.chi > 0.5
-    u1 = ops.evaluate_field(np.ones(precomp.grid.shape), precomp)
+    u1 = ops.evaluate_field(np.ones(precomp.grid.shape), precomp, provider)
     X = precomp.grid.coordinates()[0]
-    ux = ops.evaluate_field(X, precomp)
-    gx = ops.evaluate_gradient(X, precomp)[0]
+    ux = ops.evaluate_field(X, precomp, provider)
+    gx = ops.evaluate_gradient(X, precomp, provider)[0]
     return [
         _check("partition-of-unity", np.max(np.abs(u1[active] - 1.0)), 1e-10),
         _check(
@@ -257,14 +261,15 @@ def reproduction_checks(precomp: MomentPrecomp) -> list[dict]:
     ]
 
 
-def structure_checks(precomp: MomentPrecomp, rng, samples: int) -> list[dict]:
+def structure_checks(precomp: MomentPrecomp, rng, samples: int,
+                     provider=None) -> list[dict]:
     """Criterion 5: f_int is symmetric over consecutive pairs of `samples`
     random coefficient fields and semi-definite on each (1e-10, relative to
     the largest sampled |f|/|d|), and it annihilates constants (1e-9,
     relative to the first sample's force)."""
     shape = precomp.grid.shape
     ds = [precomp.chi * rng.standard_normal(shape) for _ in range(samples)]
-    fs = [ops.internal_force(d, precomp) for d in ds]
+    fs = [ops.internal_force(d, precomp, provider) for d in ds]
     norms = [np.linalg.norm(d) for d in ds]
     scale = max(np.linalg.norm(f) / n for f, n in zip(fs, norms))
     sym = max(
@@ -273,7 +278,7 @@ def structure_checks(precomp: MomentPrecomp, rng, samples: int) -> list[dict]:
         for i in range(0, samples - 1, 2)
     )
     psd = max(-np.vdot(d, f) / (scale * n**2) for d, f, n in zip(ds, fs, norms))
-    const = ops.internal_force(np.ones(shape), precomp)
+    const = ops.internal_force(np.ones(shape), precomp, provider)
     return [
         _check("f_int-symmetry", sym, 1e-10),
         _check("f_int-semidefinite", max(psd, 0.0), 1e-10),
@@ -304,16 +309,16 @@ def transform_count_checks(precomp: MomentPrecomp, rng) -> list[dict]:
     return checks
 
 
-def lumped_mass_total_check(precomp: MomentPrecomp) -> dict:
+def lumped_mass_total_check(precomp: MomentPrecomp, provider=None) -> dict:
     """Criterion 7: the lumped mass sums to the domain's quadrature volume
     (relative 1e-12)."""
     volume = np.sum(precomp.chi * precomp.V)
-    total = np.sum(ops.lumped_mass(precomp))
+    total = np.sum(ops.lumped_mass(precomp, provider))
     return _check("lumped-mass-total", abs(total - volume) / volume, 1e-12)
 
 
 def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
-                  label: str) -> list[dict]:
+                  label: str, provider=None) -> list[dict]:
     """Criterion 9, the preconditioner: solvers.interior_symbol against
     the response K(o) of the form (operators._form) to a unit delta at a
     node whose footprint's footprint is all active, rolled back to the
@@ -329,7 +334,8 @@ def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
     grid, table, axes = precomp.grid, precomp.table, tuple(range(precomp.dim))
     half = [n // 2 for n in grid.shape]
     rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
-                                  np.roll(precomp.V, half, axes), table)
+                                  np.roll(precomp.V, half, axes), table,
+                                  provider)
     forms = {"f_int": (0.0, 1.0), "implicit": (grid.spacing[0] ** -2, 0.5)}
     # minimal-image node offsets, and the sine frequencies of the extent,
     # which rolling the mask does not change
@@ -345,9 +351,10 @@ def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
         delta = np.zeros(grid.shape)
         delta[center] = 1.0
         for name, (w0, w1) in forms.items():
-            col = np.roll(ops._form(delta, w0, w1, pc, None)[0],
+            col = np.roll(ops._form(delta, w0, w1, pc, provider)[0],
                           [-k for k in center], axes)
-            err = rel_err(interior_symbol(pc, w0, w1), forward(col).real)
+            err = rel_err(interior_symbol(pc, w0, w1),
+                          forward(col, provider).real)
             sine = col
             for o, theta in zip(offsets, thetas):
                 # contract the leading offset axis; the frequency goes last
@@ -375,7 +382,7 @@ def mask_check(disc) -> dict:
     return _check("mask-algebra", err, 0.0)
 
 
-def corrupt_table(precomp: MomentPrecomp) -> None:
+def corrupt_table(precomp: MomentPrecomp, provider=None) -> None:
     """Corrupt one kernel-table entry in place, the fault of
     run_verification(inject_fault=True).
 
@@ -390,14 +397,16 @@ def corrupt_table(precomp: MomentPrecomp) -> None:
     ha = next(weighted_monomials(grid, table.kernel, exponents))
     bump = np.zeros(grid.shape)
     bump.flat[bump.size // 3] = 1e-3 * (1.0 + np.max(np.abs(ha)))
-    spectrum = forward(bump)
+    spectrum = forward(bump, provider)
     odd = p in table.parity_split[1]
     table.hat_Ha[p] += spectrum.imag if odd else spectrum.real
 
 
-def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
+def run_verification(seed: int = 0, inject_fault: bool = False,
+                     provider=None) -> dict:
     """Run every check at the default sizes; returns {"passed": bool,
-    "checks": [...], "seed", "fault_injection"}.
+    "checks": [...], "seed", "fault_injection"}.  Every transform but
+    criterion 6's runs on `provider` (the default backend when None).
 
     Criteria 2 and 9 run on each default cell; a cell that raises is
     itself a failed check.  The mask algebra and criteria 4-7 run on the 2D
@@ -405,7 +414,7 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
     """
     rng = np.random.default_rng(seed)
     shapes = [(8,), (12,), (16,), (8, 16), (8, 8, 8)]
-    checks = convolution_checks(rng, shapes, pairs=25)
+    checks = convolution_checks(rng, shapes, pairs=25, provider=provider)
     disc2 = None
     # dim, nodes per axis, n, a_tilde; criterion 9 needs a node whose
     # footprint's footprint fits the domain
@@ -415,14 +424,15 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
         label = f"{dim}d-n{n}-a{a_tilde}"
         try:
             disc = discretize(
-                poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts
+                poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts,
+                provider=provider,
             )
             if inject_fault and (dim, n) == (2, 1):
-                corrupt_table(disc.precomp)
-            checks.extend(
-                oracle_checks(disc.precomp, disc.reference(), rng, label)
-            )
-            checks.extend(symbol_checks(disc.precomp, disc.chi_omega, label))
+                corrupt_table(disc.precomp, provider)
+            checks.extend(oracle_checks(disc.precomp, disc.reference(), rng,
+                                        label, provider))
+            checks.extend(symbol_checks(disc.precomp, disc.chi_omega, label,
+                                        provider))
             if (dim, n) == (2, 1):
                 disc2 = disc
         except Exception as exc:  # a crash is itself a failed check
@@ -430,9 +440,10 @@ def run_verification(seed: int = 0, inject_fault: bool = False) -> dict:
             checks.append(crash | {"exception": f"{type(exc).__name__}: {exc}"})
     if disc2 is not None:
         checks.append(mask_check(disc2))
-        checks.extend(reproduction_checks(disc2.precomp))
-        checks.extend(structure_checks(disc2.precomp, rng, samples=4))
-        checks.append(lumped_mass_total_check(disc2.precomp))
+        checks.extend(reproduction_checks(disc2.precomp, provider))
+        checks.extend(structure_checks(disc2.precomp, rng, samples=4,
+                                       provider=provider))
+        checks.append(lumped_mass_total_check(disc2.precomp, provider))
         checks.extend(transform_count_checks(disc2.precomp, rng))
     return {
         "passed": all(c["passed"] for c in checks),

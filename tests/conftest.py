@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from fcrkpm import discretize, poisson_case
+from fcrkpm import ScipyFFTProvider, discretize, poisson_case
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,19 @@ def disc3d():
 @pytest.fixture(scope="session")
 def ref2d(disc2d):
     return disc2d.reference()
+
+
+class ScipyFrontEndProvider(ScipyFFTProvider):
+    """The default provider with fftn/ifftn through scipy.fft's public
+    functions, which convert, check and dispatch before they call the same
+    pocketfft routine: the outputs ScipyFFTProvider must match bit for
+    bit."""
+
+    def fftn(self, a):
+        return scipy.fft.fftn(a, workers=self.workers)
+
+    def ifftn(self, a):
+        return scipy.fft.ifftn(a, workers=self.workers, overwrite_x=True)
 
 
 def failed(checks):

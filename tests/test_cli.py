@@ -152,12 +152,32 @@ class TestExitCodes:
         check = verify.lumped_mass_total_check
         monkeypatch.setattr(
             verify, "lumped_mass_total_check",
-            lambda pc: warnings.warn("probe", RuntimeWarning) or check(pc),
+            lambda pc, provider=None: (
+                warnings.warn("probe", RuntimeWarning) or check(pc, provider)
+            ),
         )
         out = tmp_path / "report.json"
         with pytest.warns(RuntimeWarning, match="probe"):
             assert main(["verify", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["warnings"] == "RuntimeWarning"
+
+    def test_verify_runs_on_mains_provider(self, tmp_path, monkeypatch):
+        # the provider main builds carries every verify check but the
+        # transform counts' own counters: a counting one swapped in for it
+        # sees forward and inverse transforms
+        from fcrkpm import CountingFFTProvider, cli
+
+        built = []
+
+        def counting():
+            built.append(CountingFFTProvider())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "ScipyFFTProvider", counting)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--out", str(out)]) == 0
+        [provider] = built
+        assert provider.forward_count > 0 and provider.inverse_count > 0
 
     def test_fault_injection_fails(self, tmp_path):
         out = tmp_path / "report.json"

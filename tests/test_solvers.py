@@ -1,6 +1,7 @@
 """Static CG, Newton over it, Dirichlet freezing, and transient stepping."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -40,6 +41,8 @@ from fcrkpm.solvers import (
     interior_symbol,
 )
 from fcrkpm.verify import rel_err, symbol_checks
+
+from conftest import ScipyFrontEndProvider
 
 
 def _solve_poisson(disc, **kwargs):
@@ -732,13 +735,21 @@ class TestTransient:
         assert 3.0 <= ratio <= 5.0
 
     def test_nan_abort_reports_step(self, transient_setup):
+        # the error names the first step whose d holds a NaN: the callback
+        # saw every step before it, and none after
         disc, rhs, _ = transient_setup
         Ml = lumped_mass(disc.precomp)
         dt = 10.0 * explicit_stable_dt(disc.precomp, disc.chi_omega, Ml)
         cfg = SolverConfig(dt=dt, n_steps=2000, scheme="explicit-euler")
+        seen = []
         with np.errstate(all="ignore"):
-            with pytest.raises(FloatingPointError, match="step"):
-                run_transient(disc.precomp, disc.chi_omega, rhs, cfg)
+            with pytest.raises(FloatingPointError) as info:
+                run_transient(disc.precomp, disc.chi_omega, rhs, cfg,
+                              callback=seen.append)
+        assert all(not np.isnan(st.d).any() for st in seen)
+        assert str(info.value) == (
+            f"NaN detected at transient step {seen[-1].step + 1}"
+        )
 
     def test_explicit_update_masked_at_inactive_nodes(self, transient_setup):
         # a zero or negative lumped mass where chi_omega is off is never
@@ -803,6 +814,46 @@ class TestTransient:
             SolverConfig(scheme="leapfrog")
 
 
+def _written_euler(d, precomp, chi_omega, rhs, lumped, nu, dt, n_steps,
+                   provider):
+    """The forward-Euler march as the scheme is written, one temporary per
+    operation: f = rhs - nu K d, its quotient by the lumped mass on the
+    free nodes (0 elsewhere), and d + dt times that."""
+    for _ in range(n_steps):
+        f = rhs - nu * internal_force(d, precomp, provider)
+        upd = np.zeros(precomp.grid.shape)
+        np.divide(f, lumped, out=upd, where=chi_omega > 0.5)
+        d = d + dt * upd
+    return d
+
+
+class TestExplicitStep:
+    @pytest.mark.parametrize("dim, counts, n_steps", [
+        (2, 64, 200), (1, 32, 200), (3, 10, 50),
+    ])
+    def test_march_bit_identical_to_the_written_scheme(self, dim, counts,
+                                                       n_steps):
+        # run_transient on the default provider against the written
+        # formula on scipy.fft's public transforms: the same d to the bit,
+        # and the same stable step
+        disc = discretize(poisson_case(dim), counts=counts)
+        rhs = external_force(disc.r, disc.precomp)
+        Ml = lumped_mass(disc.precomp)
+        dt = explicit_stable_dt(disc.precomp, disc.chi_omega, Ml)
+        front = ScipyFrontEndProvider()
+        assert dt == explicit_stable_dt(disc.precomp, disc.chi_omega, Ml,
+                                        provider=front)
+        cfg = SolverConfig(dt=0.5 * dt, n_steps=n_steps, nu=0.7,
+                           scheme="explicit-euler")
+        state = run_transient(disc.precomp, disc.chi_omega, rhs, cfg,
+                              dirichlet=disc.dirichlet)
+        expected = _written_euler(disc.dirichlet.copy(), disc.precomp,
+                                  disc.chi_omega, rhs, Ml, cfg.nu, cfg.dt,
+                                  n_steps, front)
+        assert state.step == n_steps
+        assert state.d.tobytes() == expected.tobytes()
+
+
 def _dense_top_eigenvalue(disc, Ml):
     """Largest eigenvalue of the dense M_l^-1/2 K_ff M_l^-1/2, with K_ff
     the direct-summation stiffness over the free nodes and M_l the FFT
@@ -855,6 +906,30 @@ class TestExplicitStableDt:
         k = len(calls)
         assert 0 < k <= 40
         assert prov.total == k * 2 * (disc.precomp.size + 1)
+
+    @pytest.mark.parametrize("dim, counts, n, a_tilde", [
+        (1, 32, 1, 1.5), (1, 32, 2, 2.5), (1, 48, 1, 3.5), (2, 12, 1, 1.5),
+        (2, 16, 2, 2.5), (2, 20, 2, 2.5), (2, 16, 1, 3.5), (3, 8, 1, 1.5),
+        (3, 10, 2, 2.5),
+    ])
+    def test_within_the_probabilistic_bound(self, dim, counts, n, a_tilde):
+        # the docstring's guarantee over 12 seeded starts: after k steps on
+        # n free nodes, theta_k >= (1 - eps) lambda_max, with eps where
+        # 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) = 1e-3, and theta_k never
+        # above lambda_max beyond rounding.  2D 20^2 n = 2 at seed 1 stops
+        # 1.1e-3 below lambda_max, inside its eps = 0.026
+        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde,
+                          counts=counts)
+        Ml = lumped_mass(disc.precomp)
+        lam = _dense_top_eigenvalue(disc, Ml)
+        free = int(np.count_nonzero(disc.chi_omega > 0.5))
+        for seed in range(12):
+            prov = CountingFFTProvider()
+            theta = 2.0 / explicit_stable_dt(disc.precomp, disc.chi_omega,
+                                             Ml, seed=seed, provider=prov)
+            k = prov.total // (2 * (disc.precomp.size + 1))
+            eps = (math.log(1.648 * math.sqrt(free) / 1e-3) / (2 * k - 1)) ** 2
+            assert (1.0 - eps) * lam <= theta <= lam * (1.0 + 1e-12), seed
 
     def test_cap_warns(self, disc2d, monkeypatch):
         Ml = lumped_mass(disc2d.precomp)

@@ -1,5 +1,7 @@
 """Transform convention, round trips, and the convolution oracle."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -19,7 +21,7 @@ from fcrkpm.errors import ImaginaryResidueError
 from fcrkpm.spectral import IMAG_TOL
 from fcrkpm.verify import convolution_checks
 
-from conftest import failed
+from conftest import ScipyFrontEndProvider, failed
 
 
 class TestTransformConvention:
@@ -118,6 +120,84 @@ class TestTransformConvention:
         first = forward(a).copy()
         for _ in range(3):
             assert np.array_equal(forward(a), first)
+
+
+# 1D, 2D and 3D, each at even, odd and prime lengths
+_SCIPY_SHAPES = [(16,), (15,), (17,), (8, 12), (9, 15), (13, 11),
+                 (4, 6, 8), (9, 5, 15), (7, 5, 3)]
+
+
+class TestProviderMatchesScipy:
+    """ScipyFFTProvider calls pocketfft's c2c directly; its outputs must be
+    scipy.fft's byte for byte, so a scipy that moves or changes the private
+    module fails here."""
+
+    @staticmethod
+    def _field(rng, shape, kind):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if kind == "complex" else a
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", _SCIPY_SHAPES)
+    def test_fftn_bit_identical_and_input_untouched(self, shape, kind, rng):
+        a = self._field(rng, shape, kind)
+        before = a.copy()
+        out = ScipyFFTProvider().fftn(a)
+        expected = scipy.fft.fftn(a)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", _SCIPY_SHAPES)
+    def test_ifftn_bit_identical(self, shape, kind, rng):
+        a = self._field(rng, shape, kind)
+        out = ScipyFFTProvider().ifftn(a.copy())
+        expected = scipy.fft.ifftn(a)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_float32_matches_scipy(self, rng):
+        a = rng.standard_normal((8, 6)).astype(np.float32)
+        prov = ScipyFFTProvider()
+        out = prov.fftn(a)
+        assert out.dtype == np.complex64
+        assert out.tobytes() == scipy.fft.fftn(a).tobytes()
+        assert prov.ifftn(out.copy()).tobytes() == scipy.fft.ifftn(out).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float16, ">f8"])
+    def test_unconverted_dtypes_raise_type_error(self, dtype):
+        # scipy.fft converts these first; the provider refuses them loudly
+        a = np.ones((4, 4), dtype=dtype)
+        prov = ScipyFFTProvider()
+        for transform in (prov.fftn, prov.ifftn, forward):
+            with pytest.raises(TypeError, match="cannot transform"):
+                transform(a)
+
+    def test_workers_follow_scipy(self):
+        # the count scipy.fft would run on, checked once at construction
+        cpus = os.cpu_count()
+        for workers in (1, 2, -1, -cpus):
+            with scipy.fft.set_workers(workers):
+                assert ScipyFFTProvider(workers).workers == scipy.fft.get_workers()
+        assert ScipyFFTProvider().workers == 1
+        assert ScipyFFTProvider(-1).workers == cpus
+        for workers in (0, -cpus - 1):
+            with pytest.raises(ValueError), scipy.fft.set_workers(workers):
+                pass
+            with pytest.raises(ValueError, match="workers"):
+                ScipyFFTProvider(workers)
+        with pytest.raises(TypeError):
+            ScipyFFTProvider(1.5)
+
+    def test_matches_the_scipy_front_end(self, rng):
+        # the whole default path (residue check included) against the same
+        # provider through scipy.fft's public functions
+        a = rng.standard_normal((12, 10))
+        spec = forward(a)
+        assert spec.tobytes() == forward(a, ScipyFrontEndProvider()).tobytes()
+        assert (inverse(spec.copy()).tobytes()
+                == inverse(spec.copy(), ScipyFrontEndProvider()).tobytes())
 
 
 def _direct_dst(a):
