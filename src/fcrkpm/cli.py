@@ -76,71 +76,21 @@ def _is_number(v):
             or isinstance(v, float) and math.isfinite(v))
 
 
-# key -> (validator, default); version and experiment are required, every
-# other key is optional (a None default: the program picks the value)
-_COMMON_SCHEMA = {
-    "version": (lambda v: v == 1, None),
-    "experiment": (lambda v: v in ("verify", "converge", "bench", "diffuse"), None),
-    "dim": (lambda v: v in (1, 2, 3), 2),
-    "n": (lambda v: isinstance(v, int) and v >= 0, 1),
-    "a_tilde": (lambda v: _is_number(v) and v >= 1, 1.5),
-    "seed": (lambda v: isinstance(v, int) and v >= 0, 0),
-    "tol": (lambda v: _is_number(v) and v > 0, 1e-12),
-    "max_iter": (lambda v: v is None or (isinstance(v, int) and v > 0), None),
-    "out": (lambda v: v is None or isinstance(v, str), None),
-}
-
-_EXPERIMENT_SCHEMA = {
-    "verify": {
-        "fault_injection": (lambda v: isinstance(v, bool), False),
-    },
-    "converge": {
-        "powers": (
-            lambda v: isinstance(v, list)
-            and len(v) >= 3
-            and all(isinstance(p, int) and 2 <= p <= 12 for p in v),
-            None,  # resolved per dim
-        ),
-    },
-    "bench": {
-        "nodes_per_axis": (
-            lambda v: isinstance(v, list)
-            and all(isinstance(x, int) and x >= 6 for x in v),
-            [20],
-        ),
-        "a_tilde_values": (
-            lambda v: isinstance(v, list) and all(_is_number(x) and x >= 1 for x in v),
-            [1.5, 2.5, 3.5],
-        ),
-        "reps": (lambda v: isinstance(v, int) and v >= 3, 5),
-    },
-    "diffuse": {
-        "counts": (lambda v: isinstance(v, int) and v >= 8, 32),
-        "scheme": (
-            lambda v: v in ("explicit-euler", "implicit-euler"),
-            "explicit-euler",
-        ),
-        "t_end": (lambda v: _is_number(v) and v > 0, 2.5),
-        "dt": (lambda v: v is None or (_is_number(v) and v > 0), None),
-        "nu": (lambda v: _is_number(v) and v > 0, 1.0),
-        "sample_stride": (lambda v: isinstance(v, int) and v >= 1, 10),
-    },
-}
-
-
-# the common keys each experiment's cmd_* reads; the others are rejected
-# like unknown keys
-_COMMON_KEYS = {
-    "verify": ("seed", "out"),
-    "converge": ("dim", "n", "a_tilde", "tol", "max_iter", "out"),
-    "bench": ("dim", "n", "seed", "out"),
-    "diffuse": ("dim", "n", "a_tilde", "tol", "max_iter", "out"),
-}
+# the validators (validator, default) that more than one experiment shares;
+# a None default: the program picks the value
+_DIM = (lambda v: v in (1, 2, 3), 2)
+_N = (lambda v: isinstance(v, int) and v >= 0, 1)
+_A_TILDE = (lambda v: _is_number(v) and v >= 1, 1.5)
+_SEED = (lambda v: isinstance(v, int) and v >= 0, 0)
+_TOL = (lambda v: _is_number(v) and v > 0, 1e-12)
+_MAX_ITER = (lambda v: v is None or (isinstance(v, int) and v > 0), None)
+_OUT = (lambda v: v is None or isinstance(v, str), None)
 
 
 def load_config(doc: dict) -> dict:
-    """Validate a config document against its experiment's schema, the keys
-    that experiment reads; any other key fails."""
+    """Validate a config document against its experiment's schema in
+    _EXPERIMENTS, the keys that experiment reads besides the required
+    version and experiment; any other key fails."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     if "experiment" not in doc:
@@ -148,15 +98,15 @@ def load_config(doc: dict) -> dict:
     if "version" not in doc:
         raise ConfigError("missing required key 'version'")
     experiment = doc["experiment"]
-    if experiment not in _EXPERIMENT_SCHEMA:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    keys = ("version", "experiment", *_COMMON_KEYS[experiment])
-    schema = {key: _COMMON_SCHEMA[key] for key in keys}
-    schema.update(_EXPERIMENT_SCHEMA[experiment])
-    unknown = set(doc) - set(schema)
+    _, schema = _EXPERIMENTS[experiment]
+    unknown = set(doc) - {"version", "experiment", *schema}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {}
+    if doc["version"] != 1:
+        raise ConfigError(f"invalid value for 'version': {doc['version']!r}")
+    cfg = {"version": doc["version"], "experiment": experiment}
     for key, (check, default) in schema.items():
         if key in doc:
             value = doc[key]
@@ -365,17 +315,64 @@ def cmd_diffuse(cfg, provider) -> int:
     return 0 if static_report.converged and final.converged else 1
 
 
+# experiment -> (handler, schema): the schema maps each key the handler
+# reads, besides version and experiment, to (validator, default)
+_EXPERIMENTS = {
+    "verify": (cmd_verify, {
+        "seed": _SEED,
+        "out": _OUT,
+        "fault_injection": (lambda v: isinstance(v, bool), False),
+    }),
+    "converge": (cmd_converge, {
+        "dim": _DIM, "n": _N, "a_tilde": _A_TILDE, "tol": _TOL,
+        "max_iter": _MAX_ITER, "out": _OUT,
+        "powers": (
+            lambda v: isinstance(v, list)
+            and len(v) >= 3
+            and all(isinstance(p, int) and 2 <= p <= 12 for p in v),
+            None,  # resolved per dim
+        ),
+    }),
+    "bench": (cmd_bench, {
+        "dim": _DIM, "n": _N, "seed": _SEED, "out": _OUT,
+        "nodes_per_axis": (
+            lambda v: isinstance(v, list)
+            and all(isinstance(x, int) and x >= 6 for x in v),
+            [20],
+        ),
+        "a_tilde_values": (
+            lambda v: isinstance(v, list) and all(_is_number(x) and x >= 1 for x in v),
+            [1.5, 2.5, 3.5],
+        ),
+        "reps": (lambda v: isinstance(v, int) and v >= 3, 5),
+    }),
+    "diffuse": (cmd_diffuse, {
+        "dim": _DIM, "n": _N, "a_tilde": _A_TILDE, "tol": _TOL,
+        "max_iter": _MAX_ITER, "out": _OUT,
+        "counts": (lambda v: isinstance(v, int) and v >= 8, 32),
+        "scheme": (
+            lambda v: v in ("explicit-euler", "implicit-euler"),
+            "explicit-euler",
+        ),
+        "t_end": (lambda v: _is_number(v) and v > 0, 2.5),
+        "dt": (lambda v: v is None or (_is_number(v) and v > 0), None),
+        "nu": (lambda v: _is_number(v) and v > 0, 1.0),
+        "sample_stride": (lambda v: isinstance(v, int) and v >= 1, 10),
+    }),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fcrkpm",
         description="FFT-accelerated RKPM experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in _COMMON_KEYS.items():
+    for name, (_, schema) in _EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", help="output file (CSV or JSON)")
-        if "seed" in keys:
+        if "seed" in schema:
             p.add_argument("--seed", type=int, help="random seed override")
     args = parser.parse_args(argv)
 
@@ -413,12 +410,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
-    handler = {
-        "verify": cmd_verify,
-        "converge": cmd_converge,
-        "bench": cmd_bench,
-        "diffuse": cmd_diffuse,
-    }[cfg["experiment"]]
+    handler, _ = _EXPERIMENTS[cfg["experiment"]]
     return handler(cfg, ScipyFFTProvider())
 
 

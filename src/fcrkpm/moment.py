@@ -75,7 +75,6 @@ from .errors import (
     InteriorMomentError,
     SingularMomentError,
 )
-from .grid import PeriodicGrid
 from .spectral import FFTProvider, forward, inverse
 
 __all__ = [
@@ -105,16 +104,18 @@ class MomentPrecomp:
     The b-rows are c, shaped (1 + d, s), at every node off the band, and
     band_rows, shaped (1 + d, s, n_band), at the flat C-order node indices
     band; row set 0 is b0, row sets 1..d are bgrad (module docstring).  V
-    is the masked quadrature weight field (zero off the domain).
+    is the masked quadrature weight field (zero off the domain).  The grid
+    is the table's.
     """
 
-    grid: PeriodicGrid
     table: BasisTable
     chi: np.ndarray
     V: np.ndarray
     c: np.ndarray
     band_rows: np.ndarray
     band: np.ndarray
+
+    grid = property(lambda self: self.table.grid)
 
     @property
     def size(self) -> int:
@@ -375,7 +376,7 @@ def invert_moments(
     at = np.concatenate([[np.argmax(chi > 0.5)], band])
     rows = _b_rows(cols, index, grid.dim, lambda i: node(at[i]))
     return MomentPrecomp(
-        grid=grid, table=table, chi=chi, V=chi * V,
+        table=table, chi=chi, V=chi * V,
         c=rows[..., 0].copy(), band_rows=rows[..., 1:], band=band,
     )
 

@@ -54,42 +54,40 @@ SLOPE_POINTS = 3
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution / source pair on a box with zero Dirichlet data."""
+    """The case poisson-<dim>d on the box [-1, 1]^dim with zero Dirichlet
+    data: the exact solution prod_k (1 - x_k^2) and its load -lap(u), both
+    derived for any dim (the module docstring lists them)."""
 
-    name: str
     dim: int
-    exact: callable
-    source: callable
 
-    @property
-    def bounds(self):
-        return [(-1.0, 1.0)] * self.dim
+    name = property(lambda self: f"poisson-{self.dim}d")
+    bounds = property(lambda self: [(-1.0, 1.0)] * self.dim)
 
-    def dirichlet(self, *coords):
+    @staticmethod
+    def exact(*coords):
+        u = 1.0 - coords[0] ** 2
+        for x in coords[1:]:
+            u = u * (1.0 - x**2)
+        return u
+
+    @staticmethod
+    def source(*coords):
+        """-lap of exact: sum_k 2 prod_{j != k} (1 - x_j^2)."""
+        two = np.full(np.broadcast(*coords).shape, 2.0)
+        f = [1.0 - x**2 for x in coords]
+        return sum(math.prod(f[:k] + f[k + 1:], start=two)
+                   for k in range(len(f)))
+
+    @staticmethod
+    def dirichlet(*coords):
         return np.zeros(coords[0].shape)
 
 
-def _exact_product(*coords):
-    u = 1.0 - coords[0] ** 2
-    for x in coords[1:]:
-        u = u * (1.0 - x**2)
-    return u
-
-
-def _source(*coords):
-    """-lap of _exact_product: sum_k 2 prod_{j != k} (1 - x_j^2)."""
-    two = np.full(np.broadcast(*coords).shape, 2.0)
-    f = [1.0 - x**2 for x in coords]
-    return sum(math.prod(f[:k] + f[k + 1:], start=two) for k in range(len(f)))
-
-
 def poisson_case(dim: int) -> ManufacturedCase:
-    """The manufactured case poisson-<dim>d, dim in {1, 2, 3}: the exact
-    solution prod_k (1 - x_k^2) and its load -lap(u), both derived for any
-    dim (the module docstring lists them)."""
+    """The manufactured case poisson-<dim>d, dim in {1, 2, 3}."""
     if dim not in (1, 2, 3):
         raise ValueError(f"no manufactured case for dim {dim}")
-    return ManufacturedCase(f"poisson-{dim}d", dim, _exact_product, _source)
+    return ManufacturedCase(dim)
 
 
 @dataclass

@@ -230,12 +230,9 @@ def _fast_preconditioner(precomp, w0, w1, mask, provider):
     masked subspace of a Dirichlet block.  Its reciprocal is kept, so an
     application (two transforms) multiplies; the build runs none.
 
-    The sine pair is the provider's dstn/idstn.  On the default backend an
-    extent of up to 128 nodes is transformed by a sine-matrix product
-    instead of scipy's real FFT of length 2(n + 1): at poisson3d's 48^3
-    grid (n = 45, length 92, a slow FFT size) that is 0.65 ms against
-    2.4 ms per DST-I.  The provider still counts one forward and one
-    inverse transform per application.
+    The sine pair is the provider's dstn/idstn (the default backend's rule
+    is spectral.ScipyFFTProvider's); the provider counts one forward and
+    one inverse transform per application.
     """
     box, thetas, periodic = _free_box(mask > 0.5)
     if periodic:
@@ -269,7 +266,7 @@ def _masked_cg(apply_op, rhs, d0, mask, tol, max_iter, precondition):
     not on the true residual mask * (rhs - A d), which is never formed
     after the start: the two drift apart by rounding that grows with the
     iteration count and the conditioning (Greenbaum 1997, ch. 7).  At exit
-    the true one was at most 1.10 times the recursive one on the cells
+    the true one was at most 1.116 times the recursive one on the cells
     tests/test_solvers.py bounds (2D 64^2 a_tilde = 3.5, 71 iterations).
     A non-finite initial residual (a NaN or inf in rhs or d0) stops it
     before the first iteration, and a curvature p.Ap that is not positive

@@ -23,7 +23,9 @@ a fast FFT size (n = 45 gives 92 = 2^2 * 23).  On an axis of up to
 n = 128 nodes (_SINE_MATRIX_MAX) the default backend multiplies by the
 n x n sine matrix instead, the fast diagonalization method (Lynch, Rice &
 Thomas 1964, Numer. Math. 6); longer axes go through scipy.  The rule
-reads only the axis length.  scipy's transforms run on the provider's
+reads only the axis length.  On the preconditioner's 45^3 free box of a
+48^3 grid, one DST-I takes 0.65 ms as sine-matrix products against 2.4 ms
+through scipy.  scipy's transforms run on the provider's
 `workers` threads, one unless a caller asks for more (the package never
 does); the matrix products run on the BLAS library's own threads
 (OPENBLAS_NUM_THREADS and the like).  A direct O(N^2) summation of the
@@ -122,12 +124,8 @@ class FFTProvider:
         raise NotImplementedError
 
     def dstn(self, a: np.ndarray) -> np.ndarray:
-        """Forward DST-I of a real array over every axis into a new array.
-
-        ScipyFFTProvider runs it per axis, as a product with the sine
-        matrix on an axis of n <= _SINE_MATRIX_MAX nodes (on BLAS's
-        threads), and through scipy (on `workers` threads) on every longer
-        axis."""
+        """Forward DST-I of a real array over every axis into a new array
+        (the default backend's rule: ScipyFFTProvider)."""
         raise NotImplementedError
 
     def idstn(self, a: np.ndarray) -> np.ndarray:
@@ -174,11 +172,13 @@ def _pocketfft_input(a: np.ndarray) -> np.ndarray:
 
 
 class ScipyFFTProvider(FFTProvider):
-    """Default backend.  fftn/ifftn call pocketfft's c2c directly and
-    dstn/idstn go through scipy.fft; both run on `workers` threads (one by
-    default).  The sine-matrix products of dstn/idstn run on the BLAS
+    """Default backend.  fftn/ifftn call pocketfft's c2c directly, on
+    `workers` threads (one by default).  dstn/idstn run the DST-I per axis
+    (the module docstring gives why): a product with the n x n sine matrix
+    on each axis of n <= _SINE_MATRIX_MAX = 128 nodes, on the BLAS
     library's own threads (e.g. OPENBLAS_NUM_THREADS), which `workers`
-    does not set.
+    does not set, and one scipy.fft call on `workers` threads over the
+    longer axes.
 
     `workers` follows scipy.fft: 0 raises ValueError, and -k means
     cpu_count + 1 - k (-1 is every CPU), below -cpu_count a ValueError.

@@ -76,20 +76,75 @@ __all__ = [
     "transform_count_checks",
 ]
 
-# the name each operator of operators.__all__, and each weak form the
-# solvers apply through operators._form, carries in the check names
-CHECK_NAMES = {
-    "internal_force": "f_int",
-    "external_force": "f_r",
-    "evaluate_field": "u_h",
-    "evaluate_gradient": "grad_u_h",
-    "boundary_force": "f_q",
-    "nonlinear_force_gradient": "f_N",
-    "mass_force": "mass",
-    "lumped_mass": "lumped",
-    "implicit_form": "form-implicit",
-    "jacobian_form": "form-jacobian",
+
+def _backward_euler(grid, r=None):
+    """The weights (1/dt, nu) of the backward-Euler form M/dt + nu K that
+    criteria 2, 6 and 9 test: dt = dx_0^2, nu = 1/2.  r is unused; it is
+    there because _form_entry calls weights(grid, r)."""
+    return grid.spacing[0] ** -2, 0.5
+
+
+def _form_entry(check, weights):
+    """The _OPERATORS entry of the weak form (w0 M + w1 K) d at the weights
+    (w0, w1) = weights(grid, r): operators._form and its direct sum."""
+    return (
+        check, 2,
+        lambda pc, fft, d, r, *_: ops._form(d, *weights(pc.grid, r), pc,
+                                            fft)[0],
+        lambda ref, d, r, *_: _form_direct(ref, d, *weights(ref.grid, r)),
+    )
+
+
+def _form_direct(ref, d, w0, w1):
+    """(w0 M + w1 K) d by direct summation."""
+    return ref.f_r_direct(w0 * ref.u_h_direct(d)) + w1 * ref.f_int_direct(d)
+
+
+# every operator of operators.__all__, in its order, then the two weak forms
+# the solvers apply through operators._form:
+#   name: (check name, transforms per call in units of s + 1,
+#          FFT path (precomp, fft, *inputs), oracle (ref, *inputs))
+# on the inputs (d, r, fields, q, area) of _inputs
+_OPERATORS = {
+    "internal_force": ("f_int", 2,
+                       lambda pc, fft, d, *_: ops.internal_force(d, pc, fft),
+                       lambda ref, d, *_: ref.f_int_direct(d)),
+    "external_force": ("f_r", 1,
+                       lambda pc, fft, d, r, *_: ops.external_force(r, pc, fft),
+                       lambda ref, d, r, *_: ref.f_r_direct(r)),
+    "evaluate_field": ("u_h", 1,
+                       lambda pc, fft, d, *_: ops.evaluate_field(d, pc, fft),
+                       lambda ref, d, *_: ref.u_h_direct(d)),
+    "evaluate_gradient": (
+        "grad_u_h", 1,
+        lambda pc, fft, d, *_: ops.evaluate_gradient(d, pc, fft),
+        lambda ref, d, *_: ref.gradient_direct(d)),
+    "boundary_force": (
+        "f_q", 1,
+        lambda pc, fft, d, r, f, q, area: ops.boundary_force(q, area, pc, fft),
+        lambda ref, d, r, f, q, area: ref.f_q_direct(q, area)),
+    "nonlinear_force_gradient": (
+        "f_N", 1,
+        lambda pc, fft, d, r, f, *_: ops.nonlinear_force_gradient(list(f), pc,
+                                                                  fft),
+        lambda ref, d, r, f, *_: ref.extend(sum(
+            B_ax.T @ (ref.V * ref.restrict(f_ax))
+            for B_ax, f_ax in zip(ref.shape_matrices()[1], f)))),
+    "mass_force": ("mass", 2,
+                   lambda pc, fft, d, *_: ops.mass_force(d, pc, fft),
+                   lambda ref, d, *_: ref.mass_apply_direct(d)),
+    "lumped_mass": ("lumped", 1,
+                    lambda pc, fft, *_: ops.lumped_mass(pc, fft),
+                    lambda ref, *_: ref.lumped_mass_direct()),
+    "implicit_form": _form_entry("form-implicit", _backward_euler),
+    # the Newton Jacobian K + M_w, with the positive field w = 1 + r^2 in
+    # place of N'(u_h)
+    "jacobian_form": _form_entry("form-jacobian",
+                                  lambda grid, r: (1.0 + r * r, 1.0)),
 }
+
+# the name each entry carries in the check records
+CHECK_NAMES = {name: entry[0] for name, entry in _OPERATORS.items()}
 
 
 def rel_err(a, b) -> float:
@@ -120,30 +175,6 @@ def _inputs(precomp: MomentPrecomp, rng):
     q = boundary * rng.standard_normal(shape)
     area = boundary * rng.uniform(0.5, 1.5, shape)
     return d, r, fields, q, area
-
-
-def _calls(precomp: MomentPrecomp, inputs):
-    """Each operator of operators.__all__ on the inputs, by name, as a
-    function of the FFT provider; and two weak forms of operators._form
-    on d: backward Euler M/dt + nu K at dt = dx_0^2, nu = 1/2 (as
-    symbol_checks), and the Newton Jacobian K + M_w with the positive
-    field w = 1 + r^2 in place of N'(u_h)."""
-    d, r, fields, q, area = inputs
-    inv_dt, w = precomp.grid.spacing[0] ** -2, 1.0 + r * r
-    return {
-        "internal_force": lambda fft: ops.internal_force(d, precomp, fft),
-        "external_force": lambda fft: ops.external_force(r, precomp, fft),
-        "evaluate_field": lambda fft: ops.evaluate_field(d, precomp, fft),
-        "evaluate_gradient": lambda fft: ops.evaluate_gradient(d, precomp, fft),
-        "boundary_force": lambda fft: ops.boundary_force(q, area, precomp, fft),
-        "nonlinear_force_gradient": lambda fft: ops.nonlinear_force_gradient(
-            list(fields), precomp, fft
-        ),
-        "mass_force": lambda fft: ops.mass_force(d, precomp, fft),
-        "lumped_mass": lambda fft: ops.lumped_mass(precomp, fft),
-        "implicit_form": lambda fft: ops._form(d, inv_dt, 0.5, precomp, fft)[0],
-        "jacobian_form": lambda fft: ops._form(d, w, 1.0, precomp, fft)[0],
-    }
 
 
 def convolution_checks(rng, shapes, pairs: int, provider=None) -> list[dict]:
@@ -185,9 +216,9 @@ def oracle_checks(
     precomp: MomentPrecomp, ref: ReferenceModel, rng, label: str,
     provider=None,
 ) -> list[dict]:
-    """Criterion 2: the moments, every operator of operators.__all__ and
-    the weak forms of _calls against direct summation, each at relative
-    error 1e-10 (the forms against M d/dt + nu K d and K d + Psi^T V w u_h).
+    """Criterion 2: the moments and every entry of _OPERATORS (each
+    operator of operators.__all__ and the two weak forms) against direct
+    summation, each at relative error 1e-10.
 
     The moments are compared entry by entry (all s(s + 1)/2, each read
     from its exponent sum's field) and the gradient component by
@@ -198,25 +229,6 @@ def oracle_checks(
     the interior one, at INTERIOR_RTOL, so its margin is on record.  The
     first, spectra, is spectra_check of the precomp's table.
     """
-    inputs = _inputs(precomp, rng)
-    d, r, fields, q, area = inputs
-    _, B = ref.shape_matrices()
-    direct = {
-        "internal_force": ref.f_int_direct(d),
-        "external_force": ref.f_r_direct(r),
-        "evaluate_field": ref.u_h_direct(d),
-        "evaluate_gradient": ref.gradient_direct(d),
-        "boundary_force": ref.f_q_direct(q, area),
-        "nonlinear_force_gradient": ref.extend(
-            sum(B_ax.T @ (ref.V * ref.restrict(f)) for B_ax, f in zip(B, fields))
-        ),
-        "mass_force": ref.mass_apply_direct(d),
-        "lumped_mass": ref.lumped_mass_direct(),
-        "implicit_form": ref.mass_apply_direct(d) / precomp.grid.spacing[0] ** 2
-        + 0.5 * ref.f_int_direct(d),
-        "jacobian_form": ref.f_int_direct(d)
-        + ref.f_r_direct((1.0 + r * r) * ref.u_h_direct(d)),
-    }
     M = assemble_moment_fields(precomp.chi, precomp.table, provider)
     M_direct = ref.moment_matrices()
     _, index = _exponent_sums(precomp.table.basis)
@@ -232,13 +244,14 @@ def oracle_checks(
         _check(f"moment-{label}", err, 1e-10),
         _check(f"interior-moments-{label}", deviation, INTERIOR_RTOL),
     ]
-    for name, call in _calls(precomp, inputs).items():
-        fast, slow = call(provider), direct[name]
-        if isinstance(fast, list):
-            err = max(rel_err(a, b) for a, b in zip(fast, slow, strict=True))
+    inputs = _inputs(precomp, rng)
+    for check, _, fast, direct in _OPERATORS.values():
+        out, want = fast(precomp, provider, *inputs), direct(ref, *inputs)
+        if isinstance(out, list):
+            err = max(rel_err(a, b) for a, b in zip(out, want, strict=True))
         else:
-            err = rel_err(fast, slow)
-        checks.append(_check(f"{CHECK_NAMES[name]}-{label}", err, 1e-10))
+            err = rel_err(out, want)
+        checks.append(_check(f"{check}-{label}", err, 1e-10))
     return checks
 
 
@@ -291,21 +304,19 @@ def structure_checks(precomp: MomentPrecomp, rng, samples: int,
 
 
 def transform_count_checks(precomp: MomentPrecomp, rng) -> list[dict]:
-    """Criterion 6: one call of each operator of operators.__all__ and of
-    each weak form of _calls runs exactly 2(s+1) transforms
-    (internal_force, mass_force and the forms) or s+1 (all others); the
-    error is the count's distance from that."""
+    """Criterion 6: one call of each entry of _OPERATORS runs exactly its
+    multiple of s+1 transforms, 2(s+1) (internal_force, mass_force and the
+    forms) or s+1 (all others); the error is the count's distance from
+    that."""
     s = precomp.size
     fft = CountingFFTProvider()
+    inputs = _inputs(precomp, rng)
     checks = []
-    for name, call in _calls(precomp, _inputs(precomp, rng)).items():
+    for check, times, fast, _ in _OPERATORS.values():
         fft.reset()
-        call(fft)
-        twice = name in ("internal_force", "mass_force", "implicit_form",
-                         "jacobian_form")
-        expected = 2 * (s + 1) if twice else s + 1
-        err = abs(fft.total - expected)
-        checks.append(_check(f"{CHECK_NAMES[name]}-transforms", err, 0.0))
+        fast(precomp, fft, *inputs)
+        err = abs(fft.total - times * (s + 1))
+        checks.append(_check(f"{check}-transforms", err, 0.0))
     return checks
 
 
@@ -322,7 +333,7 @@ def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
     """Criterion 9, the preconditioner: solvers.interior_symbol against
     the response K(o) of the form (operators._form) to a unit delta at a
     node whose footprint's footprint is all active, rolled back to the
-    origin, at 1e-12; for K and M/dt + nu K (dt = dx_0^2, nu = 1/2), on
+    origin, at 1e-12; for K and M/dt + nu K (_backward_euler), on
     the precomp and on its mask rolled by half the box across the seam.
 
     Two frequency sets: the DFT ones, against the DFT (real part) of the
@@ -336,7 +347,7 @@ def symbol_checks(precomp: MomentPrecomp, chi_omega: np.ndarray,
     rolled = build_moment_precomp(np.roll(precomp.chi, half, axes),
                                   np.roll(precomp.V, half, axes), table,
                                   provider)
-    forms = {"f_int": (0.0, 1.0), "implicit": (grid.spacing[0] ** -2, 0.5)}
+    forms = {"f_int": (0.0, 1.0), "implicit": _backward_euler(grid)}
     # minimal-image node offsets, and the sine frequencies of the extent,
     # which rolling the mask does not change
     offsets = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.shape]

@@ -34,7 +34,7 @@ from fcrkpm.moment import INTERIOR_RTOL, build_moment_precomp
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import (
     CHECK_NAMES,
-    _calls,
+    _OPERATORS,
     _inputs,
     corrupt_table,
     lumped_mass_total_check,
@@ -200,13 +200,14 @@ class TestBandLayout:
                           counts=counts)
         pc = disc.precomp
         assert 0 < pc.band.size < np.count_nonzero(disc.chi)
-        calls = _calls(pc, _inputs(pc, np.random.default_rng(5)))
-        band = {name: np.asarray(call(None)) for name, call in calls.items()}
+        inputs = _inputs(pc, np.random.default_rng(5))
+        band = {name: np.asarray(fast(pc, None, *inputs))
+                for name, (_, _, fast, _) in _OPERATORS.items()}
         monkeypatch.setattr(operators, "_gather", _dense_gather)
         monkeypatch.setattr(operators, "_scatter", _dense_scatter)
         active = disc.chi > 0.5
-        for name, call in calls.items():
-            dense = np.asarray(call(None))[..., active]
+        for name, (_, _, fast, _) in _OPERATORS.items():
+            dense = np.asarray(fast(pc, None, *inputs))[..., active]
             assert rel_err(band[name][..., active], dense) <= 1e-14, name
 
 
@@ -229,12 +230,10 @@ class TestInputsUntouched:
         kept = [*inputs, pc.table.hat_Ha, pc.c, pc.band_rows, pc.band,
                 pc.V, pc.chi]
         before = [a.tobytes() for a in kept]
-        calls = _calls(pc, inputs)
-        assert set(calls) == set(operators.__all__) | {
-            "implicit_form", "jacobian_form"
-        }
-        for name, call in calls.items():
-            call(None)
+        assert list(_OPERATORS) == [*operators.__all__, "implicit_form",
+                                    "jacobian_form"]
+        for name, (_, _, fast, _) in _OPERATORS.items():
+            fast(pc, None, *inputs)
             assert [a.tobytes() for a in kept] == before, name
 
 

@@ -144,6 +144,7 @@ class TestDiscretize:
         disc = discretize(poisson_case(dim), **mode)
         pc = disc.precomp
         assert disc.grid is pc.grid and disc.table is pc.table
+        assert pc.grid is pc.table.grid
         assert disc.chi is pc.chi and disc.V is pc.V
         assert disc.basis is pc.table.basis
         assert disc.kernel is pc.table.kernel
