@@ -98,7 +98,7 @@ def load_config(doc: dict) -> dict:
     if "version" not in doc:
         raise ConfigError("missing required key 'version'")
     experiment = doc["experiment"]
-    if experiment not in _EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     _, schema = _EXPERIMENTS[experiment]
     unknown = set(doc) - {"version", "experiment", *schema}
@@ -383,6 +383,9 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(doc, dict):
+            print("config error: config must be a JSON object", file=sys.stderr)
             return 2
         doc.setdefault("version", 1)
         doc.setdefault("experiment", args.command)

@@ -12,14 +12,14 @@ The active (chi = 1) nodes are numbered in numpy's C order, the order of
 ``field[chi > 0.5]``, so restrict and extend are a boolean mask and no
 other linearization exists.  Neighbors come from one node-major table,
 (n_nodes, n_offsets) local ids with -1 for an inactive lattice node,
-built with one np.roll per stencil offset.  Offsets are enumerated in
-itertools.product order, which is C order, so each table row is already
-sorted by local id whenever no support crosses the periodic seam (the
-extension guarantees that for every mask inside the physical box).  The
-table gives the neighbor lists, the per-node moment sums (one product of
-the 0/1 validity pattern with the per-offset basis products) and the
-shape values, which are stored as CSR matrices Psi and B_ax that all
-share the neighbor table's int32 index arrays.  Field evaluation and forces are
+built once per model with one np.roll per stencil offset.  Offsets are
+enumerated in C order, so each table row is already sorted by local id
+whenever no support crosses the periodic seam (the extension guarantees
+that for every mask inside the physical box).  The table gives the
+neighbor lists, and its 0/1 validity pattern gives the per-node moment
+sums (one product with the per-offset basis products) and the shape
+values, which are stored as CSR matrices Psi and B_ax that all share the
+neighbor table's int32 index arrays.  Field evaluation and forces are
 then sparse products with them.
 
 The moment matrices form the node-last stack (s, s, n_nodes), and
@@ -30,7 +30,9 @@ come from basis.monomial and basis.eval_kernel.
 
 The stiffness assembly keeps its explicit per-node loop of outer-product
 blocks: it is the O(N*M^2) neighbor work the paper's method avoids, and it
-is what the performance comparison times.
+is what the performance comparison times.  Each block lands in one dense
+node-major array over the box of two supports, whose columns are a second
+neighbor table over that box.
 
 Quadrature is direct nodal integration over the same nodes and trapezoid
 weights as the convolution path, which is what lets the two paths agree to
@@ -40,7 +42,6 @@ provided by `shape_functions_at`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +55,19 @@ from .moment import _b_rows
 
 __all__ = ["NeighborTable", "ReferenceModel"]
 
-# flush threshold for chunked COO -> CSR accumulation during assembly
-_TRIPLET_BUDGET = 8_000_000
+
+def _box(reach) -> np.ndarray:
+    """The lattice offsets o with |o_k| <= reach_k on every axis, (n, d) in
+    C order (row-major over the axes, last axis fastest)."""
+    reach = np.asarray(reach)
+    return np.indices(2 * reach + 1).reshape(len(reach), -1).T - reach
+
+
+def _indptr(keep: np.ndarray) -> np.ndarray:
+    """int32 CSR row pointers of a node-major (n_nodes, k) keep pattern."""
+    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return indptr
 
 
 def _stack_rows(stack: np.ndarray, dim: int, locate) -> np.ndarray:
@@ -132,6 +144,7 @@ class ReferenceModel:
 
         self._offsets, self._Hraw, self._Hvec = self._offset_tables()
         self._nbr: NeighborTable | None = None
+        self._valid: np.ndarray | None = None
         self._moment: np.ndarray | None = None
         self._rows: np.ndarray | None = None
         self._Psi: sp.csr_matrix | None = None
@@ -151,36 +164,34 @@ class ReferenceModel:
 
     def _offset_tables(self):
         """Stencil offsets with per-axis |o| < a_tilde (strict: the kernel
-        vanishes exactly at the support edge), the product of the per-axis
-        ranges 1 - ceil(a_tilde) .. ceil(a_tilde) - 1 in C order, and the
-        per-offset basis data H(-o*dx) and H(-o*dx)*phi(-o*dx), which
-        depend on the offset only (phi is even, bit for bit)."""
-        ranges = [range(1 - math.ceil(at), math.ceil(at))
-                  for at in self.a_tilde]
-        offsets = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+        vanishes exactly at the support edge), the box of per-axis reach
+        ceil(a_tilde) - 1 in C order, and the per-offset basis data
+        H(-o*dx) and H(-o*dx)*phi(-o*dx), which depend on the offset only
+        (phi is even, bit for bit)."""
+        offsets = _box([math.ceil(at) - 1 for at in self.a_tilde])
         disp = offsets * np.array(self.grid.spacing)  # x_J - x_S per offset
         return (offsets, *self._weighted_basis(-disp))  # argument x_S - x_J
 
-    def _neighbor_table(self) -> np.ndarray:
-        """Node-major (n_nodes, n_offsets) int32 table: the local id of each
-        active node's lattice neighbor at every stencil offset, -1 where
-        that neighbor is inactive.  Derived on demand, never stored."""
+    def _neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
+        """Node-major (n_nodes, len(offsets)) int32 table: the local id of
+        each active node's lattice neighbor at every offset (wrapped across
+        the periodic seam), -1 where that neighbor is inactive."""
         local_id = np.full(self.grid.shape, -1, dtype=np.int32)
         local_id[self.active] = np.arange(self.n_nodes, dtype=np.int32)
         axes = tuple(range(self.grid.dim))
-        table = np.empty((self.n_nodes, len(self._offsets)), dtype=np.int32)
-        for k, o in enumerate(self._offsets):
+        table = np.empty((self.n_nodes, len(offsets)), dtype=np.int32)
+        for k, o in enumerate(offsets):
             table[:, k] = np.roll(local_id, tuple(-o), axis=axes)[self.active]
         return table
 
     def find_neighbors(self) -> NeighborTable:
-        """Build (and cache) the ragged neighbor table."""
+        """Build (and cache) the ragged neighbor table from the stencil's
+        node-major table, whose validity pattern every later stage reads."""
         if self._nbr is None:
-            table = self._neighbor_table()
-            valid = table >= 0
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-            np.cumsum(valid.sum(axis=1), out=indptr[1:])
-            self._nbr = NeighborTable(indptr=indptr, ids=table[valid])
+            table = self._neighbor_table(self._offsets)
+            self._valid = table >= 0
+            self._nbr = NeighborTable(indptr=_indptr(self._valid),
+                                      ids=table[self._valid])
         return self._nbr
 
     def moment_matrices(self) -> np.ndarray:
@@ -191,10 +202,10 @@ class ReferenceModel:
         alpha_p + alpha_q of moment.assemble_moment_fields."""
         if self._moment is None:
             s = self.basis.size
-            valid = self._neighbor_table() >= 0
+            self.find_neighbors()
             outer = self._Hraw[:, :, None] * self._Hvec[:, None, :]
             self._moment = (
-                outer.reshape(-1, s * s).T @ valid.T.astype(float)
+                outer.reshape(-1, s * s).T @ self._valid.T.astype(float)
             ).reshape(s, s, self.n_nodes)
         return self._moment
 
@@ -229,11 +240,10 @@ class ReferenceModel:
         if self._Psi is None:
             rows = self.moment_rows()
             nbr = self.find_neighbors()
-            valid = self._neighbor_table() >= 0
             n = self.n_nodes
 
             def csr(b):
-                data = (b.T @ self._Hvec.T)[valid]
+                data = (b.T @ self._Hvec.T)[self._valid]
                 return sp.csr_matrix((data, nbr.ids, nbr.indptr), shape=(n, n))
 
             self._Psi = csr(rows[0])
@@ -245,56 +255,37 @@ class ReferenceModel:
     def assemble_stiffness(self) -> sp.csr_matrix:
         """Sparse stiffness K = sum_ax B_ax^T diag(V) B_ax under DNI (cached).
 
-        The O(N*M^2) assembly: per quadrature node, an M x M outer-product
-        block of its implicit gradients scattered into COO triplets, flushed
-        to CSR in chunks that are pairwise-merged at the end (a running sum
-        would re-touch the full matrix on every flush).  The pattern is the
-        shape matrices' own indptr and indices.
+        The O(N*M^2) assembly: per quadrature node S, the M x M block
+        (g^T g) V_S of its implicit gradients g is added into one dense
+        (n_nodes, n_slots) array, row id_a and slot o_b - o_a in the box of
+        two supports, which holds every pair two neighbors of S can form.
+        The rows of one block are distinct nodes, so one fancy-index add
+        takes it whole.  The slots' columns are the two-support neighbor
+        table; the nonzero sums of active columns become K, and
+        sum_duplicates merges the slots that fold onto one node when the
+        box is narrower than two supports.
         """
         if self._K is not None:
             return self._K
-        Psi, B = self.shape_matrices()
+        _, B = self.shape_matrices()
         dpsi = [B_ax.data for B_ax in B]
-        indptr, ids32 = Psi.indptr, Psi.indices
+        indptr, ids32 = self._nbr.indptr, self._nbr.ids
+        offs = np.nonzero(self._valid)[1]  # stencil offset of each pair
+        reach = 2 * self._offsets.max(axis=0)
+        pair = self._offsets[None, :, :] - self._offsets[:, None, :] + reach
+        slot = np.ravel_multi_index(tuple(np.moveaxis(pair, -1, 0)),
+                                    2 * reach + 1)  # [a, b] -> o_b - o_a
         n = self.n_nodes
-        chunks = []
-        rows, cols, vals, pending = [], [], [], 0
-
-        def flush():
-            chunks.append(
-                sp.coo_matrix(
-                    (np.concatenate(vals),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(n, n),
-                ).tocsr()
-            )
-
+        acc = np.zeros((n, int(np.prod(2 * reach + 1))))
         for S in range(n):
             sl = slice(indptr[S], indptr[S + 1])
-            ids = ids32[sl]
+            ids, k = ids32[sl], offs[sl]
             g = np.stack([dax[sl] for dax in dpsi])  # (d, M_S)
-            block = (g.T @ g) * self.V[S]
-            m = ids.size
-            rows.append(np.repeat(ids, m))
-            cols.append(np.tile(ids, m))
-            vals.append(block.ravel())
-            pending += m * m
-            if pending >= _TRIPLET_BUDGET:
-                flush()
-                rows, cols, vals, pending = [], [], [], 0
-        if pending:
-            flush()
-        while len(chunks) > 1:
-            merged = [
-                chunks[i] + chunks[i + 1] if i + 1 < len(chunks) else chunks[i]
-                for i in range(0, len(chunks), 2)
-            ]
-            chunks = merged
-        K = chunks[0]
-        # exact-zero sums: a single chunk's coo -> csr keeps them, a merge
-        # drops them, so the stored count would depend on _TRIPLET_BUDGET
-        K.eliminate_zeros()
-        K.sort_indices()
+            acc[ids[:, None], slot[k[:, None], k]] += (g.T @ g) * self.V[S]
+        cols = self._neighbor_table(_box(reach))
+        keep = (cols >= 0) & (acc != 0.0)
+        K = sp.csr_matrix((acc[keep], cols[keep], _indptr(keep)), shape=(n, n))
+        K.sum_duplicates()
         self._K = K
         return K
 
@@ -393,7 +384,9 @@ class ReferenceModel:
 
     def persistent_nbytes(self) -> int:
         """Bytes held by the traditional data structures: node table,
-        neighbor lists, and the assembled sparse stiffness."""
+        neighbor lists, and the assembled sparse stiffness.  The stencil's
+        validity pattern, the moment stack and rows and the shape matrices
+        are setup intermediates and are not counted."""
         total = (
             self.coords.nbytes + self.V.nbytes + self.active.nbytes
             + self.gamma_mask.nbytes

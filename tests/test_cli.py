@@ -78,6 +78,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="experiment"):
             load_config({"version": 1})
 
+    def test_unhashable_experiment_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown experiment \[\]"):
+            load_config({"version": 1, "experiment": []})
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -120,6 +124,12 @@ class TestExitCodes:
         assert main([experiment, "--config", path, "--out", str(out)]) == 2
         assert "config error: a_tilde=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_object_config_is_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "list.json", [1, 2])
+        assert main(["verify", "--config", path]) == 2
+        assert ("config error: config must be a JSON object"
+                in capsys.readouterr().err)
 
     def test_wrong_experiment_is_2(self, tmp_path):
         path = _write(tmp_path, "v.json", {"version": 1, "experiment": "verify"})

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from fcrkpm import (
     KernelSpec,
+    PeriodicGrid,
     build_grid,
     discretize,
     enumerate_basis,
@@ -13,7 +14,6 @@ from fcrkpm import (
     poisson_case,
     quadrature_weights,
 )
-from fcrkpm import reference
 from fcrkpm.errors import SingularMomentError
 from fcrkpm.reference import ReferenceModel
 
@@ -162,57 +162,63 @@ class TestStiffness:
         total = float(np.sum(ref2d.lumped_mass_direct()))
         assert total == pytest.approx(np.sum(ref2d.V), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "dim,counts,n,a_tilde",
-        [(1, 32, 1, 1.5), (2, 16, 1, 1.5), (3, 10, 1, 1.5), (3, 12, 2, 2.5)],
-    )
-    def test_matches_gradient_products(self, dim, counts, n, a_tilde, monkeypatch):
-        # the per-node loop equals sum_ax B_ax^T diag(V) B_ax entry by entry,
-        # with a triplet budget small enough that the flushed chunks go
-        # through the pairwise merge, odd leftover chunk included
-        disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts)
-        ref = disc.reference()
-        Psi, B = ref.shape_matrices()
-        triplets = int(np.sum(np.diff(Psi.indptr).astype(np.int64) ** 2))
-        monkeypatch.setattr(reference, "_TRIPLET_BUDGET", triplets // 20 + 1)
-        flushes = []
-        coo = reference.sp.coo_matrix
-        monkeypatch.setattr(
-            reference.sp, "coo_matrix",
-            lambda *args, **kw: flushes.append(1) or coo(*args, **kw),
-        )
+    @pytest.mark.parametrize("case", [
+        (1, 32, 1, 1.5), (2, 16, 1, 1.5), (3, 10, 1, 1.5), (3, 12, 2, 2.5),
+        ("whole", 8, 3.5), ("whole", 9, 2.5), ("rolled",),
+    ], ids=lambda case: "-".join(map(str, case)))
+    def test_matches_gradient_products(self, case):
+        # the per-node loop equals sum_ax B_ax^T diag(V) B_ax entry by entry
+        # and stores neither an exact zero nor a duplicate or unsorted column
+        ref = _stiffness_model(case)
         K = ref.assemble_stiffness()
-        chunks = len(flushes)
-        monkeypatch.undo()
-        # a chunk count that is not a power of two leaves an odd count at
-        # some merge level
-        assert chunks >= 3 and chunks & (chunks - 1)
+        _, B = ref.shape_matrices()
         K_ref = sum(B_ax.T @ sp.diags(ref.V) @ B_ax for B_ax in B)
         scale = abs(K_ref).max()
         assert abs(K - K_ref).max() <= 1e-13 * scale
+        assert np.all(K.data != 0.0)
+        assert K.has_canonical_format
 
-    def test_stored_entries_independent_of_budget(self, monkeypatch):
-        # a single chunk's coo -> csr keeps the exact-zero sums and the
-        # pairwise merge drops them; K stores neither, whatever the budget
-        disc = discretize(poisson_case(2), n=1, a_tilde=1.5, counts=16)
-        K_one = disc.reference().assemble_stiffness()
-        ref = disc.reference()
-        Psi, _ = ref.shape_matrices()
-        triplets = int(np.sum(np.diff(Psi.indptr).astype(np.int64) ** 2))
-        assert triplets < reference._TRIPLET_BUDGET  # the default: one chunk
-        monkeypatch.setattr(reference, "_TRIPLET_BUDGET", triplets // 4 + 1)
-        flushes = []
-        coo = reference.sp.coo_matrix
+    def test_neighbor_table_built_once_per_offset_set(self, disc2d,
+                                                      monkeypatch):
+        # the stencil's table serves the neighbor lists, the moments and the
+        # shape values; the assembly adds the two-support table
+        calls = []
+        build = ReferenceModel._neighbor_table
         monkeypatch.setattr(
-            reference.sp, "coo_matrix",
-            lambda *args, **kw: flushes.append(1) or coo(*args, **kw),
+            ReferenceModel, "_neighbor_table",
+            lambda self, offsets: calls.append(len(offsets))
+            or build(self, offsets),
         )
-        K_merged = ref.assemble_stiffness()
-        monkeypatch.undo()
-        assert len(flushes) >= 3
-        assert K_one.nnz == K_merged.nnz
-        assert np.all(K_one.data != 0.0) and np.all(K_merged.data != 0.0)
-        assert abs(K_one - K_merged).max() <= 1e-14 * abs(K_one).max()
+        ref = disc2d.reference()
+        ref.find_neighbors()
+        ref.moment_rows()
+        ref.assemble_stiffness()
+        assert calls == [9, 25]
+
+
+def _stiffness_model(case):
+    """ReferenceModel of a stiffness case: a Poisson cell (dim, counts, n,
+    a_tilde); chi = 1 on the whole periodic 2D box of N x N nodes ("whole",
+    N, a_tilde), where the box of two supports (4 ceil(a_tilde) - 3 nodes
+    per axis) folds onto itself at N = 8, a_tilde = 3.5 and just fits at
+    N = 9, a_tilde = 2.5; or the 2D 16^2 cell's mask and weights rolled by
+    half the box across the periodic seam ("rolled",), whose neighbor rows
+    are not sorted by id."""
+    if case[0] == "whole":
+        _, N, a_tilde = case
+        grid = PeriodicGrid(x_min=(0.0, 0.0), length=(1.0, 1.0), counts=(N, N))
+        chi = np.ones(grid.shape)
+        kernel = KernelSpec(tuple(a_tilde * dx for dx in grid.spacing))
+        return ReferenceModel(grid, chi, quadrature_weights(grid, chi),
+                              enumerate_basis(1, 2), kernel)
+    if case[0] == "rolled":
+        disc = discretize(poisson_case(2), n=1, a_tilde=1.5, counts=16)
+        half = [k // 2 for k in disc.grid.shape]
+        chi, V = (np.roll(f, half, (0, 1)) for f in (disc.chi, disc.V))
+        return ReferenceModel(disc.grid, chi, V, disc.basis, disc.kernel)
+    dim, counts, n, a_tilde = case
+    disc = discretize(poisson_case(dim), n=n, a_tilde=a_tilde, counts=counts)
+    return disc.reference()
 
 
 class TestDirectTerms:
