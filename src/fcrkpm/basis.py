@@ -73,7 +73,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, check_support
 
 __all__ = [
     "BasisIndex",
@@ -185,8 +185,9 @@ def weighted_monomials(grid: PeriodicGrid, kernel: KernelSpec, exponents):
 
 def _footprint_reach(grid: PeriodicGrid, kernel: KernelSpec) -> list[int]:
     """Nodes the kernel footprint reaches along each axis: the offsets
-    i dx_k with phi_a(i dx_k) > 0, so r_k = floor(a_tilde) unless a_tilde
-    is a whole number."""
+    i dx_k with phi_a(i dx_k) > 0, r_k = ceil(a_tilde) - 1 (phi vanishes at
+    the support edge).  The FFT path and the direct-summation oracle both
+    read it."""
     return [
         np.count_nonzero(eval_kernel_1d(dx * np.arange(1, n // 2 + 1), a))
         for n, dx, a in zip(grid.counts, grid.spacing, kernel.support)
@@ -275,17 +276,12 @@ def build_basis_table(
     runs.
 
     Raises:
-        ValueError: if any kernel support reaches half the box period (a
-            shape function would wrap across the periodic seam).
+        ValueError: if any kernel support reaches half the box period
+            (grid.check_support).
     """
     if basis.dim != grid.dim or kernel.dim != grid.dim:
         raise ValueError("grid, basis, and kernel dimensions must agree")
-    for k, (a, L) in enumerate(zip(kernel.support, grid.length)):
-        if a >= L / 2:
-            raise ValueError(
-                f"kernel support {a} along axis {k} reaches half the box "
-                f"period {L}; convolutions would wrap"
-            )
+    check_support(kernel.support, grid.length)
     sums = axis_sums(grid, kernel, basis.degree)
     hat_Ha = np.empty((basis.size,) + grid.shape)
     for p, alpha in enumerate(basis.exponents):

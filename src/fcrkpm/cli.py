@@ -5,9 +5,12 @@ experiment accepts only the keys it reads; every key is schema-checked and
 any other key is rejected before any compute starts.
 Outputs are plot-ready CSVs (converge, bench, diffuse) or a JSON report
 (verify).  Exit codes: 0 success, 1 check failure or a solve that did not
-converge (the CSV is still written), 2 config error (a support too wide
-for one of the config's grids included: every grid is planned before any
-compute) or an output directory that cannot be created.
+converge (the CSV is still written), 2 config error or an output
+directory that cannot be created.  Config errors include a support too
+wide for one of the config's grids (an extension that consumes the box,
+or a kernel support that reaches half the box period: every grid is
+planned before any compute), a basis degree n below 1 and a converge
+powers list that repeats a power.
 
 Numeric CSV payloads are deterministic for a fixed config and seed
 (timing columns excepted): random inputs come from a seeded generator and
@@ -79,7 +82,7 @@ def _is_number(v):
 # the validators (validator, default) that more than one experiment shares;
 # a None default: the program picks the value
 _DIM = (lambda v: v in (1, 2, 3), 2)
-_N = (lambda v: isinstance(v, int) and v >= 0, 1)
+_N = (lambda v: isinstance(v, int) and v >= 1, 1)
 _A_TILDE = (lambda v: _is_number(v) and v >= 1, 1.5)
 _SEED = (lambda v: isinstance(v, int) and v >= 0, 0)
 _TOL = (lambda v: _is_number(v) and v > 0, 1e-12)
@@ -147,19 +150,12 @@ def _check_plans(cfg: dict) -> None:
             raise ConfigError(f"a_tilde={a_tilde!r}: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     finally:
         if path:
             out.close()
@@ -329,7 +325,8 @@ _EXPERIMENTS = {
         "powers": (
             lambda v: isinstance(v, list)
             and len(v) >= 3
-            and all(isinstance(p, int) and 2 <= p <= 12 for p in v),
+            and all(isinstance(p, int) and 2 <= p <= 12 for p in v)
+            and len(set(v)) == len(v),
             None,  # resolved per dim
         ),
     }),

@@ -5,12 +5,16 @@ extending Omega's bounding box along the positive direction of each axis.
 The extension l_e must exceed the kernel support so no shape function wraps
 across the periodic seam.  With m = floor(a_tilde), the minimum extension is
 
-    l_e = (m + 1) * dx                                  (spacing given)
+    l_e = (m + 1) * h                                   (spacing h given)
 
 (then grown by whole spacings until N is a fast FFT size), and, when the
 node count N per axis is chosen first (powers of two make the FFTs fastest),
 
-    l_e = (m + 1) * L_omega / (N - m - 1),   dx = (L_omega + l_e) / N.
+    l_e = (m + 1) * L_omega / (N - m - 1).
+
+In both modes the spacing is dx = (L_omega + l_e) / N, the one value the
+plan, the lattice and every stencil read.  A kernel support that reaches
+half the box period is refused (check_support).
 
 Nodes are laid out uniformly, node i at x_min + i*dx (0-based), and the box
 is periodic with period L = N*dx.  Fields are plain grid-shaped numpy
@@ -26,7 +30,7 @@ marks the nodes the solvers actually update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -35,6 +39,7 @@ __all__ = [
     "PeriodicGrid",
     "ExtensionPlan",
     "plan_extension",
+    "check_support",
     "build_grid",
     "build_masks",
     "quadrature_weights",
@@ -51,13 +56,11 @@ class PeriodicGrid:
         x_min: per-axis origin.
         length: per-axis period length L_k.
         counts: per-axis node count N_k (>= 4).
-        spacing: per-axis spacing, always exactly length/counts.
     """
 
     x_min: tuple[float, ...]
     length: tuple[float, ...]
     counts: tuple[int, ...]
-    spacing: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if not (1 <= len(self.counts) <= 3):
@@ -68,9 +71,11 @@ class PeriodicGrid:
             raise ValueError(f"need at least 4 nodes per axis, got {self.counts}")
         if any(L <= 0 for L in self.length):
             raise ValueError(f"period lengths must be positive, got {self.length}")
-        object.__setattr__(
-            self, "spacing", tuple(L / n for L, n in zip(self.length, self.counts))
-        )
+
+    @property
+    def spacing(self) -> tuple[float, ...]:
+        """Per-axis spacing dx_k = L_k / N_k."""
+        return tuple(L / n for L, n in zip(self.length, self.counts))
 
     @property
     def dim(self) -> int:
@@ -129,30 +134,50 @@ class PeriodicGrid:
 class ExtensionPlan:
     """Resolved extension of a physical box to a periodic box.
 
-    a_tilde is the kernel support in units of the spacing; m = floor(a_tilde).
-    The extension per axis is l_e >= (m+1)*dx and the kernel support
-    a = a_tilde*dx stays strictly below l_e, so nothing wraps across the seam.
+    The plan holds what plan_extension chooses, the extension l_e and the
+    node count N per axis, and derives the rest: the box length L + l_e,
+    the spacing dx = (L + l_e)/N (build_grid's, bit for bit),
+    m = floor(a_tilde) and the kernel support a = a_tilde*dx.  The
+    extension is l_e >= (m+1)*dx, so a stays strictly below it and nothing
+    wraps across the seam.
     """
 
     domain_length: tuple[float, ...]
     a_tilde: tuple[float, ...]
-    m: tuple[int, ...]
     extension: tuple[float, ...]
     counts: tuple[int, ...]
-    spacing: tuple[float, ...]
 
     @property
     def dim(self) -> int:
         return len(self.counts)
 
     @property
+    def m(self) -> tuple[int, ...]:
+        return tuple(math.floor(a) for a in self.a_tilde)
+
+    @property
     def box_length(self) -> tuple[float, ...]:
         return tuple(L + e for L, e in zip(self.domain_length, self.extension))
+
+    @property
+    def spacing(self) -> tuple[float, ...]:
+        return tuple(L / n for L, n in zip(self.box_length, self.counts))
 
     @property
     def kernel_support(self) -> tuple[float, ...]:
         """Physical support a_k = a_tilde_k * dx_k."""
         return tuple(a * dx for a, dx in zip(self.a_tilde, self.spacing))
+
+
+def check_support(support, length) -> None:
+    """Raise ValueError if a kernel support reaches half its box period
+    along any axis: a shape function would wrap across the periodic seam."""
+    for k, (a, L) in enumerate(zip(support, length)):
+        if a >= L / 2:
+            raise ValueError(
+                f"kernel support {a} along axis {k} reaches half the box "
+                f"period {L}; convolutions would wrap"
+            )
 
 
 def _per_axis(value, dim, name):
@@ -176,15 +201,20 @@ def plan_extension(
     Exactly one of `counts` (fix-count mode: total nodes per axis chosen
     first, typically a power of two) or `spacing` (fix-spacing mode: nodal
     spacing chosen first) must be given.  In both modes the far boundary of
-    the physical box lands on a lattice node.
+    the physical box lands on a lattice node, and the plan's spacing is
+    box length / N.
 
     Args:
         domain_length: per-axis extent of the physical box (scalar or tuple).
         a_tilde: per-axis normalized kernel support, >= 1.
         counts: per-axis total node count N (fix-count mode).
-        spacing: per-axis nodal spacing dx (fix-spacing mode).  The
-            extension grows beyond its (m+1)*dx minimum until N is the next
+        spacing: per-axis nodal spacing h (fix-spacing mode).  The
+            extension grows beyond its (m+1)*h minimum until N is the next
             fast FFT size, scipy.fft.next_fast_len (11-smooth).
+
+    Raises:
+        ValueError: on an inadmissible box, including a kernel support
+            that reaches half the box period (check_support).
     """
     if (counts is None) == (spacing is None):
         raise ValueError("give exactly one of counts= or spacing=")
@@ -210,31 +240,27 @@ def plan_extension(
                     "would consume the whole box"
                 )
         l_e = tuple((mk + 1) * lk / (n - mk - 1) for lk, mk, n in zip(L, m, N))
-        dx = tuple((lk + ek) / n for lk, ek, n in zip(L, l_e, N))
     else:
-        dx = tuple(float(h) for h in _per_axis(spacing, dim, "spacing"))
-        if any(h <= 0 for h in dx):
-            raise ValueError(f"spacings must be positive, got {dx}")
-        l_e = tuple((mk + 1) * h for mk, h in zip(m, dx))
-        N = tuple(
-            int(round((lk + ek) / h)) for lk, ek, h in zip(L, l_e, dx)
-        )
-        for lk, h, n, mk in zip(L, dx, N, m):
-            if abs(lk / h - round(lk / h)) > 1e-9:
+        h = tuple(float(x) for x in _per_axis(spacing, dim, "spacing"))
+        if any(x <= 0 for x in h):
+            raise ValueError(f"spacings must be positive, got {h}")
+        cells = tuple(round(lk / hk) for lk, hk in zip(L, h))
+        for lk, hk, c in zip(L, h, cells):
+            if abs(lk / hk - c) > 1e-9:
                 raise ValueError(
-                    f"spacing {h} does not divide the domain length {lk}; "
+                    f"spacing {hk} does not divide the domain length {lk}; "
                     "the far boundary would miss the lattice"
                 )
-            if n <= mk + 1:
-                raise ValueError(f"N={n} too small for extension m+1={mk + 1}")
-        padded = tuple(scipy.fft.next_fast_len(n) for n in N)
-        l_e = tuple(
-            ek + (nf - n) * h for ek, nf, n, h in zip(l_e, padded, N, dx)
-        )
-        N = padded
-    return ExtensionPlan(
-        domain_length=L, a_tilde=at, m=m, extension=l_e, counts=N, spacing=dx
-    )
+        try:
+            N = tuple(scipy.fft.next_fast_len(c + mk + 1)
+                      for c, mk in zip(cells, m))
+        except OverflowError as exc:
+            raise ValueError(f"a_tilde={at} needs more nodes than an FFT "
+                             "size can hold") from exc
+        l_e = tuple((n - c) * hk for n, c, hk in zip(N, cells, h))
+    plan = ExtensionPlan(domain_length=L, a_tilde=at, extension=l_e, counts=N)
+    check_support(plan.kernel_support, plan.box_length)
+    return plan
 
 
 def build_grid(plan: ExtensionPlan, x_min) -> PeriodicGrid:

@@ -39,9 +39,9 @@ that no such matrix passes silently).  The b-rows are the row extracts
     rows[1 + ax, p] = -[M^-1]_{2+ax, p}    (implicit-gradient rows bgrad)
 
 Off a boundary band they are one constant.  An active node whose kernel
-footprint (r_k = floor(a_tilde) nodes per axis, wrapped) holds no inactive
-node sees the full lattice stencil, so its moment matrix is the interior
-one, M_c: the interior of the method is a pure convolution.  M_c is
+footprint (r_k = ceil(a_tilde) - 1 nodes per axis, wrapped) holds no
+inactive node sees the full lattice stencil, so its moment matrix is the
+interior one, M_c: the interior of the method is a pure convolution.  M_c is
 derived, not sampled (interior_moments), and so is the band, from the
 geometry alone (boundary_band, a periodic box dilation of the inactive
 mask); invert_moments checks loudly that every active node off it carries
@@ -56,8 +56,8 @@ persists is
 next to chi and the quadrature weights, which are stored masked
 (V = chi o V) so that no operator has to multiply by chi o V again.  The
 operators read the rows only where chi or V is nonzero, so inactive nodes
-carry c like the interior; dense_rows() spreads the layout over the grid
-for tests and oracle comparisons.  The band grows with the surface and
+carry c like the interior (the tests spread the layout over the grid to
+compare it with the oracle).  The band grows with the surface and
 with a_tilde (about 11.5 % of a 48^3 box at a_tilde = 1.5, 21 % at 2.5):
 this part of the memory is not independent of the support size.
 """
@@ -124,15 +124,6 @@ class MomentPrecomp:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    def dense_rows(self) -> np.ndarray:
-        """The (1 + d, s, *grid.shape) b-row fields: c everywhere, band_rows
-        on the band.  Built on every call and never kept; the operators do
-        not use it."""
-        rows = np.empty(self.c.shape + (self.grid.total_nodes,))
-        rows[...] = self.c[..., None]
-        rows[..., self.band] = self.band_rows
-        return rows.reshape(self.c.shape + self.grid.shape)
 
     def persistent_nbytes(self) -> int:
         """Bytes held by the precomputed arrays (masks and weights included)."""

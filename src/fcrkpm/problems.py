@@ -136,7 +136,7 @@ def continuous_l2_error_1d(d, exact, model: ReferenceModel) -> float:
 
 def convergence_slope(h, e) -> float:
     """Least-squares slope of log(e) vs log(h) over the SLOPE_POINTS
-    finest points."""
+    finest points, which must be SLOPE_POINTS distinct h."""
     h = np.asarray(h, dtype=float)
     e = np.asarray(e, dtype=float)
     if h.size != e.size or h.size < SLOPE_POINTS:
@@ -145,6 +145,8 @@ def convergence_slope(h, e) -> float:
         raise ValueError("h and e must be positive for a log-log fit")
     order = np.argsort(h)
     h, e = h[order][:SLOPE_POINTS], e[order][:SLOPE_POINTS]
+    if np.unique(h).size < h.size:
+        raise ValueError(f"the fit points repeat an h: {h.tolist()}")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 

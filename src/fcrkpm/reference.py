@@ -42,14 +42,14 @@ provided by `shape_functions_at`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import BasisIndex, KernelSpec, eval_kernel, monomial
+from .basis import (BasisIndex, KernelSpec, _footprint_reach, eval_kernel,
+                    monomial)
 from .grid import PeriodicGrid
 from .moment import _b_rows
 
@@ -125,11 +125,6 @@ class ReferenceModel:
         self.grid = grid
         self.basis = basis
         self.kernel = kernel
-        # per-axis support in spacings; rounded so the strict |o| < a_tilde
-        # neighbor test is immune to rounding in a = a_tilde * dx
-        self.a_tilde = tuple(
-            round(a / dx, 9) for a, dx in zip(kernel.support, grid.spacing)
-        )
 
         self.active = chi > 0.5
         self.n_nodes = int(np.count_nonzero(self.active))
@@ -163,12 +158,11 @@ class ReferenceModel:
         return H, H * eval_kernel(coords, self.kernel)[:, None]
 
     def _offset_tables(self):
-        """Stencil offsets with per-axis |o| < a_tilde (strict: the kernel
-        vanishes exactly at the support edge), the box of per-axis reach
-        ceil(a_tilde) - 1 in C order, and the per-offset basis data
-        H(-o*dx) and H(-o*dx)*phi(-o*dx), which depend on the offset only
-        (phi is even, bit for bit)."""
-        offsets = _box([math.ceil(at) - 1 for at in self.a_tilde])
+        """Stencil offsets, the box of the kernel footprint's per-axis reach
+        (basis._footprint_reach, the FFT path's) in C order, and the
+        per-offset basis data H(-o*dx) and H(-o*dx)*phi(-o*dx), which
+        depend on the offset only (phi is even, bit for bit)."""
+        offsets = _box(_footprint_reach(self.grid, self.kernel))
         disp = offsets * np.array(self.grid.spacing)  # x_J - x_S per offset
         return (offsets, *self._weighted_basis(-disp))  # argument x_S - x_J
 

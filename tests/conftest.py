@@ -52,11 +52,22 @@ def failed(checks):
     return [c for c in checks if not c["passed"]]
 
 
+def dense_rows(precomp):
+    """The (1 + d, s, *grid.shape) b-row fields of a MomentPrecomp: c
+    everywhere, band_rows on the band."""
+    rows = np.empty(precomp.c.shape + (precomp.grid.total_nodes,))
+    rows[...] = precomp.c[..., None]
+    rows[..., precomp.band] = precomp.band_rows
+    return rows.reshape(precomp.c.shape + precomp.grid.shape)
+
+
 def footprint_band(chi, grid, support):
     """Flat indices of the active nodes with an inactive node within
-    floor(a_k / dx_k) nodes along every axis k (wrapped), by one roll of
-    the inactive mask per offset of that box."""
-    reach = [int(a / dx) for a, dx in zip(support, grid.spacing)]
+    r_k nodes along every axis k (wrapped), r_k the number of offsets
+    i dx_k strictly inside the support a_k (ceil(a_k / dx_k) - 1), by one
+    roll of the inactive mask per offset of that box."""
+    reach = [int(np.count_nonzero(dx * np.arange(1, n) < a))
+             for a, dx, n in zip(support, grid.spacing, grid.counts)]
     inactive = chi < 0.5
     near = np.zeros(chi.shape, dtype=bool)
     for offset in itertools.product(*(range(-r, r + 1) for r in reach)):

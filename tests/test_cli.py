@@ -5,10 +5,17 @@ import json
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
 from fcrkpm.bench import CSV_HEADER
-from fcrkpm.cli import CONVERGE_HEADER, ConfigError, load_config, main
+from fcrkpm.cli import (
+    CONVERGE_HEADER,
+    ConfigError,
+    _write_csv,
+    load_config,
+    main,
+)
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
@@ -44,9 +51,20 @@ class TestConfigValidation:
             {"version": 1, "experiment": "diffuse", "dt": -0.1},
             {"version": 1, "experiment": "bench", "reps": 2},
             {"version": 1, "experiment": "converge", "a_tilde": 0.5},
+            {"version": 1, "experiment": "converge", "n": 0},
+            {"version": 1, "experiment": "diffuse", "n": 0},
+            {"version": 1, "experiment": "bench", "n": 0},
         ]:
             with pytest.raises(ConfigError):
                 load_config(doc)
+
+    def test_repeated_powers_rejected(self):
+        # a repeated power fits one h twice: the slope row would be
+        # meaningless
+        for powers in ([3, 3, 3], [3, 4, 4, 5]):
+            with pytest.raises(ConfigError, match="'powers'"):
+                load_config({"version": 1, "experiment": "converge",
+                             "powers": powers})
 
     def test_committed_configs_valid(self):
         configs = sorted(CONFIGS.glob("*.json"))
@@ -112,6 +130,11 @@ class TestExitCodes:
         ("converge", {"dim": 2, "powers": [2, 3, 4], "a_tilde": 3.5}),
         ("diffuse", {"dim": 1, "counts": 16, "a_tilde": 100}),
         ("bench", {"dim": 1, "a_tilde_values": [1.5, 1e30]}),
+        # plans whose support reaches half the box: refused by the plan
+        # itself, not first by the basis table mid-run
+        ("converge", {"dim": 1, "a_tilde": 2.5, "powers": [2, 3, 4]}),
+        ("converge", {"dim": 2, "a_tilde": 4.5, "powers": [3, 4, 5]}),
+        ("bench", {"dim": 1, "nodes_per_axis": [6], "a_tilde_values": [5.5]}),
     ])
     def test_support_too_wide_for_a_grid_is_2(self, tmp_path, capsys,
                                              experiment, keys):
@@ -233,6 +256,18 @@ def bench_rows(tmp_path_factory):
     )
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     return _read_csv(str(out))
+
+
+class TestWriteCSV:
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        # csv.writer writes str(v): numpy scalars as plain numbers (not
+        # numpy 2's repr np.float64(0.1)), floats at full precision, None
+        # as an empty field
+        out = tmp_path / "w.csv"
+        _write_csv(str(out), ["a", "b", "c", "d"],
+                   [[np.float64(0.1), 1 / 3, np.int64(7), None]])
+        assert _read_csv(str(out)) == [["a", "b", "c", "d"],
+                                       ["0.1", repr(1 / 3), "7", ""]]
 
 
 class TestConvergeCSV:

@@ -96,6 +96,24 @@ class TestBuildGrid:
             assert np.min(np.abs(ax - 1.0)) < 1e-12 * grid.length[0]
 
 
+class TestOneGeometry:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plan_spacing_is_the_lattice_spacing(self, dim):
+        # fix-count and fix-spacing plans (6-40 nodes on [-1, 1]) hold the
+        # lattice's spacing bit for bit, and the plan itself refuses a
+        # support that reaches half the box (box = N dx in count mode)
+        for nodes in range(6, 41):
+            for at in (1.5, 2.0, 2.5, 3.0, 3.5):
+                for kw in ({"counts": nodes}, {"spacing": 2.0 / (nodes - 1)}):
+                    if "counts" in kw and 2 * at >= nodes:
+                        with pytest.raises(ValueError, match="half the box"):
+                            plan_extension((2.0,) * dim, at, **kw)
+                        continue
+                    plan = plan_extension((2.0,) * dim, at, **kw)
+                    grid = build_grid(plan, (-1.0,) * dim)
+                    assert grid.spacing == plan.spacing
+
+
 class TestWrapCoordinate:
     def test_examples(self):
         from fcrkpm.grid import PeriodicGrid

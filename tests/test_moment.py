@@ -50,7 +50,7 @@ from fcrkpm.moment import (
 from fcrkpm.reference import ReferenceModel
 from fcrkpm.verify import rel_err
 
-from conftest import footprint_band
+from conftest import dense_rows, footprint_band
 
 
 def _setup_1d(n_nodes=16):
@@ -108,7 +108,7 @@ def _assert_rows_match_numpy(disc):
     active = disc.chi > 0.5
     inv_np = np.linalg.inv(_matrices(M, disc.table)[..., active]
                            .transpose(2, 0, 1))
-    rows = invert_moments(M, disc.chi, disc.V, disc.table).dense_rows()
+    rows = dense_rows(invert_moments(M, disc.chi, disc.V, disc.table))
     b0, bgrad = rows[0][:, active], rows[1:][..., active]
     for p in range(s):
         assert np.max(np.abs(b0[p] - inv_np[:, 0, p])) < 1e-12 * np.max(
@@ -215,7 +215,7 @@ class TestInversion:
         precomp = build_moment_precomp(chi, V, table)
         outside = chi < 0.5
         assert np.any(outside)
-        rows = precomp.dense_rows()
+        rows = dense_rows(precomp)
         assert np.all(rows[..., outside] == precomp.c[..., None])
         assert not np.any(outside.ravel()[precomp.band])
         assert np.all(precomp.V[outside] == 0.0)
@@ -225,13 +225,13 @@ class TestInversion:
         grid, chi, V, table = _setup_1d()
         precomp = build_moment_precomp(chi, V, table)
         mid = 5
-        b0 = precomp.dense_rows()[0]
+        b0 = dense_rows(precomp)[0]
         assert b0[0][mid] == pytest.approx(81.0 / 62.0, rel=1e-12)
         assert b0[1][mid] == pytest.approx(0.0, abs=1e-12)
 
     def test_3d_quadratic_inverts(self, disc3d):
         # 27 neighbors suffice for s = 4; also check s = 10 with wider support
-        assert disc3d.precomp.dense_rows()[0, 0].shape == disc3d.grid.shape
+        assert dense_rows(disc3d.precomp)[0, 0].shape == disc3d.grid.shape
 
     def test_matches_numpy_inverse(self, disc2d):
         _assert_rows_match_numpy(disc2d)
@@ -298,7 +298,7 @@ class TestInversion:
         # each row set relative to its own maximum; entries that vanish
         # analytically are rounding noise on both paths
         rows = ref2d.moment_rows()
-        fc = disc2d.precomp.dense_rows()[..., ref2d.active]
+        fc = dense_rows(disc2d.precomp)[..., ref2d.active]
         assert fc.shape == rows.shape
         assert rel_err(fc[0], rows[0]) < 1e-10
         assert rel_err(fc[1:], rows[1:]) < 1e-10
@@ -437,9 +437,11 @@ class TestSlabs:
 class TestBand:
     """The boundary band, its edge cases, and the interior check."""
 
-    # two wide-band cells, then the cells of fcrkpm verify
+    # two wide-band cells, a whole-number support, then the cells of
+    # fcrkpm verify
     @pytest.mark.parametrize("dim,counts,n,a_tilde", [
-        (2, 64, 2, 2.5), (3, 32, 2, 2.5), (1, 64, 1, 1.5), (1, 64, 2, 2.5),
+        (2, 64, 2, 2.5), (3, 32, 2, 2.5), (2, 32, 1, 3.0),
+        (1, 64, 1, 1.5), (1, 64, 2, 2.5),
         (2, 32, 1, 1.5), (2, 32, 2, 2.5), (3, 12, 1, 1.5), (3, 16, 2, 2.5),
     ])
     def test_band_is_the_footprint_boundary(self, dim, counts, n, a_tilde):
@@ -457,6 +459,15 @@ class TestBand:
         Mc = interior_moments(disc.table)
         deviation, _ = off_band_deviation(M, disc.chi, band, Mc)
         assert deviation <= INTERIOR_RTOL
+
+    @pytest.mark.parametrize("nodes", [20, 21, 22, 23])
+    def test_whole_number_support_band_is_one_ring(self, nodes):
+        # a_tilde = 2 reaches 1 node, so on the fix-spacing lattice the
+        # band is the box's outer ring of active nodes, whatever the
+        # padded node count
+        disc = discretize(poisson_case(2), a_tilde=2.0,
+                          spacing=2.0 / (nodes - 1))
+        assert disc.precomp.band.size == 4 * (nodes - 1)
 
     def test_package_import_leaves_out_scipy_ndimage(self):
         # the band is a rolled-mask dilation: nothing in the package needs

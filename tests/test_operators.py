@@ -46,7 +46,7 @@ from fcrkpm.verify import (
     transform_count_checks,
 )
 
-from conftest import failed
+from conftest import dense_rows, failed
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ class TestStackedRows:
     def test_internal_force_equals_per_row_loop(self, dim, discs, rng):
         d = discs[dim]
         pc = d.precomp
-        bgrad = pc.dense_rows()[1:]
+        bgrad = dense_rows(pc)[1:]
         coeff = rng.standard_normal(d.grid.shape)
         # the loop applies c_p (1 or i) and the reflection sign entry by
         # entry, sums the gather over p and each mixed field
@@ -166,7 +166,7 @@ def _dense_gather(d, rows, precomp, provider):
     d_hat *= 1j
     for p in odd:
         G[p] = inverse(d_hat * hat_Ha[p], provider)
-    return np.einsum("kp...,p...->k...", precomp.dense_rows()[rows], G)
+    return np.einsum("kp...,p...->k...", dense_rows(precomp)[rows], G)
 
 
 def _dense_scatter(fields, w, rows, precomp, provider):
@@ -174,7 +174,7 @@ def _dense_scatter(fields, w, rows, precomp, provider):
     hat_Ha = precomp.table.hat_Ha
     even, odd = precomp.table.parity_split
     m = np.einsum(
-        "kp...,k...,...->p...", precomp.dense_rows()[rows], fields, w
+        "kp...,k...,...->p...", dense_rows(precomp)[rows], fields, w
     )
     B_hat = np.zeros(hat_Ha.shape[1:], dtype=complex)
     for p in even:

@@ -106,6 +106,16 @@ class TestConvergenceSlope:
         with pytest.raises(ValueError):
             convergence_slope([0.1, 0.2, 0.3], [1.0, 0.0, 3.0])
 
+    def test_repeated_h_rejected(self):
+        # three fits of one h leave the slope undefined; a repeat among
+        # the coarse points outside the fit does not matter
+        with pytest.raises(ValueError, match="repeat an h"):
+            convergence_slope([0.1, 0.1, 0.1], [1.0, 1.1, 1.2])
+        with pytest.raises(ValueError, match="repeat an h"):
+            convergence_slope([0.4, 0.1, 0.1, 0.05], [4.0, 1.0, 1.1, 0.3])
+        h = np.array([0.4, 0.4, 0.2, 0.1, 0.05])
+        assert convergence_slope(h, h**2) == pytest.approx(2.0, abs=1e-12)
+
 
 class TestErrorSymmetry:
     def test_1d_even_problem(self):

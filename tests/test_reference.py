@@ -1,5 +1,7 @@
 """Direct-summation model: neighbors, shape functions, sparse operators."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from fcrkpm import (
     poisson_case,
     quadrature_weights,
 )
+from fcrkpm.basis import _footprint_reach
 from fcrkpm.errors import SingularMomentError
 from fcrkpm.reference import ReferenceModel
 
@@ -47,6 +50,28 @@ class TestNeighborCounts:
         disc = discretize(poisson_case(2), counts=16, a_tilde=2.0)
         ref = disc.reference()
         assert np.max(ref.find_neighbors().counts) == 9
+
+    @pytest.mark.parametrize("mode", ["counts", "spacing"])
+    def test_stencil_is_the_fft_footprint(self, mode):
+        # in both plan modes (6-40 nodes on [-1, 1]), whole-number a_tilde
+        # included, the oracle's stencil and the FFT path's footprint both
+        # reach ceil(a_tilde) - 1 nodes
+        basis = enumerate_basis(1, 1)
+        for nodes in range(6, 41):
+            for at in (1.5, 2.0, 2.5, 3.0, 3.5):
+                kw = ({"counts": nodes} if mode == "counts"
+                      else {"spacing": 2.0 / (nodes - 1)})
+                if mode == "counts" and 2 * at >= nodes:
+                    continue  # the plan refuses it (test_grid.py)
+                plan = plan_extension(2.0, at, **kw)
+                grid = build_grid(plan, -1.0)
+                kernel = KernelSpec(plan.kernel_support)
+                ones = np.ones(grid.shape)
+                ref = ReferenceModel(grid, ones, ones, basis, kernel)
+                reach = math.ceil(at) - 1
+                assert _footprint_reach(grid, kernel) == [reach]
+                assert ref._offsets.ravel().tolist() == list(
+                    range(-reach, reach + 1))
 
     def test_1d_truncation_at_left_end(self, disc1d):
         ref = disc1d.reference()
